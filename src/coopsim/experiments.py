@@ -16,6 +16,7 @@ serialized outputs say so.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,12 +81,12 @@ class SweepSpec:
                 raise DomainError(f"{name} must be nonempty")
             if any(a >= b for a, b in zip(grid, grid[1:])):
                 raise DomainError(f"{name} must be strictly increasing, got {grid}")
-            if grid[0] < 0.0:
-                raise DomainError(f"{name} entries must be >= 0, got {grid}")
+            if not all(0.0 <= v < math.inf for v in grid):
+                raise DomainError(f"{name} entries must be finite and >= 0, got {grid}")
         if self.replicas < 1:
             raise DomainError(f"replicas must be >= 1, got {self.replicas}")
-        if self.horizon <= 0.0:
-            raise DomainError(f"horizon must be positive, got {self.horizon}")
+        if not 0.0 < self.horizon < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
 
 
 @dataclass(frozen=True, slots=True)

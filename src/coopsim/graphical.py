@@ -44,9 +44,11 @@ from scipy import stats
 
 from coopsim import lattice
 from coopsim.errors import (
+    BudgetExhausted,
     CouplingOrder,
     DomainError,
     FlavorMismatch,
+    InclusionViolation,
     InsufficientHistory,
 )
 from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus
@@ -501,8 +503,6 @@ def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[To
             if s2[x] == EMPTY and s2[m.source] == DEFECTOR:
                 s2[x] = DEFECTOR
         if (s1[x], s2[x]) not in ALLOWED_PAIRS:
-            from coopsim.errors import InclusionViolation
-
             raise InclusionViolation(
                 f"pair ({lattice.STATE_CHARS[s1[x]]}, {lattice.STATE_CHARS[s2[x]]}) "
                 f"at site {x}, time {m.time!r} after a {m.kind} mark"
@@ -688,8 +688,6 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
     while stack:
         site, r_hi, index = stack.pop()
         if len(nodes) >= max_nodes:
-            from coopsim.errors import BudgetExhausted
-
             err = BudgetExhausted(f"dual tree exceeded {max_nodes} segments")
             err.partial = tuple(nodes)
             raise err

@@ -10,16 +10,23 @@ gains a cooperator at rate
 (z runs over all 2d neighbors of y, including x itself) and gains a
 defector at rate ``#defector neighbors * (beta + beta_d) / (2 d)``.
 
-The sampler is an exact Gillespie direct method.  Event selection scans
-sites, then directed neighbor pairs in a fixed order, so that when
+The sampler is an exact Gillespie direct method with one exponential and
+one uniform draw per event.  Selection is two-level: the sites are cut into
+consecutive blocks of ``isqrt(N)`` sites, the uniform picks a block from the
+prefix sums of the block sums and then a site from the prefix sums within
+that block, so an event costs O(sqrt(N)) rather than O(N).  Inside an empty
+site the directed neighbor pairs are walked in a fixed order, so that when
 ``beta_c == beta_d == 0`` swapping the two type labels in the initial
 configuration mirrors the whole run exactly, draw for draw.
 """
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -151,7 +158,7 @@ def product_measure(
     rng: np.random.Generator,
 ) -> Torus:
     """Independent per-site states with P(c) = rho_c, P(d) = rho_d."""
-    if rho_c < 0 or rho_d < 0 or rho_c + rho_d > 1:
+    if not (rho_c >= 0 and rho_d >= 0 and rho_c + rho_d <= 1):
         raise DomainError(f"densities ({rho_c}, {rho_d}) not a sub-probability")
     u = rng.random(side**dim)
     sites = [
@@ -209,24 +216,27 @@ class Event(NamedTuple):
 
 
 class RateTable:
-    """Per-site event rates with cached per-kind totals.
+    """Per-site event rates, grouped into blocks for two-level selection.
 
-    ``site_total`` drives selection: 1.0 for occupied sites (their death
-    clock), and for empty sites the sum of directed-pair birth rates taken
-    in neighbor order.  ``birth_c`` / ``birth_d`` / ``death`` hold the
-    per-site split, and the ``total_*`` attributes are maintained
-    incrementally as sites are refreshed.
+    ``rates[i]`` is 1.0 for an occupied site (its death clock) and, for an
+    empty site, the sum of its directed-pair birth rates taken in neighbor
+    order.  The sites are cut into consecutive blocks of ``block`` =
+    ``isqrt(N)`` sites (the last one may be shorter) and ``block_sums[b]``
+    holds ``sum(rates[b * block:(b + 1) * block])``.
+
+    Block sums are set, never added to: after a change every touched block
+    is summed again from its sites.  Every rate and every block sum is thus
+    a pure function of the configuration, equal to a fresh table's, and no
+    floating-point drift builds up over a run.  The per-kind totals are
+    computed on demand from the configuration.
     """
 
     __slots__ = (
         "p",
-        "site_total",
-        "birth_c",
-        "birth_d",
-        "death",
-        "total_birth_c",
-        "total_birth_d",
-        "total_death",
+        "torus",
+        "rates",
+        "block",
+        "block_sums",
         "pair_beta",
         "pair_coop",
         "pair_defect",
@@ -236,63 +246,61 @@ class RateTable:
         if p.dim != torus.dim:
             raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
         self.p = p
+        self.torus = torus
         two_d = 2.0 * torus.dim
         self.pair_beta = p.beta / two_d
         self.pair_coop = p.beta_c / (two_d * two_d)
         self.pair_defect = (p.beta + p.beta_d) / two_d
         n = torus.n_sites
-        self.site_total = np.zeros(n, dtype=np.float64)
-        self.birth_c = [0.0] * n
-        self.birth_d = [0.0] * n
-        self.death = [0.0] * n
-        self.total_birth_c = 0.0
-        self.total_birth_d = 0.0
-        self.total_death = 0.0
-        for i in range(n):
-            self.refresh_site(torus, i)
+        self.block = math.isqrt(n)
+        self.rates = [self.site_rate(i) for i in range(n)]
+        self.block_sums = [sum(self.rates[lo : lo + self.block]) for lo in range(0, n, self.block)]
 
-    def refresh_site(self, torus: Torus, i: int) -> None:
-        """Recompute site ``i`` rates from the configuration."""
-        sites = torus.sites
+    def site_rate(self, i: int) -> float:
+        """Total event rate of site ``i`` in the current configuration."""
+        sites = self.torus.sites
         if sites[i] != EMPTY:
-            death, bc, bd, tot = 1.0, 0.0, 0.0, 1.0
-        else:
-            death = 0.0
-            bc = 0.0
-            bd = 0.0
-            tot = 0.0
-            neighbors = torus.neighbors
-            pair_beta = self.pair_beta
-            pair_coop = self.pair_coop
-            pair_defect = self.pair_defect
-            for y in neighbors[i]:
-                sy = sites[y]
-                if sy == COOPERATOR:
-                    k = 0
-                    for z in neighbors[y]:
-                        if sites[z] == COOPERATOR:
-                            k += 1
-                    r = pair_beta + pair_coop * k
-                    bc += r
-                    tot += r
-                elif sy == DEFECTOR:
-                    bd += pair_defect
-                    tot += pair_defect
-        self.total_birth_c += bc - self.birth_c[i]
-        self.total_birth_d += bd - self.birth_d[i]
-        self.total_death += death - self.death[i]
-        self.birth_c[i] = bc
-        self.birth_d[i] = bd
-        self.death[i] = death
-        self.site_total[i] = tot
+            return 1.0
+        tot = 0.0
+        neighbors = self.torus.neighbors
+        pair_beta = self.pair_beta
+        pair_coop = self.pair_coop
+        pair_defect = self.pair_defect
+        for y in neighbors[i]:
+            sy = sites[y]
+            if sy == COOPERATOR:
+                k = 0
+                for z in neighbors[y]:
+                    if sites[z] == COOPERATOR:
+                        k += 1
+                tot += pair_beta + pair_coop * k
+            elif sy == DEFECTOR:
+                tot += pair_defect
+        return tot
 
-    def rebuild(self, torus: Torus) -> "RateTable":
-        """Fresh table from scratch (for drift checks against the caches)."""
-        return RateTable(torus, self.p)
+    def refresh(self, changed: Sequence[int]) -> None:
+        """Recompute the rates of ``changed`` sites, then their block sums."""
+        rates = self.rates
+        block = self.block
+        for i in changed:
+            rates[i] = self.site_rate(i)
+        for b in {i // block for i in changed}:
+            lo = b * block
+            self.block_sums[b] = sum(rates[lo : lo + block])
 
     @property
-    def total_rate(self) -> float:
-        return float(self.site_total.sum())
+    def total_death(self) -> float:
+        return float(self.torus.n_sites - self.torus.sites.count(EMPTY))
+
+    @property
+    def total_birth_c(self) -> float:
+        t = self.torus
+        return math.fsum(birth_rate_c(t, x, self.p) for x, s in enumerate(t.sites) if s == EMPTY)
+
+    @property
+    def total_birth_d(self) -> float:
+        t = self.torus
+        return math.fsum(birth_rate_d(t, x, self.p) for x, s in enumerate(t.sites) if s == EMPTY)
 
 
 def step(
@@ -309,24 +317,36 @@ def step(
     selected or applied and ``(None, elapsed)`` is returned, which is the
     exact way to stop a continuous-time chain at a horizon.
     """
-    cum = np.cumsum(table.site_total)
-    total = float(cum[-1])
+    block_sums = table.block_sums
+    cum_blocks = list(accumulate(block_sums))
+    total = cum_blocks[-1]
     if total <= 0.0:
         raise Absorbed("all sites empty: total event rate is zero")
     elapsed = rng.standard_exponential() / total
     if t_limit is not None and elapsed > t_limit:
         return None, elapsed
     target = rng.random() * total
-    i = int(np.searchsorted(cum, target, side="right"))
-    if i >= torus.n_sites:
-        i = torus.n_sites - 1
+    # bisect_right never picks a zero-rate block or site; when rounding
+    # carries the target past the last prefix sum, the clamp falls back to
+    # the last positive entry, never to trailing zero-rate sites
+    b = bisect_right(cum_blocks, target)
+    if b == len(cum_blocks):
+        b = next(k for k in reversed(range(b)) if block_sums[k] > 0.0)
+    residual = target - (cum_blocks[b - 1] if b > 0 else 0.0)
+    rates = table.rates
+    lo = b * table.block
+    cum = list(accumulate(rates[lo : lo + table.block]))
+    j = bisect_right(cum, residual)
+    if j == len(cum):
+        j = next(k for k in reversed(range(j)) if rates[lo + k] > 0.0)
+    i = lo + j
 
     sites = torus.sites
     prev = sites[i]
     if prev != EMPTY:
         event = Event("death", i, None, EMPTY, prev)
     else:
-        residual = target - (float(cum[i - 1]) if i > 0 else 0.0)
+        residual -= cum[j - 1] if j > 0 else 0.0
         neighbors = torus.neighbors
         pair_beta = table.pair_beta
         pair_coop = table.pair_coop
@@ -348,13 +368,12 @@ def step(
             residual -= r
             if residual < 0.0:
                 break
-        if chosen is None:  # cannot happen unless site_total[i] was stale
+        if chosen is None:  # cannot happen unless the rate table was stale
             raise Absorbed(f"no occupied neighbor at selected empty site {i}")
         event = Event("birth", i, chosen, sites[chosen], prev)
 
     sites[event.site] = event.state
-    for w in torus.near2[event.site]:
-        table.refresh_site(torus, w)
+    table.refresh(torus.near2[event.site])
     return event, elapsed
 
 
@@ -383,8 +402,8 @@ def run(
     that sampling time exactly.  ``t_end = 0`` yields the single initial
     sample.
     """
-    if t_end < 0 or sample_interval <= 0:
-        raise DomainError("t_end must be nonnegative and sample_interval positive")
+    if not (0 <= t_end < math.inf and 0 < sample_interval < math.inf):
+        raise DomainError("t_end must be finite and >= 0, sample_interval finite and > 0")
     if t_end == 0:
         n_c, n_d, n_e = torus.counts()
         if observers:
@@ -569,6 +588,8 @@ def survival_estimate(
     """
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
+    if not (math.isfinite(horizon) and horizon >= 0):
+        raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
     arg_list = [
         (i, master_seed, p.beta, p.beta_c, p.beta_d, p.dim, side, rho_c, rho_d, horizon)
         for i in range(replicas)

@@ -11,6 +11,7 @@ plus the spatial dimension ``dim`` of the integer lattice / torus.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -26,6 +27,9 @@ class Params:
     dim: int = 1
 
     def __post_init__(self) -> None:
+        for name in ("beta", "beta_c", "beta_d", "dim"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.beta > 0:
             raise DomainError(f"beta must be positive, got {self.beta}")
         if self.beta_c < 0:

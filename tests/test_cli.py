@@ -78,6 +78,14 @@ def test_domain_error_exits_2(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_rate_exits_2(capsys):
+    code = main(["simulate", "--beta", "2", "--beta-c", "nan", "--side", "4", "--replicas", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert "finite" in err
+    assert "freq_both_extinct" not in out
+
+
 def test_io_error_exits_1(capsys):
     code = main(
         ["blocks", "a1", "--T", "1", "--replicas", "10",

@@ -56,6 +56,14 @@ def test_sweep_spec_validation():
         small_spec(horizon=0.0)
 
 
+def test_sweep_spec_rejects_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for bad in (dict(beta_c_grid=(nan,)), dict(beta_d_grid=(0.0, inf)),
+                dict(horizon=nan), dict(horizon=inf)):
+        with pytest.raises(DomainError):
+            small_spec(**bad)
+
+
 def test_sweep_rows_partition_and_order():
     spec = small_spec()
     rows = sweep_phase_diagram(spec)

@@ -172,7 +172,7 @@ def test_rate_table_single_defector_totals():
     assert table.total_death == 1.0
     assert table.total_birth_d == pytest.approx(3.0)
     assert table.total_birth_c == 0.0
-    assert table.total_rate == pytest.approx(4.0)
+    assert sum(table.block_sums) == pytest.approx(4.0)
 
 
 def test_step_single_defector_death_fraction():
@@ -208,20 +208,59 @@ def test_step_horizon_stop_leaves_state_unchanged():
 
 
 def test_rate_table_incremental_matches_rebuild_after_many_steps():
-    p = Params(6.0, 3.0, 2.0, 1)
-    rng = np.random.default_rng(42)
-    t = product_measure(20, 1, 0.4, 0.4, rng)
+    # Rates and block sums are recomputed from the configuration, never
+    # accumulated, so after many events they equal a fresh table's exactly.
+    # A square N = side**2 fills its blocks of side sites; N = 23 (blocks of
+    # 4) and N = 5**3 (blocks of 11) end in a partial block.
+    for side, dim, partial in ((23, 1, True), (31, 2, False), (5, 3, True)):
+        p = Params(6.0, 3.0, 2.0, dim)
+        rng = np.random.default_rng(42)
+        t = product_measure(side, dim, 0.4, 0.4, rng)
+        table = RateTable(t, p)
+        assert (t.n_sites % table.block != 0) == partial
+        for _ in range(10_000):
+            try:
+                step(t, table, p, rng)
+            except Absorbed:  # pragma: no cover - not expected at these rates
+                break
+        fresh = RateTable(t, p)
+        assert table.rates == fresh.rates
+        assert table.block_sums == fresh.block_sums
+
+
+class _FixedDraws:
+    """Generator stand-in whose uniform draw is a fixed value."""
+
+    def __init__(self, u: float):
+        self.u = u
+
+    def standard_exponential(self) -> float:
+        return 1.0
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize(
+    "pattern, p, u, site",
+    [
+        # the last, partial block (site 9) and the block before it hold only
+        # zero-rate empty sites; the uniform is the largest float below 1
+        ("eeccdeeeee", Params(2.0, 1.0, 1.0, 1), float(np.nextafter(1.0, 0.0)), 5),
+        # u * total lands one ulp below the end of block (3, 4, 5) and the
+        # residual rounds up past that block's own sum, so the within-block
+        # clamp must skip the zero-rate site 5 and take site 4
+        ("eeedeeeede", Params(0.7, 0.0, 0.0, 1), float(np.nextafter(0.5, 0.0)), 4),
+    ],
+)
+def test_step_selection_boundary_never_picks_zero_rate_site(pattern, p, u, site):
+    t = make_line(pattern)
     table = RateTable(t, p)
-    for _ in range(10_000):
-        try:
-            step(t, table, p, rng)
-        except Absorbed:  # pragma: no cover - not expected at these rates
-            break
-    fresh = table.rebuild(t)
-    assert abs(table.total_birth_c - fresh.total_birth_c) <= 1e-9
-    assert abs(table.total_birth_d - fresh.total_birth_d) <= 1e-9
-    assert abs(table.total_death - fresh.total_death) <= 1e-9
-    assert float(np.max(np.abs(table.site_total - fresh.site_total))) <= 1e-9
+    rates = list(table.rates)
+    assert table.block == 3 and rates[site + 1] == 0.0
+    event, _ = step(t, table, p, _FixedDraws(u))
+    assert rates[event.site] > 0.0
+    assert (event.kind, event.site, event.parent) == ("birth", site, 4 if site == 5 else 3)
 
 
 # ----------------------------------------------------------- type symmetry
@@ -446,5 +485,38 @@ def test_survival_rejects_zero_replicas():
     with pytest.raises(DomainError):
         survival_estimate(
             Params(2.0), side=10, horizon=1.0, replicas=0,
+            rho_c=0.1, rho_d=0.1, master_seed=1,
+        )
+
+
+def test_params_reject_non_finite_rates():
+    for args in ((2.0, float("nan"), 1.0), (float("inf"),), (2.0, 0.0, float("inf")),
+                 (float("nan"),), (2.0, 0.0, 0.0, float("inf"))):
+        with pytest.raises(DomainError):
+            Params(*args)
+
+
+def test_product_measure_rejects_nan_density():
+    rng = np.random.default_rng(0)
+    with pytest.raises(DomainError):
+        product_measure(10, 1, float("nan"), 0.2, rng)
+    with pytest.raises(DomainError):
+        product_measure(10, 1, 0.2, float("nan"), rng)
+
+
+def test_run_rejects_non_finite_times():
+    t = make_line("ccddeeee")
+    for kwargs in (dict(t_end=float("nan")), dict(t_end=-1.0),
+                   dict(t_end=1.0, sample_interval=float("nan")),
+                   dict(t_end=1.0, sample_interval=0.0)):
+        with pytest.raises(DomainError):
+            run(t, Params(2.0), rng=np.random.default_rng(0), **kwargs)
+
+
+@pytest.mark.parametrize("horizon", [-1.0, float("nan"), float("inf")])
+def test_survival_rejects_bad_horizon(horizon):
+    with pytest.raises(DomainError):
+        survival_estimate(
+            Params(2.0), side=10, horizon=horizon, replicas=1,
             rho_c=0.1, rho_d=0.1, master_seed=1,
         )
