@@ -36,6 +36,7 @@ from .params import Params, equal_rate_benefit
 from . import percolation as blocks_mod
 from .experiments import (
     SweepSpec,
+    _fmt,
     bracket_critical,
     bracket_to_json,
     monotonicity_check,
@@ -44,10 +45,6 @@ from .experiments import (
 )
 
 __all__ = ["main", "RunConfig", "parse_config_text"]
-
-
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
 
 
 # -------------------------------------------------------------- option table

@@ -196,12 +196,6 @@ class EventLog:
         i = bisect_left(times, before)
         return times[i - 1] if i > 0 else None
 
-    def crosses_at_between(self, site: int, lo: float, hi: float) -> list[float]:
-        """Cross times at ``site`` with lo < time < hi, ascending."""
-        self._ensure_site_indexes()
-        times = self._crosses_at.get(site, [])
-        return [t for t in times if lo < t < hi]
-
     # ------------------------------------------------------- serialization
 
     def to_text(self) -> str:

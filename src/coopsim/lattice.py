@@ -393,93 +393,42 @@ def run(
     t_end: float,
     rng: np.random.Generator,
     sample_interval: float = 1.0,
-    observers: Sequence[Callable[[float, Torus], None]] | None = None,
 ) -> TimeSeries:
     """Simulate in place until ``t_end``, sampling counts every interval.
 
-    The torus is left in its state at ``t_end``.  Observers are called at
-    each sampling time with (time, torus) while the configuration matches
-    that sampling time exactly.  ``t_end = 0`` yields the single initial
-    sample.
+    The sample at time s holds the counts of the configuration at s: a
+    sample the next event jumps over gets the counts from before that
+    event.  The grid runs to the multiple of the interval nearest
+    ``t_end``, and a sample time past ``t_end`` holds the counts at
+    ``t_end``.  The torus is left in its state at ``t_end``.  ``t_end = 0``
+    yields the single initial sample and draws nothing from ``rng``.
     """
     if not (0 <= t_end < math.inf and 0 < sample_interval < math.inf):
         raise DomainError("t_end must be finite and >= 0, sample_interval finite and > 0")
-    if t_end == 0:
-        n_c, n_d, n_e = torus.counts()
-        if observers:
-            for fn in observers:
-                fn(0.0, torus)
-        return TimeSeries(
-            t=np.zeros(1),
-            n_c=np.array([n_c], dtype=np.int64),
-            n_d=np.array([n_d], dtype=np.int64),
-            n_e=np.array([n_e], dtype=np.int64),
-        )
-    table = RateTable(torus, p)
     sample_times = np.arange(0.0, t_end + sample_interval * 0.5, sample_interval)
-    n_samples = len(sample_times)
+    times = sample_times.tolist() + [math.inf]
     n_c, n_d, n_e = torus.counts()
-    out_c = np.empty(n_samples, dtype=np.int64)
-    out_d = np.empty_like(out_c)
-    out_e = np.empty_like(out_c)
-
+    counts = [n_e, n_c, n_d]  # indexed by site state
+    samples = []
     k = 0
     t = 0.0
-    alive = True
-    window_done = False
-    while k < n_samples:
-        if alive:
-            try:
-                event, elapsed = step(torus, table, p, rng, t_limit=t_end - t)
-            except Absorbed:
-                event = None
-                alive = False
-        else:
-            event = None
-        if event is None:
-            window_done = True
-            while k < n_samples:
-                out_c[k], out_d[k], out_e[k] = n_c, n_d, n_e
-                if observers:
-                    for fn in observers:
-                        fn(float(sample_times[k]), torus)
-                k += 1
-            break
-        t_next = t + elapsed
-        if k < n_samples and sample_times[k] < t_next:
-            # flush samples the event jumped over, at the pre-event state
-            torus.sites[event.site] = event.prev
-            while k < n_samples and sample_times[k] < t_next:
-                out_c[k], out_d[k], out_e[k] = n_c, n_d, n_e
-                if observers:
-                    for fn in observers:
-                        fn(float(sample_times[k]), torus)
-                k += 1
-            torus.sites[event.site] = event.state
-        t = t_next
-        if event.kind == "birth":
-            n_e -= 1
-            if event.state == COOPERATOR:
-                n_c += 1
-            else:
-                n_d += 1
-        else:
-            n_e += 1
-            if event.prev == COOPERATOR:
-                n_c -= 1
-            else:
-                n_d -= 1
-    # the last sample time may precede t_end; when the sampling grid was
-    # exhausted before the event stream, finish the window so the torus
-    # really holds its state at t_end
-    while not window_done:
+    if t_end > 0:
+        table = RateTable(torus, p)
         try:
-            event, elapsed = step(torus, table, p, rng, t_limit=t_end - t)
+            while True:
+                event, elapsed = step(torus, table, p, rng, t_limit=t_end - t)
+                if event is None:
+                    break
+                t += elapsed
+                while times[k] < t:
+                    samples.append(tuple(counts))
+                    k += 1
+                counts[event.prev] -= 1
+                counts[event.state] += 1
         except Absorbed:
-            break
-        if event is None:
-            break
-        t += elapsed
+            pass
+    samples += [tuple(counts)] * (len(sample_times) - k)
+    out_e, out_c, out_d = np.array(samples, dtype=np.int64).T.copy()
     return TimeSeries(t=sample_times, n_c=out_c, n_d=out_d, n_e=out_e)
 
 
@@ -555,18 +504,8 @@ def _survival_replica(args: tuple) -> ReplicaOutcome:
     p = Params(beta, beta_c, beta_d, dim)
     rng = replica_rng(master_seed, index)
     torus = product_measure(side, dim, rho_c, rho_d, rng)
-    table = RateTable(torus, p)
-    t = 0.0
-    while True:
-        try:
-            event, elapsed = step(torus, table, p, rng, t_limit=horizon - t)
-        except Absorbed:
-            break
-        if event is None:
-            break
-        t += elapsed
-    n_c, n_d, n_e = torus.counts()
-    return ReplicaOutcome(index, n_c, n_d, n_e)
+    run(torus, p, horizon, rng, sample_interval=max(horizon, 1.0))
+    return ReplicaOutcome(index, *torus.counts())
 
 
 def survival_estimate(

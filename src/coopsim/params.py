@@ -39,15 +39,6 @@ class Params:
         if int(self.dim) != self.dim or self.dim < 1:
             raise DomainError(f"dim must be a positive integer, got {self.dim}")
 
-    def with_rates(self, beta_c: float | None = None, beta_d: float | None = None) -> "Params":
-        """Copy with one or both of the type-specific rates replaced."""
-        return Params(
-            beta=self.beta,
-            beta_c=self.beta_c if beta_c is None else beta_c,
-            beta_d=self.beta_d if beta_d is None else beta_d,
-            dim=self.dim,
-        )
-
 
 def equal_rate_benefit(beta_d: float, dim: int) -> float:
     """Cooperator benefit that exactly balances a defector bonus ``beta_d``.

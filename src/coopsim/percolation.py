@@ -28,7 +28,7 @@ import numpy as np
 
 from coopsim import lattice
 from coopsim.errors import DomainError, FlavorMismatch, OutOfBounds
-from coopsim.lattice import DEFECTOR, EMPTY, Torus
+from coopsim.lattice import DEFECTOR, Torus
 from coopsim.params import Params, equal_rate_benefit
 
 # Pilot-validated critical birth rate of the d=1 single-type process
@@ -194,49 +194,13 @@ def estimate_c_plus_absence(
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     c_plus_absence_prob(L, d, rho)  # argument validation
-    per_site = (rho / (4 * d * d)) * (4 * d * d)
-    lam = per_site * (6 * L + 1) ** d * 2.0 * L**2
+    lam = rho * (6 * L + 1) ** d * 2.0 * L**2
     counts = rng.poisson(lam, size=replicas)
     freq = float((counts == 0).mean())
     return freq, math.sqrt(freq * (1.0 - freq) / replicas)
 
 
 # ------------------------------------------------------------- percolation
-
-
-class OrientedLattice:
-    """Parity-constrained site lattice with upward (and horizontal) steps."""
-
-    def __init__(self, dim: int = 1):
-        if dim < 1:
-            raise DomainError(f"dimension must be >= 1, got {dim}")
-        self.dim = dim
-
-    def parity_valid(self, z, n: int) -> bool:
-        coords = (z,) if self.dim == 1 and isinstance(z, int) else tuple(z)
-        return (sum(coords) + n) % 2 == 0
-
-    def step_children(self, z, n: int):
-        """Sites fed by the upward edges (one unit sideways, one level up)."""
-        coords = (z,) if self.dim == 1 and isinstance(z, int) else tuple(z)
-        out = []
-        for j in range(self.dim):
-            for sign in (-1, 1):
-                moved = list(coords)
-                moved[j] += sign
-                out.append((moved[0] if self.dim == 1 else tuple(moved), n + 1))
-        return out
-
-    def horizontal_children(self, z, n: int):
-        """Same-level double steps available in the augmented graph."""
-        coords = (z,) if self.dim == 1 and isinstance(z, int) else tuple(z)
-        out = []
-        for j in range(self.dim):
-            for sign in (-2, 2):
-                moved = list(coords)
-                moved[j] += sign
-                out.append((moved[0] if self.dim == 1 else tuple(moved), n))
-        return out
 
 
 @dataclass(frozen=True, slots=True)

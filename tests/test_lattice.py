@@ -344,22 +344,27 @@ def test_run_final_state_independent_of_sampling_grid():
     assert finals[0] == finals[1] == finals[2]
 
 
-def test_run_observer_sees_sampling_time_state():
-    rng = np.random.default_rng(13)
-    t = product_measure(30, 1, 0.3, 0.3, rng)
-    seen = []
-    series = run(
-        t,
-        Params(3.0, 1.0, 0.5, 1),
-        t_end=10.0,
-        rng=rng,
-        sample_interval=0.25,
-        observers=[lambda time, torus: seen.append((time, torus.counts()))],
-    )
-    assert len(seen) == len(series.t)
-    for k, (time, (n_c, n_d, n_e)) in enumerate(seen):
-        assert time == pytest.approx(float(series.t[k]))
-        assert (n_c, n_d, n_e) == (series.n_c[k], series.n_d[k], series.n_e[k])
+def test_run_sample_is_state_at_sampling_time():
+    # a run stopped at a sample time makes the same draws up to that time,
+    # so its final counts are what the longer run sampled there
+    p = Params(3.0, 1.0, 0.5, 1)
+    start = product_measure(30, 1, 0.3, 0.3, np.random.default_rng(13))
+    series = run(start.copy(), p, t_end=10.0, rng=np.random.default_rng(14), sample_interval=0.25)
+    for k in range(1, len(series.t), 3):
+        t = start.copy()
+        run(t, p, t_end=float(series.t[k]), rng=np.random.default_rng(14))
+        assert t.counts() == (series.n_c[k], series.n_d[k], series.n_e[k])
+
+
+def test_run_pinned_bytes():
+    # values computed before the event loop was merged into one; the
+    # sampled counts and the final state must not move
+    t = make_line("ccddeeccdd")
+    series = run(t, Params(3.0, 1.0, 0.5, 1), t_end=4.7, rng=np.random.default_rng(21))
+    assert series.n_c.tolist() == [4, 4, 3, 3, 0, 0]
+    assert series.n_d.tolist() == [4, 5, 4, 5, 4, 4]
+    assert series.n_e.tolist() == [2, 1, 3, 2, 6, 6]
+    assert t.state_string() == "eeededddee"
 
 
 def test_run_absorption_freezes_remaining_samples():
@@ -471,6 +476,17 @@ def test_survival_independent_of_worker_count():
     serial = survival_estimate(**kwargs, jobs=1)
     pooled = survival_estimate(**kwargs, jobs=2)
     assert serial.outcomes == pooled.outcomes
+
+
+def test_survival_pinned_outcomes():
+    # values computed before replicas were routed through ``run``
+    res = survival_estimate(
+        Params(4.0, 1.0, 1.0, 1), side=12, horizon=3.0, replicas=4,
+        rho_c=0.3, rho_d=0.3, master_seed=5,
+    )
+    assert [(o.n_c, o.n_d, o.n_e) for o in res.outcomes] == [
+        (1, 9, 2), (5, 5, 2), (2, 9, 1), (0, 9, 3),
+    ]
 
 
 def test_replica_rng_streams_differ():

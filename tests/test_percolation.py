@@ -10,7 +10,6 @@ from coopsim.params import Params, equal_rate_benefit
 from coopsim.percolation import (
     BETA_STAR_D1,
     BlockSpec,
-    OrientedLattice,
     block_spread_estimate,
     bound_a2,
     c_plus_absence_prob,
@@ -313,22 +312,6 @@ def test_block_spec_validation():
 
 
 # ------------------------------------------------------------ oriented grid
-
-
-def test_oriented_lattice_parity_and_children():
-    lat = OrientedLattice(1)
-    assert lat.parity_valid(0, 0)
-    assert not lat.parity_valid(1, 0)
-    assert lat.parity_valid(1, 1)
-    assert set(lat.step_children(0, 0)) == {(-1, 1), (1, 1)}
-    assert set(lat.horizontal_children(0, 5)) == {(-2, 5), (2, 5)}
-    plane = OrientedLattice(2)
-    assert set(plane.step_children((0, 0), 0)) == {
-        ((-1, 0), 1),
-        ((1, 0), 1),
-        ((0, -1), 1),
-        ((0, 1), 1),
-    }
 
 
 def test_percolate_zero_noise_fills_cone():
