@@ -35,8 +35,9 @@ backward-in-time tree of potential ancestors of a space-time point.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -79,6 +80,8 @@ KIND_ORDER = {
 ARROW_KINDS = frozenset({ARROW, DOT_ARROW, D_ARROW, C_PLUS_DOT_ARROW, D_PLUS_ARROW})
 
 RATE_TOL = 1e-12
+
+_TIME = attrgetter("time")
 
 
 class Mark(NamedTuple):
@@ -168,15 +171,22 @@ class EventLog:
                 yield i, m
 
     def _ensure_site_indexes(self) -> None:
+        """Build the per-site indexes once per log, in one pass over the marks.
+
+        ``_crosses_at[site]`` holds the times of the crosses at ``site``;
+        ``_arrows_into[site]`` holds the marks of every arrow kind whose
+        target is ``site``, self-dotted ones included.  Both are
+        time-ascending and keep log order among equal times.
+        """
         if self._crosses_at is not None:
             return
         crosses: dict[int, list[float]] = {}
-        arrows: dict[int, list[float]] = {}
+        arrows: dict[int, list[Mark]] = {}
         for m in self.marks:  # already time-sorted
             if m.kind == CROSS:
                 crosses.setdefault(m.target, []).append(m.time)
             elif m.kind in ARROW_KINDS:
-                arrows.setdefault(m.target, []).append(m.time)
+                arrows.setdefault(m.target, []).append(m)
         self._crosses_at = crosses
         self._arrows_into = arrows
 
@@ -190,11 +200,11 @@ class EventLog:
 
     def last_arrow_into(self, site: int, before: float) -> float | None:
         self._ensure_site_indexes()
-        times = self._arrows_into.get(site)
-        if not times:
+        arrows = self._arrows_into.get(site)
+        if not arrows:
             return None
-        i = bisect_left(times, before)
-        return times[i - 1] if i > 0 else None
+        i = bisect_left(arrows, before, key=_TIME)
+        return arrows[i - 1].time if i > 0 else None
 
     # ------------------------------------------------------- serialization
 
@@ -530,10 +540,9 @@ def classify_sterile(log: EventLog, mark_index: int) -> bool:
     :class:`InsufficientHistory` when the sampled window cannot pin down
     the truth value.
     """
-    try:
-        mark = log.marks[mark_index]
-    except IndexError:
-        raise DomainError(f"no mark at index {mark_index}") from None
+    if not 0 <= mark_index < len(log.marks):
+        raise DomainError(f"no mark at index {mark_index}")
+    mark = log.marks[mark_index]
     if mark.kind not in (DOT_ARROW, C_PLUS_DOT_ARROW):
         raise DomainError(f"mark {mark_index} is a {mark.kind}, not a dot-arrow")
     z = mark.dot
@@ -648,7 +657,7 @@ class DualTree:
     origin_site: int
     origin_time: float
     horizon: float  # largest dual time traced (origin_time - log.t_start)
-    nodes: tuple[DualNode, ...]  # sorted by hierarchy index
+    nodes: tuple[DualNode, ...]  # in hierarchy order
 
     def ancestors_at_horizon(self) -> list[DualNode]:
         """Segments alive at the window bottom, in hierarchy order."""
@@ -662,20 +671,24 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
     other arrow kinds are crossed tail-ward.  Children of a segment are
     indexed 1, 2, ... in the order their arrows are met walking up from
     the segment's stopping mark.
+
+    The walk reads the log's per-site indexes (built once per log, in one
+    O(marks) pass, and shared with :func:`classify_sterile`): each segment
+    costs three bisections into its site's lists plus its own children, so
+    a query is O(segments x log marks) and never rescans the log.
+    Children are pushed latest first, so segments come off the
+    stack, and into ``nodes``, in hierarchy order: a preorder walk.  When
+    the tree has more than ``max_nodes`` segments, :class:`BudgetExhausted`
+    carries the first ``max_nodes`` of them in that order, a prefix of the
+    full tree, as ``partial``.
     """
     if not (log.t_start < t <= log.t_end):
         raise DomainError(f"time {t!r} outside the log window")
     if not (0 <= x < log.side**log.dim):
         raise DomainError(f"site {x} not on the log's torus")
 
-    # Arrows pointing at each site, time-ascending: (time, source).
-    arrows_into: dict[int, list[tuple[float, int]]] = {}
-    for m in log.marks:
-        if m.kind in ARROW_KINDS and m.time <= t:
-            if m.kind in (DOT_ARROW, C_PLUS_DOT_ARROW) and m.dot == m.target:
-                continue
-            arrows_into.setdefault(m.target, []).append((m.time, m.source))
-
+    log._ensure_site_indexes()
+    arrows_into = log._arrows_into
     nodes: list[DualNode] = []
     # Work stack of (site, real time the segment is entered, hierarchy index).
     stack: list[tuple[int, float, tuple[int, ...]]] = [(x, t, (1,))]
@@ -699,12 +712,14 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
                 stopped_by_cross=stopped,
             )
         )
-        i = 0
-        for a_time, a_source in arrows_into.get(site, ()):  # time ascending
-            if r_lo < a_time < r_hi:
-                i += 1
-                stack.append((a_source, a_time, index + (i,)))
-    nodes.sort(key=lambda n: n.index)
+        # Arrows strictly inside (r_lo, r_hi); r_hi <= t, so none is later than t.
+        arrows = arrows_into.get(site, ())
+        lo = bisect_right(arrows, r_lo, key=_TIME)
+        hi = bisect_left(arrows, r_hi, lo, key=_TIME)
+        feeders = [m for m in arrows[lo:hi] if m.dot != m.target]
+        for i in range(len(feeders), 0, -1):
+            m = feeders[i - 1]
+            stack.append((m.source, m.time, index + (i,)))
     return DualTree(origin_site=x, origin_time=t, horizon=t - log.t_start, nodes=tuple(nodes))
 
 

@@ -1,5 +1,6 @@
 """End-to-end tests for the command-line interface."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -256,6 +257,19 @@ def test_dual_renders_lexicographic_hierarchy(capsys):
     assert indices == sorted(indices)
     assert all(len(l.split("\t")) == 5 for l in body)
 
+
+
+def test_dual_readme_example_pinned_bytes(capsys):
+    # SHA-256 of the README example's stdout, computed with the
+    # rescan-and-sort dual of coopsim 0.1.0
+    code, out = run_main(
+        ["dual", "--beta", "2", "--beta-c", "1", "--beta-d", "1", "--side", "12",
+         "--t-end", "3", "--site", "0", "--seed", "9"],
+        capsys,
+    )
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "4fc1acd4d232ce6b71d4c9fc5d9cb366bf06c0eb5847d446c864a3cd2e46e4a7"
 
 # ------------------------------------------------------------------- couple
 

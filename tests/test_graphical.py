@@ -1,5 +1,6 @@
 """Mark sampling, log evolution, couplings, sterility, and dual tracing."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -431,6 +432,15 @@ def test_classify_sterile_rejects_non_dot_marks():
         g.classify_sterile(log, 5)
 
 
+def test_classify_sterile_rejects_negative_index():
+    # a negative index would otherwise classify a mark counted from the end
+    marks = [g.Mark(1.0, g.ARROW, 2, 3), g.Mark(3.0, g.DOT_ARROW, 0, 1, 2)]
+    log = hand_log(marks, flavor=g.STANDARD)
+    assert g.classify_sterile(log, 1) is False
+    with pytest.raises(DomainError):
+        g.classify_sterile(log, -1)
+
+
 def test_estimate_sterile_matches_closed_form():
     freq, stderr = g.estimate_sterile(0.3, 0.7, 20_000, np.random.default_rng(12))
     assert abs(freq - STERILE_AT_SUM_ONE) <= 3.0 * stderr
@@ -569,6 +579,147 @@ def test_dual_validation_and_budget():
     with pytest.raises(BudgetExhausted) as info:
         g.build_dual(busy, 0, 8.0, max_nodes=3)
     assert len(info.value.partial) == 3
+
+
+def test_dual_boundary_marks():
+    # an arrow tied with the stopping cross sorts after it (KIND_ORDER) and
+    # lies on the open end of the segment: not a child
+    marks = [
+        g.Mark(1.0, g.CROSS, 3),
+        g.Mark(1.0, g.ARROW, 3, 2),
+        g.Mark(2.0, g.ARROW, 3, 4),
+    ]
+    tree = g.build_dual(hand_log(marks, t_end=5.0), 3, 4.0)
+    assert [(n.index, n.site) for n in tree.nodes] == [((1,), 3), ((1, 1), 4)]
+    assert tree.nodes[0].sigma_stop == 3.0
+
+    # an arrow into the child's site at the child's entry time: not a child
+    marks = [g.Mark(2.0, g.ARROW, 3, 4), g.Mark(2.0, g.ARROW, 4, 5)]
+    tree = g.build_dual(hand_log(marks, t_end=5.0), 3, 4.0)
+    assert [(n.index, n.site) for n in tree.nodes] == [((1,), 3), ((1, 1), 4)]
+    # nor is an arrow into the origin at the origin time
+    tree = g.build_dual(hand_log([g.Mark(4.0, g.ARROW, 3, 4)], t_end=5.0), 3, 4.0)
+    assert [n.index for n in tree.nodes] == [(1,)]
+
+    # an arrow later than t is never used, not even below a child
+    marks = [g.Mark(2.0, g.ARROW, 3, 4), g.Mark(4.5, g.ARROW, 3, 2), g.Mark(4.5, g.ARROW, 4, 5)]
+    tree = g.build_dual(hand_log(marks, t_end=5.0), 3, 4.0)
+    assert [(n.index, n.site) for n in tree.nodes] == [((1,), 3), ((1, 1), 4)]
+
+    # a self-dotted arrow between two real ones uses up no child index
+    for kind in (g.DOT_ARROW, g.C_PLUS_DOT_ARROW):
+        marks = [
+            g.Mark(1.0, g.ARROW, 3, 2),
+            g.Mark(2.0, kind, 3, 4, 3),
+            g.Mark(3.0, g.D_ARROW, 3, 4),
+        ]
+        tree = g.build_dual(hand_log(marks, flavor=g.COUPLED, t_end=5.0), 3, 4.0)
+        assert [(n.index, n.site, n.sigma_start) for n in tree.nodes] == [
+            ((1,), 3, 0.0),
+            ((1, 1), 2, 3.0),
+            ((1, 2), 4, 1.0),
+        ]
+
+
+def rescan_dual(log, x, t, max_nodes):
+    """Reference dual: rescan every mark per query, then sort by index."""
+    arrows_into = {}
+    for m in log.marks:
+        if m.kind in g.ARROW_KINDS and m.time <= t:
+            if m.kind in (g.DOT_ARROW, g.C_PLUS_DOT_ARROW) and m.dot == m.target:
+                continue
+            arrows_into.setdefault(m.target, []).append((m.time, m.source))
+    nodes = []
+    stack = [(x, t, (1,))]
+    while stack:
+        site, r_hi, index = stack.pop()
+        if len(nodes) >= max_nodes:
+            raise BudgetExhausted("reference budget")
+        cross = log.last_cross_at(site, r_hi)
+        if cross is not None and cross >= log.t_start:
+            r_lo, stopped = cross, True
+        else:
+            r_lo, stopped = log.t_start, False
+        nodes.append((site, index, t - r_hi, t - r_lo, stopped))
+        i = 0
+        for a_time, a_source in arrows_into.get(site, ()):
+            if r_lo < a_time < r_hi:
+                i += 1
+                stack.append((a_source, a_time, index + (i,)))
+    nodes.sort(key=lambda n: n[1])
+    return nodes
+
+
+def random_flavored_log(flavor, side, rng):
+    if flavor == g.STANDARD:
+        p = Params(float(rng.uniform(0.5, 3.0)), float(rng.uniform(0.0, 3.0)), 1.0, 1)
+        return g.sample_event_log(p, Torus(side, 1), 4.0, rng)
+    if flavor == g.EQUAL_RATE:
+        beta_d = float(rng.uniform(0.2, 2.0))
+        p = Params(float(rng.uniform(0.5, 3.0)), equal_rate_benefit(beta_d, 1), beta_d, 1)
+        return g.sample_event_log(p, Torus(side, 1), 4.0, rng, flavor=g.EQUAL_RATE)
+    favored, base = Params(2.0, 2.5, 0.5, 1), Params(2.0, 1.0, 1.0, 1)
+    return g.sample_event_log(favored, Torus(side, 1), 4.0, rng, flavor=g.COUPLED, p2=base)
+
+
+def dual_outcome(build, log, x, t, max_nodes):
+    try:
+        return build(log, x, t, max_nodes)
+    except BudgetExhausted:
+        return "budget"
+
+
+def indexed_dual(log, x, t, max_nodes):
+    tree = g.build_dual(log, x, t, max_nodes=max_nodes)
+    return [(n.site, n.index, n.sigma_start, n.sigma_stop, n.stopped_by_cross) for n in tree.nodes]
+
+
+def test_dual_matches_rescan_reference():
+    rng = np.random.default_rng(31)
+    self_dotted = 0
+    budget_hits = 0
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        for _ in range(12):
+            log = random_flavored_log(flavor, int(rng.integers(5, 16)), rng)
+            self_dotted += sum(
+                m.kind == g.C_PLUS_DOT_ARROW and m.dot == m.target for m in log.marks
+            )
+            x, t = int(rng.integers(0, log.side)), float(rng.uniform(0.1, 4.0))
+            expected = dual_outcome(rescan_dual, log, x, t, 5_000)
+            assert dual_outcome(indexed_dual, log, x, t, 5_000) == expected
+            if expected == "budget":
+                budget_hits += 1
+                continue
+            # both raise one segment short of the tree, neither at its size
+            short = len(expected) - 1
+            assert dual_outcome(indexed_dual, log, x, t, short) == "budget"
+            assert dual_outcome(rescan_dual, log, x, t, short) == "budget"
+            assert dual_outcome(indexed_dual, log, x, t, len(expected)) == expected
+    assert self_dotted > 0  # the coupled logs exercise self-dotted c_plus marks
+    assert 0 < budget_hits < 36
+
+
+def test_dual_budget_partial_is_hierarchy_prefix():
+    rng = np.random.default_rng(18)
+    p = Params(4.0, equal_rate_benefit(2.0, 1), 2.0, 1)
+    busy = g.sample_event_log(p, Torus(10, 1), 8.0, rng, flavor=g.EQUAL_RATE)
+    full = g.build_dual(busy, 0, 3.0)
+    assert len(full.nodes) > 50
+    for k in (1, 3, 17, len(full.nodes) - 1):
+        with pytest.raises(BudgetExhausted) as info:
+            g.build_dual(busy, 0, 3.0, max_nodes=k)
+        assert info.value.partial == full.nodes[:k]
+
+
+def test_dual_pinned_side_200_tree():
+    # node count and node digest of one seeded query, computed with the
+    # rescan-and-sort implementation
+    p = Params(2.0, 1.0, 1.0, 1)
+    log = g.sample_event_log(p, Torus(200, 1), 3.0, np.random.default_rng(0))
+    tree = g.build_dual(log, 100, 3.0)
+    assert len(tree.nodes) == 620
+    digest = hashlib.sha256(repr(tree.nodes).encode()).hexdigest()
+    assert digest == "66bd19152ed8ea75378de6598095f21125a523490055780d3d85804ed51033d9"
 
 
 # ----------------------------------------------------------- origin typing
