@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -62,20 +63,26 @@ class Opt:
         return "--" + self.name.replace("_", "-")
 
 
-def _convert(opt: Opt, raw: str):
-    if opt.kind == "float":
-        return float(raw)
-    if opt.kind == "int":
-        return int(raw)
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+
+
+# text parser per non-bool option kind, for the command line and config files
+_PARSERS = {"float": float, "int": int, "str": str, "floats": _float_list}
+
+
+def _convert(opt: Opt, raw: str, key: str):
+    """Parse the text ``raw`` given for ``opt`` under the name ``key``."""
     if opt.kind == "bool":
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
-        raise DomainError(f"config value for {opt.name} is not boolean: {raw!r}")
-    if opt.kind == "floats":
-        return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
-    return raw
+        raise DomainError(f"{key}={raw!r} is not a boolean")
+    try:
+        return _PARSERS[opt.kind](raw)
+    except ValueError:
+        raise DomainError(f"{key}={raw!r} is not a valid {opt.kind}") from None
 
 
 _SEED = Opt("seed", "int", 0)
@@ -300,9 +307,9 @@ def _resolve(command: str, ns: argparse.Namespace) -> tuple[dict, RunConfig]:
     for opt in opts:
         value = getattr(ns, opt.name, None)
         if value is None and opt.name in file_values:
-            value = _convert(opt, file_values[opt.name])
+            value = _convert(opt, file_values[opt.name], opt.name)
         if value is None and opt.name == "seed" and "COOP_SEED" in os.environ:
-            value = int(os.environ["COOP_SEED"])
+            value = _convert(opt, os.environ["COOP_SEED"], "COOP_SEED")
         if value is None:
             value = opt.default
         if value is None and opt.required:
@@ -346,14 +353,16 @@ def _cmd_meanfield(v: dict, cfg: RunConfig) -> str:
     p = Params(v["beta"], v["beta_c"], v["beta_d"], v["dim"])
     lines = _header_lines(cfg, None)
     if v["phi_curve"]:
-        if v["points"] < 2 or v["beta_c_max"] <= 0:
-            raise DomainError("phi curve needs points >= 2 and beta_c_max > 0")
+        if not (v["points"] >= 2 and 0 < v["beta_c_max"] < math.inf):
+            raise DomainError("phi curve needs points >= 2 and a finite beta_c_max > 0")
         lines.append("beta_c,phi")
         for i in range(v["points"]):
             bc = v["beta_c_max"] * i / (v["points"] - 1)
             lines.append(f"{_fmt(bc)},{_fmt(transition_curve(bc, v['beta']))}")
         return "\n".join(lines) + "\n"
 
+    if not 0 < v["sample_interval"] < math.inf:
+        raise DomainError(f"sample_interval must be positive and finite, got {v['sample_interval']}")
     traj = integrate((v["x0"], v["y0"]), p, v["t_end"], dt=v["dt"])
     reports = [
         {
@@ -592,20 +601,13 @@ def _build_parser() -> argparse.ArgumentParser:
         for opt in _OPTIONS[key]:
             if opt.kind == "bool":
                 p.add_argument(opt.flag, dest=opt.name, action=argparse.BooleanOptionalAction, default=None)
-            elif opt.kind == "floats":
-                p.add_argument(
-                    opt.flag,
-                    dest=opt.name,
-                    type=lambda raw: tuple(float(t) for t in raw.split(",") if t.strip()),
-                    default=None,
-                    metavar="X,Y,...",
-                )
             else:
                 p.add_argument(
                     opt.flag,
                     dest=opt.name,
-                    type={"float": float, "int": int, "str": str}[opt.kind],
+                    type=_PARSERS[opt.kind],
                     default=None,
+                    metavar="X,Y,..." if opt.kind == "floats" else None,
                 )
 
     for name in ("meanfield", "simulate", "sweep", "couple", "dual", "bracket", "sterile"):

@@ -23,10 +23,6 @@ class BoundaryError(CoopSimError):
     """A quantity was requested on the simplex boundary where it is undefined."""
 
 
-class OccupiedSite(CoopSimError):
-    """A birth rate was requested at a site that is not empty."""
-
-
 class Absorbed(CoopSimError):
     """The lattice process has reached the all-empty (zero total rate) state."""
 

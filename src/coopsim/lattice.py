@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import Absorbed, DomainError, OccupiedSite
+from .errors import Absorbed, DomainError
 from .params import Params
 
 EMPTY, COOPERATOR, DEFECTOR = 0, 1, 2
@@ -168,45 +168,6 @@ def product_measure(
     return Torus(side, dim, sites)
 
 
-def birth_rate_c(torus: Torus, x: int, p: Params) -> float:
-    """Cooperator birth rate onto empty site ``x``.
-
-    Computed as ``n_pairs * beta/(2d) + pair_support * beta_c/(4d^2)`` with
-    integer counts, so the ``beta_c == 0`` reduction to
-    ``#cooperator-neighbors * beta/(2d)`` is exact.
-    """
-    if torus.sites[x] != EMPTY:
-        raise OccupiedSite(f"site {x} is not empty")
-    if p.dim != torus.dim:
-        raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
-    sites = torus.sites
-    neighbors = torus.neighbors
-    n_pairs = 0
-    pair_support = 0
-    for y in neighbors[x]:
-        if sites[y] == COOPERATOR:
-            n_pairs += 1
-            for z in neighbors[y]:
-                if sites[z] == COOPERATOR:
-                    pair_support += 1
-    two_d = 2.0 * torus.dim
-    return n_pairs * (p.beta / two_d) + pair_support * (p.beta_c / (two_d * two_d))
-
-
-def birth_rate_d(torus: Torus, x: int, p: Params) -> float:
-    """Defector birth rate onto empty site ``x``."""
-    if torus.sites[x] != EMPTY:
-        raise OccupiedSite(f"site {x} is not empty")
-    if p.dim != torus.dim:
-        raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
-    sites = torus.sites
-    n_pairs = 0
-    for y in torus.neighbors[x]:
-        if sites[y] == DEFECTOR:
-            n_pairs += 1
-    return n_pairs * ((p.beta + p.beta_d) / (2.0 * torus.dim))
-
-
 class Event(NamedTuple):
     kind: str  # "death" | "birth"
     site: int
@@ -227,12 +188,10 @@ class RateTable:
     Block sums are set, never added to: after a change every touched block
     is summed again from its sites.  Every rate and every block sum is thus
     a pure function of the configuration, equal to a fresh table's, and no
-    floating-point drift builds up over a run.  The per-kind totals are
-    computed on demand from the configuration.
+    floating-point drift builds up over a run.
     """
 
     __slots__ = (
-        "p",
         "torus",
         "rates",
         "block",
@@ -245,7 +204,6 @@ class RateTable:
     def __init__(self, torus: Torus, p: Params):
         if p.dim != torus.dim:
             raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
-        self.p = p
         self.torus = torus
         two_d = 2.0 * torus.dim
         self.pair_beta = p.beta / two_d
@@ -288,29 +246,13 @@ class RateTable:
             lo = b * block
             self.block_sums[b] = sum(rates[lo : lo + block])
 
-    @property
-    def total_death(self) -> float:
-        return float(self.torus.n_sites - self.torus.sites.count(EMPTY))
-
-    @property
-    def total_birth_c(self) -> float:
-        t = self.torus
-        return math.fsum(birth_rate_c(t, x, self.p) for x, s in enumerate(t.sites) if s == EMPTY)
-
-    @property
-    def total_birth_d(self) -> float:
-        t = self.torus
-        return math.fsum(birth_rate_d(t, x, self.p) for x, s in enumerate(t.sites) if s == EMPTY)
-
 
 def step(
-    torus: Torus,
     table: RateTable,
-    p: Params,
     rng: np.random.Generator,
     t_limit: float | None = None,
 ) -> tuple[Event | None, float]:
-    """Advance by one event; returns (event, elapsed).
+    """Advance ``table.torus`` by one event; returns (event, elapsed).
 
     Raises :class:`Absorbed` when the total rate is zero.  When ``t_limit``
     is given and the exponential holding time exceeds it, no event is
@@ -341,13 +283,13 @@ def step(
         j = next(k for k in reversed(range(j)) if rates[lo + k] > 0.0)
     i = lo + j
 
-    sites = torus.sites
+    sites = table.torus.sites
     prev = sites[i]
     if prev != EMPTY:
         event = Event("death", i, None, EMPTY, prev)
     else:
         residual -= cum[j - 1] if j > 0 else 0.0
-        neighbors = torus.neighbors
+        neighbors = table.torus.neighbors
         pair_beta = table.pair_beta
         pair_coop = table.pair_coop
         pair_defect = table.pair_defect
@@ -373,7 +315,7 @@ def step(
         event = Event("birth", i, chosen, sites[chosen], prev)
 
     sites[event.site] = event.state
-    table.refresh(torus.near2[event.site])
+    table.refresh(table.torus.near2[event.site])
     return event, elapsed
 
 
@@ -416,7 +358,7 @@ def run(
         table = RateTable(torus, p)
         try:
             while True:
-                event, elapsed = step(torus, table, p, rng, t_limit=t_end - t)
+                event, elapsed = step(table, rng, t_limit=t_end - t)
                 if event is None:
                     break
                 t += elapsed
@@ -447,14 +389,12 @@ class SurvivalResult:
     """Replica outcomes plus Wald 95% half-widths for the frequencies.
 
     A type is alive when its count is positive at the horizon; it wins when
-    it is alive and the opponent's count is at or below ``density_floor``
-    (0 by default, i.e. strict extinction).  These are finite-horizon,
+    it is alive and the opponent is extinct.  These are finite-horizon,
     finite-volume surrogates for the limit statements, and are labelled as
     such wherever they are written out.
     """
 
     outcomes: tuple[ReplicaOutcome, ...]
-    density_floor: int = 0
 
     def freq(self, predicate: Callable[[ReplicaOutcome], bool]) -> float:
         if not self.outcomes:
@@ -477,13 +417,11 @@ class SurvivalResult:
 
     @property
     def freq_c_wins(self) -> float:
-        floor = self.density_floor
-        return self.freq(lambda o: o.n_c > 0 and o.n_d <= floor)
+        return self.freq(lambda o: o.n_c > 0 and o.n_d == 0)
 
     @property
     def freq_d_wins(self) -> float:
-        floor = self.density_floor
-        return self.freq(lambda o: o.n_d > 0 and o.n_c <= floor)
+        return self.freq(lambda o: o.n_d > 0 and o.n_c == 0)
 
     @property
     def freq_both_extinct(self) -> float:
@@ -516,7 +454,6 @@ def survival_estimate(
     rho_c: float,
     rho_d: float,
     master_seed: int,
-    density_floor: int = 0,
     jobs: int = 1,
 ) -> SurvivalResult:
     """Monte Carlo survival/win frequencies from product-measure starts.
@@ -538,5 +475,4 @@ def survival_estimate(
             outcomes = list(pool.map(_survival_replica, arg_list, chunksize=8))
     else:
         outcomes = [_survival_replica(a) for a in arg_list]
-    outcomes.sort(key=lambda o: o.index)
-    return SurvivalResult(outcomes=tuple(outcomes), density_floor=density_floor)
+    return SurvivalResult(outcomes=tuple(outcomes))

@@ -32,6 +32,12 @@ BOUNDARY = "boundary"
 # Ties |beta_d - transition_curve(beta_c)| below this count as the boundary.
 REGIME_TOL = 1e-12
 
+# interior_root_probe: Newton steps per start, the L1 residual of the field
+# below which a start has converged, and the strict-interior margin.
+NEWTON_MAX_ITER = 80
+NEWTON_TOL = 1e-13
+INTERIOR_MARGIN = 1e-8
+
 # Tolerated simplex violation before integrate() gives up.
 SIMPLEX_TOL = 1e-9
 
@@ -107,8 +113,8 @@ def integrate(
     when they stray by at most ``SIMPLEX_TOL``; larger excursions raise
     :class:`SimplexEscape`.
     """
-    if t_end <= 0 or dt <= 0:
-        raise DomainError(f"t_end and dt must be positive, got {t_end}, {dt}")
+    if not (0 < t_end < math.inf and 0 < dt < math.inf):
+        raise DomainError(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
     x, y = float(state0[0]), float(state0[1])
     _check_in_simplex(x, y)
     n_steps = math.ceil(t_end / dt)
@@ -150,7 +156,7 @@ def integrate(
 
 
 def _check_in_simplex(x: float, y: float) -> None:
-    if x < 0.0 or y < 0.0 or x + y > 1.0:
+    if not (x >= 0.0 and y >= 0.0 and x + y <= 1.0):
         raise SimplexEscape(f"state ({x}, {y}) is outside the density simplex")
 
 
@@ -170,8 +176,8 @@ def _clamp_to_simplex(x: float, y: float) -> tuple[float, float]:
 
 
 def _require_viable(beta: float) -> None:
-    if beta <= 1.0:
-        raise DomainError(f"analysis requires beta > 1, got beta={beta}")
+    if not 1.0 < beta < math.inf:
+        raise DomainError(f"analysis requires a finite beta > 1, got beta={beta}")
 
 
 def _coop_fixed_point_roots(beta: float, beta_c: float) -> tuple[float | None, float]:
@@ -203,8 +209,8 @@ def transition_curve(beta_c: float, beta: float) -> float:
     nondecreasing in ``beta_c`` and tends to 0 as ``beta_c -> 0``.
     """
     _require_viable(beta)
-    if beta_c < 0:
-        raise DomainError(f"beta_c must be nonnegative, got {beta_c}")
+    if not 0 <= beta_c < math.inf:
+        raise DomainError(f"beta_c must be nonnegative and finite, got {beta_c}")
     if beta_c == 0.0:
         return 0.0
     _, x_high = _coop_fixed_point_roots(beta, beta_c)
@@ -304,18 +310,12 @@ def _jacobian(x: float, y: float, p: Params) -> tuple[float, float, float, float
     return fxx, fxy, fyx, fyy
 
 
-def interior_root_probe(
-    p: Params,
-    starts: Sequence[Sequence[float]],
-    max_iter: int = 80,
-    tol: float = 1e-13,
-    interior_margin: float = 1e-8,
-) -> list[RootProbe]:
+def interior_root_probe(p: Params, starts: Sequence[Sequence[float]]) -> list[RootProbe]:
     """Damped Newton search for fixed points from each start.
 
     Non-convergence is recorded per start, never raised.  A converged root
     counts as strictly interior when both densities exceed
-    ``interior_margin`` and their sum stays below ``1 - interior_margin``.
+    ``INTERIOR_MARGIN`` and their sum stays below ``1 - INTERIOR_MARGIN``.
 
     Setting both rates to zero with x, y != 0 forces x = beta_d / beta_c
     and y = 1 - x - 1/(beta + beta_d), which lies inside the simplex
@@ -329,8 +329,8 @@ def interior_root_probe(
         x, y = float(start[0]), float(start[1])
         fx, fy = derivative((x, y), p)
         res = abs(fx) + abs(fy)
-        converged = res < tol
-        for _ in range(max_iter):
+        converged = res < NEWTON_TOL
+        for _ in range(NEWTON_MAX_ITER):
             if converged:
                 break
             fxx, fxy, fyx, fyy = _jacobian(x, y, p)
@@ -352,12 +352,12 @@ def interior_root_probe(
                 scale *= 0.5
             if not improved:
                 break
-            converged = res < tol
+            converged = res < NEWTON_TOL
         interior = (
             converged
-            and x > interior_margin
-            and y > interior_margin
-            and x + y < 1.0 - interior_margin
+            and x > INTERIOR_MARGIN
+            and y > INTERIOR_MARGIN
+            and x + y < 1.0 - INTERIOR_MARGIN
         )
         probes.append(
             RootProbe(

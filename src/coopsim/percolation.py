@@ -84,10 +84,15 @@ class BlockSpec:
 # ----------------------------------------------------------- closed forms
 
 
+def _require_positive_finite(**values: float) -> None:
+    for name, v in values.items():
+        if not 0 < v < math.inf:
+            raise DomainError(f"{name} must be positive and finite, got {v}")
+
+
 def prob_a1(T: float, d: int) -> float:
     """Chance every inner-box site dies at least once within a T-window."""
-    if T <= 0:
-        raise DomainError(f"T must be positive, got {T}")
+    _require_positive_finite(T=T)
     return (1.0 - math.exp(-T)) ** inner_box_sites(d)
 
 
@@ -95,8 +100,7 @@ def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tu
     """Sample unit-rate death marks per inner-box site over [T, 2T]."""
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
-    if T <= 0:
-        raise DomainError(f"T must be positive, got {T}")
+    _require_positive_finite(T=T)
     counts = rng.poisson(T, size=(replicas, inner_box_sites(d)))
     hits = (counts > 0).all(axis=1)
     freq = float(hits.mean())
@@ -108,23 +112,18 @@ def _mark_rate(p: Params, d: int) -> float:
     return outer_box_sites(d) * (p.beta + p.beta_d + 1.0)
 
 
-def bound_a2(
-    T: float, delta: float, d: int, p: Params, a_choice: float | None = None
-) -> float:
+def bound_a2(T: float, delta: float, d: int, p: Params) -> float:
     """Lower bound for the well-spaced-marks event.
 
     The rate constant folds the box size and the per-site mark intensity;
-    the default exponential constant comes from the Poisson upper-tail
+    the exponential constant comes from the Poisson upper-tail
     bound P(N >= 2*lambda) <= exp(-lambda*(2 ln 2 - 1)) applied to the
     mark count over [0, 2T].  The bound can be negative (and thus vacuous)
     when ``delta`` is not small against 1/(4rT).
     """
-    if T <= 0 or delta <= 0:
-        raise DomainError("T and delta must be positive")
+    _require_positive_finite(T=T, delta=delta)
     r = _mark_rate(p, d)
-    a = 2.0 * r * (2.0 * math.log(2.0) - 1.0) if a_choice is None else a_choice
-    if a <= 0:
-        raise DomainError(f"exponential constant must be positive, got {a}")
+    a = 2.0 * r * (2.0 * math.log(2.0) - 1.0)
     return 1.0 - math.exp(-a * T) - 4.0 * r * T * (1.0 - math.exp(-2.0 * delta * r))
 
 
@@ -139,8 +138,7 @@ def estimate_a2(
     """Frequency of no two marks within 2*delta over [0, 2T] on the outer box."""
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
-    if T <= 0 or delta <= 0:
-        raise DomainError("T and delta must be positive")
+    _require_positive_finite(T=T, delta=delta)
     rate = _mark_rate(p, d)
     window = 2.0 * T
     ok = 0
@@ -162,8 +160,9 @@ def prob_a3_bound(beta: float, beta_c: float, T: float, delta: float, d: int) ->
     Each of the 2 * outer_box_sites(d) * T / delta sub-intervals must carry
     an arrow that arrives at per-site rate (beta + beta_c/2d) / 2d.
     """
-    if beta <= 0 or beta_c < 0 or T <= 0 or delta <= 0:
-        raise DomainError("rates and scales must be positive")
+    _require_positive_finite(beta=beta, T=T, delta=delta)
+    if not 0 <= beta_c < math.inf:
+        raise DomainError(f"beta_c must be nonnegative and finite, got {beta_c}")
     per_site = (beta + beta_c / (2 * d)) / (2 * d)
     exponent = 2.0 * outer_box_sites(d) * T / delta
     return (1.0 - math.exp(-delta * per_site)) ** exponent
@@ -177,8 +176,8 @@ def c_plus_absence_prob(L: int, d: int, rho: float) -> float:
     """
     if L < 1 or int(L) != L:
         raise DomainError(f"L must be a positive integer, got {L}")
-    if rho < 0:
-        raise DomainError(f"rho must be nonnegative, got {rho}")
+    if not 0 <= rho < math.inf:
+        raise DomainError(f"rho must be nonnegative and finite, got {rho}")
     return math.exp(-2.0 * L**2 * (6 * L + 1) ** d * rho)
 
 

@@ -10,6 +10,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
 from coopsim import graphical as g
@@ -256,6 +257,7 @@ def _two_site_generator(p: Params) -> tuple[np.ndarray, dict]:
     return q, index
 
 
+@pytest.mark.slow
 def test_09_event_engine_matches_mark_engine_and_exact_law():
     failures = []
     p = Params(2.0, 1.0, 1.0, 1)
@@ -286,6 +288,7 @@ def test_09_event_engine_matches_mark_engine_and_exact_law():
 # --------------------------------------------------------------------- 10
 
 
+@pytest.mark.slow
 def test_10_benefit_direction_at_desk_scale():
     failures = []
     weak = survival_estimate(

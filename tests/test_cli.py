@@ -87,6 +87,41 @@ def test_non_finite_rate_exits_2(capsys):
     assert "freq_both_extinct" not in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "meanfield --beta 2 --x0 nan",
+        "meanfield --beta 2 --y0 nan",
+        "blocks a3 --beta 2 --T nan",
+        "meanfield --phi-curve --beta 2 --beta-c-max inf --points 3",
+        "meanfield --beta 2 --t-end inf",
+        "meanfield --beta 2 --dt nan",
+        "meanfield --beta 2 --sample-interval nan",
+        "sterile --beta 2 --t-end inf",
+        "sterile --beta 2 --t-end nan",
+        "blocks a1 --T inf",
+        "blocks a2 --beta 2 --T nan",
+        "blocks cplus --rho nan",
+        "blocks cplus --rho inf",
+        "couple --beta 2 --t-end nan",
+    ],
+)
+def test_non_finite_input_exits_2(argv, capsys):
+    code, out = run_main(argv.split(), capsys)
+    assert code == 2
+    assert out == ""
+
+
+def test_unparsable_config_value_and_seed_exit_2(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=abc\n")
+    assert main(["meanfield", "--config", str(cfg)]) == 2
+    assert "beta='abc'" in capsys.readouterr().err
+    monkeypatch.setenv("COOP_SEED", "xyz")
+    assert main(["simulate", "--beta", "2", "--side", "4", "--replicas", "2"]) == 2
+    assert "COOP_SEED='xyz'" in capsys.readouterr().err
+
+
 def test_io_error_exits_1(capsys):
     code = main(
         ["blocks", "a1", "--T", "1", "--replicas", "10",

@@ -5,15 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopsim.errors import Absorbed, DomainError, OccupiedSite
+from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import (
     COOPERATOR,
     DEFECTOR,
     EMPTY,
     RateTable,
     Torus,
-    birth_rate_c,
-    birth_rate_d,
     product_measure,
     replica_rng,
     run,
@@ -90,6 +88,8 @@ def test_product_measure_frequencies():
 
 
 # --------------------------------------------------------------- birth rates
+# An empty site's entry in ``RateTable.rates`` is the birth rate the engine
+# samples from: the sum of its directed-pair rates.
 
 
 def test_birth_rate_c_supported_pair():
@@ -97,31 +97,30 @@ def test_birth_rate_c_supported_pair():
     # neighbor is also a cooperator.
     t = make_line("ccxee".replace("x", "e"))
     p = Params(2.0, 4.0, 0.0, 1)
-    assert birth_rate_c(t, 2, p) == 2.0
+    assert RateTable(t, p).rates[2] == 2.0
 
 
 def test_birth_rate_c_lone_parent():
     t = make_line("ecxee".replace("x", "e"))
     p = Params(2.0, 4.0, 0.0, 1)
-    assert birth_rate_c(t, 2, p) == 1.0
+    assert RateTable(t, p).rates[2] == 1.0
 
 
 def test_birth_rate_c_all_neighbors_empty():
     t = make_line("eeeee")
-    assert birth_rate_c(t, 2, Params(2.0, 4.0)) == 0.0
+    assert RateTable(t, Params(2.0, 4.0)).rates[2] == 0.0
 
 
-def test_birth_rate_c_occupied_site_rejected():
+def test_rate_table_occupied_site_has_death_rate_only():
+    # occupied sites carry their unit death clock, whatever their neighbors
     t = make_line("ccdee")
-    with pytest.raises(OccupiedSite):
-        birth_rate_c(t, 1, Params(2.0))
-    with pytest.raises(OccupiedSite):
-        birth_rate_d(t, 2, Params(2.0))
+    rates = RateTable(t, Params(2.0, 4.0, 1.0, 1)).rates
+    assert rates[:3] == [1.0, 1.0, 1.0]
 
 
 def test_birth_rate_d_one_neighbor():
     t = make_line("edxee".replace("x", "e"))
-    assert birth_rate_d(t, 2, Params(2.0, 0.0, 1.0, 1)) == 1.5
+    assert RateTable(t, Params(2.0, 0.0, 1.0, 1)).rates[2] == 1.5
 
 
 def test_birth_rate_d_four_neighbors_2d():
@@ -129,13 +128,13 @@ def test_birth_rate_d_four_neighbors_2d():
     center = t.index((1, 1))
     for coords in [(0, 1), (2, 1), (1, 0), (1, 2)]:
         t.sites[t.index(coords)] = DEFECTOR
-    assert birth_rate_d(t, center, Params(2.0, 0.0, 2.0, 2)) == 4.0
+    assert RateTable(t, Params(2.0, 0.0, 2.0, 2)).rates[center] == 4.0
 
 
 def test_birth_rate_dim_mismatch():
     t = make_line("eeeee")
     with pytest.raises(DomainError):
-        birth_rate_c(t, 0, Params(2.0, dim=2))
+        RateTable(t, Params(2.0, dim=2))
 
 
 @settings(max_examples=120, deadline=None)
@@ -146,21 +145,22 @@ def test_birth_rate_dim_mismatch():
 )
 def test_birth_rate_c_bounded_by_total_rate(pattern, beta, beta_c):
     t = make_line(pattern)
-    p = Params(beta, beta_c, 0.0, 1)
+    rates = RateTable(t, Params(beta, beta_c, 0.0, 1)).rates
     for x, s in enumerate(t.sites):
         if s == EMPTY:
-            assert birth_rate_c(t, x, p) <= beta + beta_c + 1e-12
+            assert rates[x] <= beta + beta_c + 1e-12
 
 
 @settings(max_examples=120, deadline=None)
 @given(pattern=state_strings, beta=st.floats(0.1, 10.0))
 def test_birth_rate_c_reduces_exactly_without_benefit(pattern, beta):
+    # with beta_c == beta_d == 0 every occupied neighbor feeds exactly beta/2d
     t = make_line(pattern)
-    p = Params(beta, 0.0, 0.0, 1)
+    rates = RateTable(t, Params(beta, 0.0, 0.0, 1)).rates
     for x, s in enumerate(t.sites):
         if s == EMPTY:
-            n_c = sum(1 for y in t.neighbors[x] if t.sites[y] == COOPERATOR)
-            assert birth_rate_c(t, x, p) == n_c * (beta / 2.0)
+            n_occ = sum(1 for y in t.neighbors[x] if t.sites[y] != EMPTY)
+            assert rates[x] == n_occ * (beta / 2.0)
 
 
 # ---------------------------------------------------------------- rate table
@@ -169,10 +169,8 @@ def test_birth_rate_c_reduces_exactly_without_benefit(pattern, beta):
 def test_rate_table_single_defector_totals():
     t = make_line("eedee")
     table = RateTable(t, Params(2.0, 0.0, 1.0, 1))
-    assert table.total_death == 1.0
-    assert table.total_birth_d == pytest.approx(3.0)
-    assert table.total_birth_c == 0.0
-    assert sum(table.block_sums) == pytest.approx(4.0)
+    assert table.rates == [0.0, 1.5, 1.0, 1.5, 0.0]
+    assert sum(table.block_sums) == 4.0
 
 
 def test_step_single_defector_death_fraction():
@@ -184,7 +182,7 @@ def test_step_single_defector_death_fraction():
     for _ in range(n):
         t = make_line("eedee")
         table = RateTable(t, p)
-        event, _ = step(t, table, p, rng)
+        event, _ = step(table, rng)
         deaths += event.kind == "death"
     assert abs(deaths / n - 0.25) < 3 * (0.25 * 0.75 / n) ** 0.5
 
@@ -193,7 +191,7 @@ def test_step_absorbed_on_empty_torus():
     t = make_line("eeeee")
     p = Params(2.0)
     with pytest.raises(Absorbed):
-        step(t, RateTable(t, p), p, np.random.default_rng(0))
+        step(RateTable(t, p), np.random.default_rng(0))
 
 
 def test_step_horizon_stop_leaves_state_unchanged():
@@ -201,7 +199,7 @@ def test_step_horizon_stop_leaves_state_unchanged():
     p = Params(2.0, 1.0, 1.0, 1)
     table = RateTable(t, p)
     before = t.state_string()
-    event, elapsed = step(t, table, p, np.random.default_rng(1), t_limit=1e-12)
+    event, elapsed = step(table, np.random.default_rng(1), t_limit=1e-12)
     assert event is None
     assert elapsed > 1e-12
     assert t.state_string() == before
@@ -220,7 +218,7 @@ def test_rate_table_incremental_matches_rebuild_after_many_steps():
         assert (t.n_sites % table.block != 0) == partial
         for _ in range(10_000):
             try:
-                step(t, table, p, rng)
+                step(table, rng)
             except Absorbed:  # pragma: no cover - not expected at these rates
                 break
         fresh = RateTable(t, p)
@@ -258,9 +256,45 @@ def test_step_selection_boundary_never_picks_zero_rate_site(pattern, p, u, site)
     table = RateTable(t, p)
     rates = list(table.rates)
     assert table.block == 3 and rates[site + 1] == 0.0
-    event, _ = step(t, table, p, _FixedDraws(u))
+    event, _ = step(table, _FixedDraws(u))
     assert rates[event.site] > 0.0
     assert (event.kind, event.site, event.parent) == ("birth", site, 4 if site == 5 else 3)
+
+
+def test_step_birth_walk_picks_every_pair_of_mixed_sites():
+    # Every empty site of this 4x4 torus has cooperator and defector
+    # neighbors, and the cooperators have support 1 or 2.  A uniform at the
+    # midpoint of one directed pair's slice of the total rate must pick that
+    # pair.  The pair rates are the distinct integers 3 (cooperator with
+    # support 1), 5 (support 2) and 4 (defector), so the hand sums are exact.
+    p = Params(4.0, 32.0, 12.0, 2)
+    start = Torus.from_state_string("ccedcedcedccdecd", dim=2)
+    sites = start.sites
+
+    def pair_rates(x):
+        out = []
+        for y in start.neighbors[x]:
+            if sites[y] == COOPERATOR:
+                k = sum(1 for z in start.neighbors[y] if sites[z] == COOPERATOR)
+                out.append((y, p.beta / 4 + p.beta_c / 16 * k))
+            elif sites[y] == DEFECTOR:
+                out.append((y, (p.beta + p.beta_d) / 4))
+        return out
+
+    site_rates = [sum(r for _, r in pair_rates(x)) if s == EMPTY else 1.0 for x, s in enumerate(sites)]
+    assert RateTable(start.copy(), p).rates == site_rates
+    total = sum(site_rates)
+    picked = []
+    for x, s in enumerate(sites):
+        if s != EMPTY:
+            continue
+        lo = sum(site_rates[:x])
+        for y, r in pair_rates(x):
+            event, _ = step(RateTable(start.copy(), p), _FixedDraws((lo + r / 2) / total))
+            assert (event.kind, event.site, event.parent, event.state) == ("birth", x, y, sites[y])
+            picked.append(sites[y])
+            lo += r
+    assert len(picked) == 16 and set(picked) == {COOPERATOR, DEFECTOR}
 
 
 # ----------------------------------------------------------- type symmetry
@@ -280,12 +314,12 @@ def test_role_swap_mirrors_run_exactly():
     swap = {EMPTY: EMPTY, COOPERATOR: DEFECTOR, DEFECTOR: COOPERATOR}
     for _ in range(3000):
         try:
-            ev_a, dt_a = step(t_a, table_a, p, rng_a)
+            ev_a, dt_a = step(table_a, rng_a)
         except Absorbed:
             with pytest.raises(Absorbed):
-                step(t_b, table_b, p, rng_b)
+                step(table_b, rng_b)
             break
-        ev_b, dt_b = step(t_b, table_b, p, rng_b)
+        ev_b, dt_b = step(table_b, rng_b)
         assert dt_a == dt_b
         assert ev_a.kind == ev_b.kind
         assert ev_a.site == ev_b.site
@@ -435,7 +469,7 @@ def test_two_site_occupation_times_match_linear_algebra():
         while True:
             state_idx = TWO_SITE_STATES.index((t.sites[0], t.sites[1]))
             try:
-                _, elapsed = step(t, table, p_local, rng)
+                _, elapsed = step(table, rng)
             except Absorbed:
                 break
             occupancy[state_idx] += elapsed

@@ -104,9 +104,8 @@ def test_bound_a2_default_rate_constant():
     # r = 5 * (2 + 1 + 1) = 20, so a = 40 * (2 ln 2 - 1).
     p = Params(2.0, 0.0, 1.0, 1)
     a_default = 40.0 * (2.0 * math.log(2.0) - 1.0)
-    assert bound_a2(5.0, 0.001, 1, p) == bound_a2(
-        5.0, 0.001, 1, p, a_choice=a_default
-    )
+    tail = 4.0 * 20.0 * 5.0 * (1.0 - math.exp(-2.0 * 0.001 * 20.0))
+    assert bound_a2(5.0, 0.001, 1, p) == 1.0 - math.exp(-a_default * 5.0) - tail
     assert a_default == pytest.approx(15.45177444479562, abs=1e-13)
 
 
@@ -116,8 +115,6 @@ def test_bound_a2_validates_inputs():
         bound_a2(0.0, 0.001, 1, p)
     with pytest.raises(DomainError):
         bound_a2(5.0, 0.0, 1, p)
-    with pytest.raises(DomainError):
-        bound_a2(5.0, 0.001, 1, p, a_choice=-1.0)
 
 
 def _min_gap_probability(rate: float, window: float, gap: float) -> float:
