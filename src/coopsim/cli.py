@@ -2,9 +2,13 @@
 
 Every subcommand resolves its options from, in order of precedence, the
 command line, an optional flat ``key=value`` config file, the ``COOP_SEED``
-environment variable (seed only), and built-in defaults.  The resolved
+environment variable (seed only), and built-in defaults.  A config file
+key that names no option of the subcommand is an error.  The resolved
 configuration is serialized, hashed, and embedded in every output, so a
 run can be replayed byte-for-byte from its own artifact.
+
+Each subcommand is declared once, by ``_command`` on its handler, with its
+options; the parser and the dispatch are built from those declarations.
 
 Exit codes: 0 success, 1 I/O failure, 2 validation failure (including
 argparse usage errors).
@@ -19,6 +23,7 @@ import math
 import os
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -48,7 +53,7 @@ from .experiments import (
 __all__ = ["main", "RunConfig", "parse_config_text"]
 
 
-# -------------------------------------------------------------- option table
+# ---------------------------------------------------- options and commands
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,153 +105,32 @@ _COMMON_PROCESS = [
     Opt("dim", "int", 1),
 ]
 
-_OPTIONS: dict[str, list[Opt]] = {
-    "meanfield": [
-        *_COMMON_PROCESS,
-        Opt("x0", "float", 0.2),
-        Opt("y0", "float", 0.2),
-        Opt("t_end", "float", 50.0),
-        Opt("dt", "float", 1e-3),
-        Opt("sample_interval", "float", 0.5),
-        Opt("phi_curve", "bool", False),
-        Opt("beta_c_max", "float", 10.0),
-        Opt("points", "int", 100),
-        _OUT,
-        _CONFIG,
-    ],
-    "simulate": [
-        *_COMMON_PROCESS,
-        Opt("side", "int", 50),
-        Opt("t_end", "float", 50.0),
-        Opt("replicas", "int", 100),
-        Opt("rho_c", "float", 0.2),
-        Opt("rho_d", "float", 0.2),
-        _SEED,
-        _JOBS,
-        _OUT,
-        _CONFIG,
-    ],
-    "sweep": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_c_grid", "floats", None, required=True),
-        Opt("beta_d_grid", "floats", None, required=True),
-        Opt("dim", "int", 1),
-        Opt("side", "int", 50),
-        Opt("t_end", "float", 50.0),
-        Opt("replicas", "int", 100),
-        Opt("rho_c", "float", 0.2),
-        Opt("rho_d", "float", 0.2),
-        _SEED,
-        _JOBS,
-        _OUT,
-        _CONFIG,
-    ],
-    "couple": [
-        *_COMMON_PROCESS,
-        Opt("delta_c", "float", 0.0),
-        Opt("delta_d", "float", 0.0),
-        Opt("side", "int", 24),
-        Opt("t_end", "float", 4.0),
-        Opt("replicas", "int", 100),
-        Opt("rho_c", "float", 0.25),
-        Opt("rho_d", "float", 0.25),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "dual": [
-        *_COMMON_PROCESS,
-        Opt("side", "int", 20),
-        Opt("t_end", "float", 3.0),
-        Opt("site", "int", 0),
-        Opt("at", "float", None),
-        Opt("flavor", "str", STANDARD),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "bracket": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_d", "float", 0.0),
-        Opt("dim", "int", 1),
-        Opt("side", "int", 40),
-        Opt("t_end", "float", 120.0),
-        Opt("replicas", "int", 40),
-        Opt("rho_c", "float", 0.25),
-        Opt("rho_d", "float", 0.25),
-        Opt("tau", "float", 0.9),
-        Opt("lo", "float", 0.0),
-        Opt("hi", "float", 16.0),
-        Opt("budget", "int", 10),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "sterile": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_c", "float", 0.0),
-        Opt("side", "int", 60),
-        Opt("t_end", "float", 20.0),
-        Opt("replicas", "int", 10_000),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:a1": [
-        Opt("T", "float", 1.0),
-        Opt("dim", "int", 1),
-        Opt("replicas", "int", 10_000),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:a2": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_d", "float", 0.0),
-        Opt("dim", "int", 1),
-        Opt("T", "float", 1.0),
-        Opt("delta", "float", 0.001),
-        Opt("replicas", "int", 10_000),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:a3": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_c", "float", 0.0),
-        Opt("T", "float", 1.0),
-        Opt("delta", "float", 0.5),
-        Opt("dim", "int", 1),
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:cplus": [
-        Opt("L", "int", 2),
-        Opt("dim", "int", 1),
-        Opt("rho", "float", 0.001),
-        Opt("replicas", "int", 10_000),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:spread": [
-        Opt("beta", "float", None, required=True),
-        Opt("beta_d", "float", None, required=True),
-        Opt("L", "int", 4),
-        Opt("replicas", "int", 40),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-    "blocks:perc": [
-        Opt("epsilon", "float", 0.05),
-        Opt("levels", "int", 20),
-        Opt("width", "int", 30),
-        _SEED,
-        _OUT,
-        _CONFIG,
-    ],
-}
+
+@dataclass(frozen=True, slots=True)
+class Command:
+    """A subcommand's key (``name``, or ``group:action`` such as
+    ``blocks:a1``, as hashed), its options and its handler."""
+
+    key: str
+    options: tuple[Opt, ...]
+    run: Callable[[dict, RunConfig], str]
+
+
+_COMMANDS: dict[str, Command] = {}
+
+
+def _command(key: str, *options: Opt):
+    """Declare command ``key``, run by the decorated handler.
+
+    Its options are ``options`` plus ``--out`` and ``--config``.  Commands
+    appear in ``--help`` in declaration order.
+    """
+
+    def declare(run):
+        _COMMANDS[key] = Command(key, (*options, _OUT, _CONFIG), run)
+        return run
+
+    return declare
 
 
 # ------------------------------------------------------------ configuration
@@ -295,17 +179,21 @@ def _value_to_text(value) -> str:
     return str(value)
 
 
-def _resolve(command: str, ns: argparse.Namespace) -> tuple[dict, RunConfig]:
-    opts = _OPTIONS[command]
+def _resolve(cmd: Command, ns: argparse.Namespace) -> tuple[dict, RunConfig]:
     file_values: dict[str, str] = {}
-    config_path = getattr(ns, "config", None)
-    if config_path is not None:
-        with open(config_path, encoding="utf-8") as fh:
+    if ns.config is not None:
+        with open(ns.config, encoding="utf-8") as fh:
             file_values = parse_config_text(fh.read())
+        unknown = sorted(set(file_values) - {opt.name for opt in cmd.options})
+        if unknown:
+            raise DomainError(
+                f"config file {ns.config} has keys that no {cmd.key} option names: "
+                + ", ".join(unknown)
+            )
 
     resolved: dict[str, object] = {}
-    for opt in opts:
-        value = getattr(ns, opt.name, None)
+    for opt in cmd.options:
+        value = getattr(ns, opt.name)
         if value is None and opt.name in file_values:
             value = _convert(opt, file_values[opt.name], opt.name)
         if value is None and opt.name == "seed" and "COOP_SEED" in os.environ:
@@ -321,18 +209,16 @@ def _resolve(command: str, ns: argparse.Namespace) -> tuple[dict, RunConfig]:
         for name, value in sorted(resolved.items())
         if name not in _UNHASHED and value is not None
     )
-    return resolved, RunConfig(command=command, entries=entries)
+    return resolved, RunConfig(command=cmd.key, entries=entries)
 
 
 def _header_lines(cfg: RunConfig, seed: object) -> list[str]:
-    lines = [
+    return [
         f"# coopsim {__version__}",
         f"# config_hash={cfg.digest()}",
         f"# seed={seed if seed is not None else '-'}",
+        *(f"# cfg {line}" for line in cfg.to_text().splitlines()),
     ]
-    lines += [f"# cfg command={cfg.command}"]
-    lines += [f"# cfg {k}={v}" for k, v in cfg.entries]
-    return lines
 
 
 def _json_payload(cfg: RunConfig, seed: object, result: dict) -> str:
@@ -349,6 +235,18 @@ def _json_payload(cfg: RunConfig, seed: object, result: dict) -> str:
 # ------------------------------------------------------------- subcommands
 
 
+@_command(
+    "meanfield",
+    *_COMMON_PROCESS,
+    Opt("x0", "float", 0.2),
+    Opt("y0", "float", 0.2),
+    Opt("t_end", "float", 50.0),
+    Opt("dt", "float", 1e-3),
+    Opt("sample_interval", "float", 0.5),
+    Opt("phi_curve", "bool", False),
+    Opt("beta_c_max", "float", 10.0),
+    Opt("points", "int", 100),
+)
 def _cmd_meanfield(v: dict, cfg: RunConfig) -> str:
     p = Params(v["beta"], v["beta_c"], v["beta_d"], v["dim"])
     lines = _header_lines(cfg, None)
@@ -389,6 +287,17 @@ def _cmd_meanfield(v: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_command(
+    "simulate",
+    *_COMMON_PROCESS,
+    Opt("side", "int", 50),
+    Opt("t_end", "float", 50.0),
+    Opt("replicas", "int", 100),
+    Opt("rho_c", "float", 0.2),
+    Opt("rho_d", "float", 0.2),
+    _SEED,
+    _JOBS,
+)
 def _cmd_simulate(v: dict, cfg: RunConfig) -> str:
     p = Params(v["beta"], v["beta_c"], v["beta_d"], v["dim"])
     result = survival_estimate(
@@ -417,6 +326,20 @@ def _cmd_simulate(v: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_command(
+    "sweep",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_c_grid", "floats", None, required=True),
+    Opt("beta_d_grid", "floats", None, required=True),
+    Opt("dim", "int", 1),
+    Opt("side", "int", 50),
+    Opt("t_end", "float", 50.0),
+    Opt("replicas", "int", 100),
+    Opt("rho_c", "float", 0.2),
+    Opt("rho_d", "float", 0.2),
+    _SEED,
+    _JOBS,
+)
 def _cmd_sweep(v: dict, cfg: RunConfig) -> str:
     spec = SweepSpec(
         beta=v["beta"],
@@ -434,6 +357,22 @@ def _cmd_sweep(v: dict, cfg: RunConfig) -> str:
     return "\n".join(_header_lines(cfg, v["seed"])) + "\n" + sweep_to_csv(spec, rows)
 
 
+def _rates(p: Params) -> dict:
+    return {"beta": _fmt(p.beta), "beta_c": _fmt(p.beta_c), "beta_d": _fmt(p.beta_d)}
+
+
+@_command(
+    "couple",
+    *_COMMON_PROCESS,
+    Opt("delta_c", "float", 0.0),
+    Opt("delta_d", "float", 0.0),
+    Opt("side", "int", 24),
+    Opt("t_end", "float", 4.0),
+    Opt("replicas", "int", 100),
+    Opt("rho_c", "float", 0.25),
+    Opt("rho_d", "float", 0.25),
+    _SEED,
+)
 def _cmd_couple(v: dict, cfg: RunConfig) -> str:
     base = Params(v["beta"], v["beta_c"], v["beta_d"], v["dim"])
     rep = monotonicity_check(
@@ -448,12 +387,8 @@ def _cmd_couple(v: dict, cfg: RunConfig) -> str:
         rho_d=v["rho_d"],
     )
     result = {
-        "base": {"beta": _fmt(base.beta), "beta_c": _fmt(base.beta_c), "beta_d": _fmt(base.beta_d)},
-        "favored": {
-            "beta": _fmt(rep.favored.beta),
-            "beta_c": _fmt(rep.favored.beta_c),
-            "beta_d": _fmt(rep.favored.beta_d),
-        },
+        "base": _rates(base),
+        "favored": _rates(rep.favored),
         "replicas": rep.replicas,
         "c_sets_nested_at_horizon": rep.c_sets_nested_at_horizon,
         "d_sets_nested_at_horizon": rep.d_sets_nested_at_horizon,
@@ -466,6 +401,16 @@ def _cmd_couple(v: dict, cfg: RunConfig) -> str:
     return _json_payload(cfg, v["seed"], result)
 
 
+@_command(
+    "dual",
+    *_COMMON_PROCESS,
+    Opt("side", "int", 20),
+    Opt("t_end", "float", 3.0),
+    Opt("site", "int", 0),
+    Opt("at", "float", None),
+    Opt("flavor", "str", STANDARD),
+    _SEED,
+)
 def _cmd_dual(v: dict, cfg: RunConfig) -> str:
     p = Params(v["beta"], v["beta_c"], v["beta_d"], v["dim"])
     torus = Torus(v["side"], dim=v["dim"])
@@ -488,6 +433,22 @@ def _cmd_dual(v: dict, cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+@_command(
+    "bracket",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_d", "float", 0.0),
+    Opt("dim", "int", 1),
+    Opt("side", "int", 40),
+    Opt("t_end", "float", 120.0),
+    Opt("replicas", "int", 40),
+    Opt("rho_c", "float", 0.25),
+    Opt("rho_d", "float", 0.25),
+    Opt("tau", "float", 0.9),
+    Opt("lo", "float", 0.0),
+    Opt("hi", "float", 16.0),
+    Opt("budget", "int", 10),
+    _SEED,
+)
 def _cmd_bracket(v: dict, cfg: RunConfig) -> str:
     bracket = bracket_critical(
         v["beta"],
@@ -508,6 +469,24 @@ def _cmd_bracket(v: dict, cfg: RunConfig) -> str:
     return _json_payload(cfg, v["seed"], body)
 
 
+def _estimate(freq: float, stderr: float, **reference: float) -> dict:
+    """A Monte Carlo frequency with its standard error and reference values."""
+    return {
+        "estimate": _fmt(freq),
+        "stderr": _fmt(stderr),
+        **{name: _fmt(value) for name, value in reference.items()},
+    }
+
+
+@_command(
+    "sterile",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_c", "float", 0.0),
+    Opt("side", "int", 60),
+    Opt("t_end", "float", 20.0),
+    Opt("replicas", "int", 10_000),
+    _SEED,
+)
 def _cmd_sterile(v: dict, cfg: RunConfig) -> str:
     freq, stderr = estimate_sterile(
         v["beta"],
@@ -518,72 +497,107 @@ def _cmd_sterile(v: dict, cfg: RunConfig) -> str:
         window=v["t_end"],
     )
     closed = sterile_probability(v["beta"], v["beta_c"])
+    abs_z = abs(freq - closed) / stderr if stderr > 0 else float("inf")
+    return _json_payload(cfg, v["seed"], _estimate(freq, stderr, closed_form=closed, abs_z=abs_z))
+
+
+@_command(
+    "blocks:a1",
+    Opt("T", "float", 1.0),
+    Opt("dim", "int", 1),
+    Opt("replicas", "int", 10_000),
+    _SEED,
+)
+def _cmd_blocks_a1(v: dict, cfg: RunConfig) -> str:
+    rng = np.random.default_rng(v["seed"])
+    freq, stderr = blocks_mod.estimate_a1(v["T"], v["dim"], v["replicas"], rng)
+    closed = blocks_mod.prob_a1(v["T"], v["dim"])
+    return _json_payload(cfg, v["seed"], _estimate(freq, stderr, closed_form=closed))
+
+
+@_command(
+    "blocks:a2",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_d", "float", 0.0),
+    Opt("dim", "int", 1),
+    Opt("T", "float", 1.0),
+    Opt("delta", "float", 0.001),
+    Opt("replicas", "int", 10_000),
+    _SEED,
+)
+def _cmd_blocks_a2(v: dict, cfg: RunConfig) -> str:
+    p = Params(v["beta"], 0.0, v["beta_d"], v["dim"])
+    rng = np.random.default_rng(v["seed"])
+    freq, stderr = blocks_mod.estimate_a2(p, v["T"], v["delta"], v["dim"], v["replicas"], rng)
+    bound = blocks_mod.bound_a2(v["T"], v["delta"], v["dim"], p)
+    return _json_payload(cfg, v["seed"], _estimate(freq, stderr, lower_bound=bound))
+
+
+@_command(
+    "blocks:a3",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_c", "float", 0.0),
+    Opt("T", "float", 1.0),
+    Opt("delta", "float", 0.5),
+    Opt("dim", "int", 1),
+)
+def _cmd_blocks_a3(v: dict, cfg: RunConfig) -> str:
+    bound = blocks_mod.prob_a3_bound(v["beta"], v["beta_c"], v["T"], v["delta"], v["dim"])
+    return _json_payload(cfg, None, {"lower_bound": _fmt(bound)})
+
+
+@_command(
+    "blocks:cplus",
+    Opt("L", "int", 2),
+    Opt("dim", "int", 1),
+    Opt("rho", "float", 0.001),
+    Opt("replicas", "int", 10_000),
+    _SEED,
+)
+def _cmd_blocks_cplus(v: dict, cfg: RunConfig) -> str:
+    rng = np.random.default_rng(v["seed"])
+    freq, stderr = blocks_mod.estimate_c_plus_absence(v["L"], v["dim"], v["rho"], v["replicas"], rng)
+    closed = blocks_mod.c_plus_absence_prob(v["L"], v["dim"], v["rho"])
+    return _json_payload(cfg, v["seed"], _estimate(freq, stderr, closed_form=closed))
+
+
+@_command(
+    "blocks:spread",
+    Opt("beta", "float", None, required=True),
+    Opt("beta_d", "float", None, required=True),
+    Opt("L", "int", 4),
+    Opt("replicas", "int", 40),
+    _SEED,
+)
+def _cmd_blocks_spread(v: dict, cfg: RunConfig) -> str:
+    p = Params(v["beta"], equal_rate_benefit(v["beta_d"], 1), v["beta_d"], 1)
+    spec = blocks_mod.BlockSpec.for_scale(v["L"])
+    res = blocks_mod.block_spread_estimate(p, spec, v["replicas"], np.random.default_rng(v["seed"]))
     result = {
-        "estimate": _fmt(freq),
-        "stderr": _fmt(stderr),
-        "closed_form": _fmt(closed),
-        "abs_z": _fmt(abs(freq - closed) / stderr if stderr > 0 else float("inf")),
+        "frequency": _fmt(res.frequency),
+        "stderr": _fmt(res.stderr),
+        "replicas": res.replicas,
+        "L": spec.L,
+        "T": _fmt(spec.T),
+        "beta_c": _fmt(p.beta_c),
     }
     return _json_payload(cfg, v["seed"], result)
 
 
-def _cmd_blocks(action: str, v: dict, cfg: RunConfig) -> str:
-    rng = np.random.default_rng(v.get("seed"))
-    if action == "a1":
-        freq, stderr = blocks_mod.estimate_a1(v["T"], v["dim"], v["replicas"], rng)
-        result = {
-            "estimate": _fmt(freq),
-            "stderr": _fmt(stderr),
-            "closed_form": _fmt(blocks_mod.prob_a1(v["T"], v["dim"])),
-        }
-    elif action == "a2":
-        p = Params(v["beta"], 0.0, v["beta_d"], v["dim"])
-        freq, stderr = blocks_mod.estimate_a2(
-            p, v["T"], v["delta"], v["dim"], v["replicas"], rng
-        )
-        result = {
-            "estimate": _fmt(freq),
-            "stderr": _fmt(stderr),
-            "lower_bound": _fmt(blocks_mod.bound_a2(v["T"], v["delta"], v["dim"], p)),
-        }
-    elif action == "a3":
-        result = {
-            "lower_bound": _fmt(
-                blocks_mod.prob_a3_bound(v["beta"], v["beta_c"], v["T"], v["delta"], v["dim"])
-            )
-        }
-    elif action == "cplus":
-        freq, stderr = blocks_mod.estimate_c_plus_absence(
-            v["L"], v["dim"], v["rho"], v["replicas"], rng
-        )
-        result = {
-            "estimate": _fmt(freq),
-            "stderr": _fmt(stderr),
-            "closed_form": _fmt(blocks_mod.c_plus_absence_prob(v["L"], v["dim"], v["rho"])),
-        }
-    elif action == "spread":
-        p = Params(v["beta"], equal_rate_benefit(v["beta_d"], 1), v["beta_d"], 1)
-        spec = blocks_mod.BlockSpec.for_scale(v["L"])
-        res = blocks_mod.block_spread_estimate(p, spec, v["replicas"], rng)
-        result = {
-            "frequency": _fmt(res.frequency),
-            "stderr": _fmt(res.stderr),
-            "replicas": res.replicas,
-            "L": spec.L,
-            "T": _fmt(spec.T),
-            "beta_c": _fmt(p.beta_c),
-        }
-    elif action == "perc":
-        field = blocks_mod.percolate(
-            v["epsilon"], v["levels"], v["width"], sources="all", rng=rng
-        )
-        lines = _header_lines(cfg, v.get("seed"))
-        wet = ",".join(str(int(n)) for n in field.wet_levels())
-        lines.append(f"# wet_per_level={wet}")
-        return "\n".join(lines) + "\n" + field.dump_rle()
-    else:  # pragma: no cover - argparse restricts choices
-        raise DomainError(f"unknown blocks action {action!r}")
-    return _json_payload(cfg, v.get("seed"), result)
+@_command(
+    "blocks:perc",
+    Opt("epsilon", "float", 0.05),
+    Opt("levels", "int", 20),
+    Opt("width", "int", 30),
+    _SEED,
+)
+def _cmd_blocks_perc(v: dict, cfg: RunConfig) -> str:
+    rng = np.random.default_rng(v["seed"])
+    field = blocks_mod.percolate(v["epsilon"], v["levels"], v["width"], sources="all", rng=rng)
+    lines = _header_lines(cfg, v["seed"])
+    wet = ",".join(str(int(n)) for n in field.wet_levels())
+    lines.append(f"# wet_per_level={wet}")
+    return "\n".join(lines) + "\n" + field.dump_rle()
 
 
 # ------------------------------------------------------------------ driver
@@ -596,9 +610,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"coopsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_options(p: argparse.ArgumentParser, key: str) -> None:
-        for opt in _OPTIONS[key]:
+    groups = {}
+    for cmd in _COMMANDS.values():
+        group, _, action = cmd.key.rpartition(":")
+        if not group:
+            p = sub.add_parser(cmd.key)
+        else:
+            if group not in groups:
+                groups[group] = sub.add_parser(group).add_subparsers(dest="action", required=True)
+            p = groups[group].add_parser(action)
+        p.set_defaults(cmd=cmd)
+        for opt in cmd.options:
             if opt.kind == "bool":
                 p.add_argument(opt.flag, dest=opt.name, action=argparse.BooleanOptionalAction, default=None)
             else:
@@ -609,26 +631,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     default=None,
                     metavar="X,Y,..." if opt.kind == "floats" else None,
                 )
-
-    for name in ("meanfield", "simulate", "sweep", "couple", "dual", "bracket", "sterile"):
-        add_options(sub.add_parser(name), name)
-
-    blocks = sub.add_parser("blocks")
-    blocks_sub = blocks.add_subparsers(dest="action", required=True)
-    for action in ("a1", "a2", "a3", "cplus", "spread", "perc"):
-        add_options(blocks_sub.add_parser(action), f"blocks:{action}")
     return parser
-
-
-_DISPATCH = {
-    "meanfield": _cmd_meanfield,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "couple": _cmd_couple,
-    "dual": _cmd_dual,
-    "bracket": _cmd_bracket,
-    "sterile": _cmd_sterile,
-}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -638,15 +641,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    key = ns.command
-    if key == "blocks":
-        key = f"blocks:{ns.action}"
     try:
-        values, cfg = _resolve(key, ns)
-        if ns.command == "blocks":
-            payload = _cmd_blocks(ns.action, values, cfg)
+        values, cfg = _resolve(ns.cmd, ns)
+        payload = ns.cmd.run(values, cfg)
+        if values["out"]:
+            with open(values["out"], "w", encoding="utf-8") as fh:
+                fh.write(payload)
         else:
-            payload = _DISPATCH[ns.command](values, cfg)
+            sys.stdout.write(payload)
     except CoopSimError as exc:
         print(f"coopsim: error: {exc}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
@@ -654,17 +656,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"coopsim: i/o error: {exc}", file=sys.stderr)
         return 1
-
-    out_path = getattr(ns, "out", None) or values.get("out")
-    if out_path:
-        try:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            print(f"coopsim: i/o error: {exc}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.write(payload)
     return 0
 
 

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError
 from .graphical import COUPLED, coupled_evolve, sample_event_log
-from .lattice import COOPERATOR, DEFECTOR, Torus, product_measure, survival_estimate
+from .lattice import COOPERATOR, DEFECTOR, product_measure, survival_estimate
 from .mean_field import classify_regime
 from .params import Params, equal_rate_benefit
 
@@ -226,10 +226,6 @@ class MonotonicityReport:
     freq_d_alive_favored: float
     freq_d_alive_base: float
 
-    def stderr_gap(self) -> float:
-        """Worst-case std. error for a difference of two frequencies."""
-        return (0.5 / self.replicas**0.5) * 2.0
-
 
 def monotonicity_check(
     base: Params,
@@ -266,10 +262,7 @@ def monotonicity_check(
     c_alive_f = c_alive_b = d_alive_f = d_alive_b = 0
     for _ in range(replicas):
         start = product_measure(side, base.dim, rho_c, rho_d, rng)
-        torus = Torus(side, dim=base.dim)
-        log = sample_event_log(
-            favored, torus, horizon, rng, flavor=COUPLED, p2=base
-        )
+        log = sample_event_log(favored, start, horizon, rng, flavor=COUPLED, p2=base)
         first, second = coupled_evolve(start, start.copy(), log)
         nc1, nd1, _ = first.counts()
         nc2, nd2, _ = second.counts()
@@ -363,7 +356,8 @@ def bracket_critical(
     When even ``lo`` is not defector-dominant the flip happens at or below
     ``lo`` and the degenerate bracket (lo, lo) is returned.  When ``hi``
     fails its check no bracket exists inside the search interval and
-    ``BudgetExhausted`` carries the partial result.
+    ``BudgetExhausted`` carries the partial result; its message names both
+    endpoint evaluations.
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
@@ -415,7 +409,11 @@ def bracket_critical(
     at_hi = measure(hi)
     if not at_hi.freq_c_wins > tau:
         raise BudgetExhausted(
-            f"no cooperator-dominant point found at the upper endpoint {hi}",
+            f"no cooperator-dominant point found at the upper endpoint {hi}; evaluations: "
+            + "; ".join(
+                f"beta_c={ev.beta_c} freq_c_wins={ev.freq_c_wins} freq_d_wins={ev.freq_d_wins}"
+                for ev in evaluations
+            ),
             partial=CriticalBracket(
                 beta_c_low=lo,
                 beta_c_high=hi,

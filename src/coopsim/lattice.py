@@ -73,13 +73,6 @@ class Torus(object):
         self.neighbors = _neighbor_table(side, dim)
         self.near2 = _near2_table(self.neighbors)
 
-    def coords(self, i: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.dim):
-            out.append(i % self.side)
-            i //= self.side
-        return tuple(out)
-
     def index(self, coords: Sequence[int]) -> int:
         i = 0
         for j in reversed(range(self.dim)):
@@ -386,7 +379,7 @@ class ReplicaOutcome:
 
 @dataclass(frozen=True, slots=True)
 class SurvivalResult:
-    """Replica outcomes plus Wald 95% half-widths for the frequencies.
+    """Replica outcomes and the outcome frequencies they give.
 
     A type is alive when its count is positive at the horizon; it wins when
     it is alive and the opponent is extinct.  These are finite-horizon,
@@ -400,12 +393,6 @@ class SurvivalResult:
         if not self.outcomes:
             return float("nan")
         return sum(1 for o in self.outcomes if predicate(o)) / len(self.outcomes)
-
-    def halfwidth(self, freq: float) -> float:
-        n = len(self.outcomes)
-        if n == 0:
-            return float("nan")
-        return 1.96 * (freq * (1.0 - freq) / n) ** 0.5
 
     @property
     def freq_c_alive(self) -> float:

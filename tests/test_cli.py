@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,16 @@ def test_bad_config_line_rejected(tmp_path, capsys):
     capsys.readouterr()
     with pytest.raises(DomainError):
         parse_config_text("just words\n")
+
+
+def test_unknown_config_key_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=4\nhorizon=9\nsied=8\n")
+    code = main(["simulate", "--config", str(cfg), "--side", "4", "--t-end", "1", "--replicas", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "horizon" in err and "sied" in err
 
 
 # -------------------------------------------------------------------- replay
@@ -334,3 +346,36 @@ def test_bracket_degenerate_via_cli(capsys):
     doc = payload(capsys)
     assert doc["result"]["beta_c_low"] == doc["result"]["beta_c_high"] == "0"
     assert "degenerate" in doc["result"]["notes"]
+
+
+def test_bracket_upper_endpoint_failure_reports_both_evaluations(capsys):
+    # the parameters of test_bracket_budget_exhausted_keeps_partial
+    code = main(
+        ["bracket", "--beta", "4", "--beta-d", "1", "--side", "30", "--t-end", "40",
+         "--replicas", "30", "--rho-c", "0.05", "--rho-d", "0.55", "--seed", "556",
+         "--tau", "0.9", "--lo", "0", "--hi", "0.5", "--budget", "4"]
+    )
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    evaluations = re.findall(r"beta_c=(\S+) freq_c_wins=(\S+) freq_d_wins=([^;\s]+)", err)
+    assert [float(bc) for bc, _, _ in evaluations] == [0.0, 0.5]
+    assert float(evaluations[0][2]) > 0.9
+    assert float(evaluations[1][1]) <= 0.9
+
+
+# ------------------------------------------------------------------ presets
+
+
+PRESETS = Path(__file__).resolve().parent.parent / "presets"
+
+
+def test_presets_run_under_their_commands(capsys):
+    # each preset is named <command>-<experiment>.cfg; the flags shrink the run
+    presets = sorted(PRESETS.glob("*.cfg"))
+    assert presets
+    for preset in presets:
+        command = preset.name.split("-")[0]
+        argv = [command, "--config", str(preset), "--replicas", "2", "--side", "6", "--t-end", "1"]
+        assert main(argv) == 0, preset.name
+        assert capsys.readouterr().out

@@ -53,12 +53,6 @@ def test_torus_side_two_repeats_neighbor():
     assert t.neighbors[1] == (0, 0)
 
 
-def test_torus_coords_index_round_trip():
-    t = Torus(3, dim=3)
-    for i in range(t.n_sites):
-        assert t.index(t.coords(i)) == i
-
-
 def test_torus_state_string_round_trip():
     t = make_line("ecdce")
     assert t.state_string() == "ecdce"
@@ -498,8 +492,6 @@ def test_survival_frequencies_partition():
     )
     total = res.freq_c_wins + res.freq_d_wins + res.freq_coexist + res.freq_both_extinct
     assert total == pytest.approx(1.0)
-    hw = res.halfwidth(res.freq_d_wins)
-    assert 0.0 <= hw <= 1.96 * 0.5 / (32**0.5)
 
 
 def test_survival_independent_of_worker_count():
