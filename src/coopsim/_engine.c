@@ -1,0 +1,169 @@
+/* One event of the cooperator/defector process, compiled.
+ *
+ * This is coopsim.lattice's RateTable and step written in C, operation for
+ * operation, so that both give the same bits: site rates summed over the
+ * neighbors in order, block sums and prefix sums added left to right, the
+ * same bisection and clamps, the same birth-source walk and the same
+ * refresh of the sites within distance two.  The draws are numpy's own
+ * routines on the caller's bit generator, in the order of
+ * Generator.standard_exponential() then Generator.random().  Build with
+ * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
+ * reordered sum changes how a rate rounds.
+ */
+#include <stdint.h>
+#include "numpy/random/distributions.h"
+
+#define EMPTY 0
+#define COOPERATOR 1
+#define DEFECTOR 2
+
+typedef struct {
+    int32_t n, deg, block, n_blocks;
+    const int32_t *nbr;        /* n * deg neighbors, axis by axis, (-e_j, +e_j) */
+    const int32_t *near2_ptr;  /* n + 1 offsets into near2 */
+    const int32_t *near2;      /* the sites within distance two, ascending */
+    int8_t *sites;
+    double *rates, *block_sums;
+    double *cum;               /* scratch: n_blocks block prefix sums, then block site prefix sums */
+    double pair_beta, pair_coop, pair_defect;
+    bitgen_t *bitgen;          /* the caller's Generator */
+} coop_table;
+
+/* Rate at which neighbor y feeds a birth into an empty site; 0 when y is empty. */
+static double pair_rate(const coop_table *t, int32_t y)
+{
+    int8_t sy = t->sites[y];
+    if (sy == COOPERATOR) {
+        const int32_t *nz = t->nbr + (int64_t)y * t->deg;
+        int k = 0;
+        for (int b = 0; b < t->deg; b++)
+            k += t->sites[nz[b]] == COOPERATOR;
+        return t->pair_beta + t->pair_coop * k;
+    }
+    return sy == DEFECTOR ? t->pair_defect : 0.0;
+}
+
+static double site_rate(const coop_table *t, int32_t i)
+{
+    if (t->sites[i] != EMPTY)
+        return 1.0;
+    const int32_t *ny = t->nbr + (int64_t)i * t->deg;
+    double tot = 0.0;
+    for (int a = 0; a < t->deg; a++)
+        if (t->sites[ny[a]] != EMPTY)
+            tot += pair_rate(t, ny[a]);
+    return tot;
+}
+
+static void sum_block(coop_table *t, int32_t b)
+{
+    int32_t lo = b * t->block, hi = lo + t->block < t->n ? lo + t->block : t->n;
+    double s = 0.0;
+    for (int32_t i = lo; i < hi; i++)
+        s += t->rates[i];
+    t->block_sums[b] = s;
+}
+
+/* Every rate and block sum from the configuration, as a fresh RateTable. */
+void coop_init(coop_table *t)
+{
+    for (int32_t i = 0; i < t->n; i++)
+        t->rates[i] = site_rate(t, i);
+    for (int32_t b = 0; b < t->n_blocks; b++)
+        sum_block(t, b);
+}
+
+/* Fills t->cum with the block prefix sums and returns the total rate. */
+static double block_prefix(coop_table *t)
+{
+    double acc = 0.0;
+    for (int32_t b = 0; b < t->n_blocks; b++)
+        t->cum[b] = acc += t->block_sums[b];
+    return acc;
+}
+
+/* Index of the first of cum[0..m) above x (bisect_right); when none is,
+ * the last k with w[k] > 0, never a trailing zero-weight entry. */
+static int32_t pick(const double *cum, const double *w, int32_t m, double x)
+{
+    int32_t k = 0;
+    while (k < m && cum[k] <= x)
+        k++;
+    if (k == m)
+        do k--; while (!(w[k] > 0.0));
+    return k;
+}
+
+/* The site a target in [0, total) selects, given fresh block prefix sums;
+ * *parent gets the birth source of an empty site, -1 for a death (or for
+ * an empty site without occupied neighbors, which a fresh table never
+ * selects). */
+static int32_t select_site(coop_table *t, double target, int32_t *parent)
+{
+    int32_t b = pick(t->cum, t->block_sums, t->n_blocks, target);
+    double residual = target - (b > 0 ? t->cum[b - 1] : 0.0);
+    int32_t lo = b * t->block, m = lo + t->block < t->n ? t->block : t->n - lo;
+    double *cum = t->cum + t->n_blocks, acc = 0.0;
+    for (int32_t k = 0; k < m; k++)
+        cum[k] = acc += t->rates[lo + k];
+    int32_t j = pick(cum, t->rates + lo, m, residual);
+    int32_t i = lo + j;
+    *parent = -1;
+    if (t->sites[i] != EMPTY)
+        return i;
+    residual -= j > 0 ? cum[j - 1] : 0.0;
+    const int32_t *ny = t->nbr + (int64_t)i * t->deg;
+    for (int a = 0; a < t->deg; a++) {
+        if (t->sites[ny[a]] == EMPTY)
+            continue;
+        *parent = ny[a];
+        residual -= pair_rate(t, ny[a]);
+        if (residual < 0.0)
+            break;
+    }
+    return i;
+}
+
+/* The selection step alone, for tests: block prefix sums, then the site. */
+int32_t coop_select(coop_table *t, double target, int32_t *parent)
+{
+    block_prefix(t);
+    return select_site(t, target, parent);
+}
+
+/* One event.  Returns the holding time and, after applying the event,
+ * fills ev = (site, parent, state, prev); when the holding time exceeds
+ * t_limit nothing is applied and ev[0] = -1.  Returns -1 when the total
+ * rate is zero (nothing drawn) and -2 when the selected empty site has no
+ * occupied neighbor, which only a stale table allows. */
+double coop_step(coop_table *t, double t_limit, int32_t *ev)
+{
+    bitgen_t *bitgen = t->bitgen;
+    double total = block_prefix(t);
+    if (total <= 0.0)
+        return -1.0;
+    double elapsed = random_standard_exponential(bitgen) / total;
+    ev[0] = -1;
+    if (elapsed > t_limit)
+        return elapsed;
+    double target = bitgen->next_double(bitgen->state) * total;
+    int32_t parent, i = select_site(t, target, &parent);
+    int8_t prev = t->sites[i];
+    if (prev == EMPTY && parent < 0)
+        return -2.0;
+    int8_t state = prev == EMPTY ? t->sites[parent] : EMPTY;
+    t->sites[i] = state;
+    ev[0] = i;
+    ev[1] = parent;
+    ev[2] = state;
+    ev[3] = prev;
+    /* refresh: rates of the sites within distance two, then their blocks;
+     * near2 is ascending, so each block appears in one run */
+    const int32_t *z = t->near2 + t->near2_ptr[i], *end = t->near2 + t->near2_ptr[i + 1];
+    for (const int32_t *p = z; p < end; p++)
+        t->rates[*p] = site_rate(t, *p);
+    for (int32_t last = -1; z < end; z++)
+        if (*z / t->block != last)
+            sum_block(t, last = *z / t->block);
+    return elapsed;
+}

@@ -1,0 +1,167 @@
+"""The compiled per-event step of ``coopsim.lattice``: built on first use, cached, optional.
+
+``_engine.c`` is ``RateTable`` and ``step`` written in C, operation for
+operation, drawing through numpy's own routines on the caller's
+``Generator``; so a seed gives the same bytes whichever engine ran.
+:func:`load` builds it with cffi in API mode, linked against numpy's
+``libnpyrandom.a``, in a subprocess whose output is captured.  The module
+is kept in ``$XDG_CACHE_HOME/coopsim`` (default ``~/.cache/coopsim``)
+under a name keyed by a hash of the C source, the numpy version and the
+Python ABI, and moved into place with ``os.replace``, so that processes
+building at once do not race.  When it cannot be built or loaded, one
+line on stderr says so and :func:`load` returns ``None``: ``lattice.run``
+then uses the Python engine.
+
+Nothing here imports cffi until :func:`load` is called.
+"""
+
+from __future__ import annotations
+
+import ctypes
+import hashlib
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+SOURCE = Path(__file__).with_name("_engine.c")
+BUILD_TIMEOUT_S = 300
+
+CDEF = """
+typedef struct bitgen bitgen_t;
+typedef struct {
+    int32_t n, deg, block, n_blocks;
+    const int32_t *nbr;
+    const int32_t *near2_ptr;
+    const int32_t *near2;
+    int8_t *sites;
+    double *rates, *block_sums;
+    double *cum;
+    double pair_beta, pair_coop, pair_defect;
+    bitgen_t *bitgen;
+} coop_table;
+void coop_init(coop_table *t);
+int32_t coop_select(coop_table *t, double target, int32_t *parent);
+double coop_step(coop_table *t, double t_limit, int32_t *ev);
+"""
+
+# run as ``python -c BUILD source name cdef`` in an empty directory
+BUILD = """
+import os, sys
+import cffi, numpy
+source, name, cdef = sys.argv[1:4]
+ffi = cffi.FFI()
+ffi.cdef(cdef)
+with open(source, encoding="utf-8") as fh:
+    ffi.set_source(
+        name, fh.read(),
+        include_dirs=[numpy.get_include()],
+        library_dirs=[os.path.join(os.path.dirname(numpy.__file__), "random", "lib")],
+        libraries=["npyrandom", "m"],
+        extra_compile_args=["-O2", "-ffp-contract=off"],
+    )
+ffi.compile(tmpdir=".")
+"""
+
+_module = None
+_tried = False
+
+
+def cache_dir() -> Path:
+    root = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return Path(root) / "coopsim"
+
+
+def module_name() -> str:
+    key = hashlib.sha256()
+    for part in (SOURCE.read_bytes(), CDEF.encode(), BUILD.encode(), np.__version__.encode(),
+                 str(sysconfig.get_config_var("SOABI")).encode()):
+        key.update(part + b"\0")
+    return "_coopsim_engine_" + key.hexdigest()[:16]
+
+
+def _build(name: str, target: Path) -> None:
+    target.parent.mkdir(parents=True, exist_ok=True)
+    with tempfile.TemporaryDirectory(dir=target.parent) as tmp:
+        proc = subprocess.run(
+            [sys.executable, "-c", BUILD, str(SOURCE), name, CDEF],
+            cwd=tmp, stdin=subprocess.DEVNULL, capture_output=True, text=True,
+            timeout=BUILD_TIMEOUT_S,
+        )
+        built = Path(tmp) / target.name
+        if proc.returncode != 0 or not built.is_file():
+            lines = (proc.stderr or proc.stdout).strip().splitlines()
+            raise RuntimeError(f"build exited {proc.returncode}: {lines[-1] if lines else 'no output'}")
+        os.replace(built, target)
+
+
+def load():
+    """The compiled module (with ``ffi`` and ``lib``), or ``None`` if it cannot be had.
+
+    Builds it when the cache lacks it.  Tried once per process; a failure
+    is reported by one stderr line.
+    """
+    global _module, _tried
+    if not _tried:
+        _tried = True
+        try:
+            name = module_name()
+            path = cache_dir() / (name + sysconfig.get_config_var("EXT_SUFFIX"))
+            if not path.is_file():
+                _build(name, path)
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            _module = module
+        except Exception as exc:  # any failure means the Python engine runs
+            print(f"coopsim: compiled engine unavailable ({type(exc).__name__}: {exc}); "
+                  "using the Python engine", file=sys.stderr)
+    return _module
+
+
+_capsule_pointer = ctypes.pythonapi.PyCapsule_GetPointer
+_capsule_pointer.restype = ctypes.c_void_p
+_capsule_pointer.argtypes = [ctypes.py_object, ctypes.c_char_p]
+
+
+class Table:
+    """A ``RateTable`` in C memory for one torus, bound to one ``Generator``.
+
+    ``geometry`` holds the torus's flat int32 neighbor and distance-two
+    arrays.  The sites are copied in, and the compiled step writes each
+    event back to ``torus.sites``, so the torus stays in step with the
+    table.
+    """
+
+    __slots__ = ("torus", "rng", "c", "c_step", "ev", "_keep")
+
+    def __init__(self, module, torus, geometry, pair_rates: tuple[float, float, float],
+                 rng: np.random.Generator):
+        ffi = module.ffi
+        n = torus.n_sites
+        block = math.isqrt(n)
+        n_blocks = -(-n // block)
+        c = ffi.new("coop_table *")
+        c.n, c.deg, c.block, c.n_blocks = n, 2 * torus.dim, block, n_blocks
+        c.nbr = ffi.from_buffer("int32_t[]", geometry.nbr)
+        c.near2_ptr = ffi.from_buffer("int32_t[]", geometry.near2_ptr)
+        c.near2 = ffi.from_buffer("int32_t[]", geometry.near2_flat)
+        sites = ffi.new("int8_t[]", torus.sites)
+        doubles = ffi.new("double[]", n + 2 * n_blocks + block)
+        c.sites, c.rates, c.block_sums, c.cum = sites, doubles, doubles + n, doubles + n + n_blocks
+        c.pair_beta, c.pair_coop, c.pair_defect = pair_rates
+        address = _capsule_pointer(rng.bit_generator.capsule, b"BitGenerator")
+        c.bitgen = ffi.cast("bitgen_t *", address)
+        module.lib.coop_init(c)
+        self._keep = (geometry, sites, doubles)
+        self.torus = torus
+        self.rng = rng
+        self.c = c
+        self.c_step = module.lib.coop_step
+        self.ev = ffi.new("int32_t[4]")

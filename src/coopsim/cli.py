@@ -17,6 +17,7 @@ argparse usage errors).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -69,7 +70,8 @@ class Opt:
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip() != "")
+    """Comma-separated floats; an empty item is an error, not skipped."""
+    return tuple(float(tok) for tok in raw.split(","))
 
 
 # text parser per non-bool option kind, for the command line and config files
@@ -156,8 +158,12 @@ class RunConfig:
 
 
 def parse_config_text(text: str) -> dict[str, str]:
-    """Flat ``key=value`` lines; blank lines and ``#`` comments ignored."""
+    """Flat ``key=value`` lines; blank lines and ``#`` comments ignored.
+
+    A key given twice is an error: neither value silently wins.
+    """
     values: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         body = line.strip()
         if not body or body.startswith("#"):
@@ -165,7 +171,11 @@ def parse_config_text(text: str) -> dict[str, str]:
         if "=" not in body:
             raise DomainError(f"config line {lineno} is not key=value: {line!r}")
         key, _, raw = body.partition("=")
-        values[key.strip()] = raw.strip()
+        key = key.strip()
+        if key in values:
+            raise DomainError(f"config key {key!r} is given twice (lines {first_line[key]} and {lineno})")
+        first_line[key] = lineno
+        values[key] = raw.strip()
     return values
 
 
@@ -603,7 +613,9 @@ def _cmd_blocks_perc(v: dict, cfg: RunConfig) -> str:
 # ------------------------------------------------------------------ driver
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every declared command, built once per process."""
     parser = argparse.ArgumentParser(
         prog="coopsim",
         description="Cooperator/defector lattice dynamics toolkit.",

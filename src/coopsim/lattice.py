@@ -18,6 +18,12 @@ that block, so an event costs O(sqrt(N)) rather than O(N).  Inside an empty
 site the directed neighbor pairs are walked in a fixed order, so that when
 ``beta_c == beta_d == 0`` swapping the two type labels in the initial
 configuration mirrors the whole run exactly, draw for draw.
+
+``run`` uses the compiled step of ``_engine`` when its module loads and
+this Python ``RateTable``/``step`` otherwise.  The two perform the same
+floating-point operations in the same order and draw through the same
+numpy routines, so a seed gives the same bytes from either; the Python
+engine is the specification and the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -26,11 +32,14 @@ import math
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import accumulate
+from functools import lru_cache, reduce
+from itertools import accumulate, chain
+from operator import add
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _engine
 from .errors import Absorbed, DomainError
 from .params import Params
 
@@ -70,8 +79,9 @@ class Torus(object):
             if bad:
                 raise DomainError(f"invalid site states: {bad}")
             self.sites = list(sites)
-        self.neighbors = _neighbor_table(side, dim)
-        self.near2 = _near2_table(self.neighbors)
+        geometry = _geometry(side, dim)
+        self.neighbors = geometry.neighbors
+        self.near2 = geometry.near2
 
     def index(self, coords: Sequence[int]) -> int:
         i = 0
@@ -113,6 +123,40 @@ class Torus(object):
         return cls(side, dim, [CHAR_STATES[ch] for ch in text])
 
 
+# (side, dim) pairs whose neighbor and distance-two tables are kept
+GEOMETRY_CACHE_SIZE = 8
+
+
+class _Geometry(NamedTuple):
+    """A torus's neighbor and distance-two tables, shared by every torus
+    of its (side, dim), with the flat int32 arrays the compiled step reads:
+    ``nbr`` (``2 * dim`` neighbors per site) and ``near2_flat`` sliced by
+    the offsets ``near2_ptr``."""
+
+    neighbors: tuple[tuple[int, ...], ...]
+    near2: tuple[tuple[int, ...], ...]
+    nbr: np.ndarray
+    near2_ptr: np.ndarray
+    near2_flat: np.ndarray
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _geometry(side: int, dim: int) -> _Geometry:
+    # tuples and read-only arrays: every torus of this shape shares them
+    neighbors = tuple(_neighbor_table(side, dim))
+    near2 = tuple(_near2_table(neighbors))
+    near2_ptr = np.zeros(len(near2) + 1, dtype=np.int32)
+    np.cumsum([len(z) for z in near2], out=near2_ptr[1:])
+    flat = (
+        np.array(neighbors, dtype=np.int32).ravel(),
+        near2_ptr,
+        np.fromiter(chain.from_iterable(near2), dtype=np.int32, count=int(near2_ptr[-1])),
+    )
+    for array in flat:
+        array.flags.writeable = False
+    return _Geometry(neighbors, near2, *flat)
+
+
 def _neighbor_table(side: int, dim: int) -> list[tuple[int, ...]]:
     n = side**dim
     strides = [side**j for j in range(dim)]
@@ -132,7 +176,7 @@ def _neighbor_table(side: int, dim: int) -> list[tuple[int, ...]]:
     return table
 
 
-def _near2_table(neighbors: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+def _near2_table(neighbors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
     table = []
     for i, nbrs in enumerate(neighbors):
         seen = {i}
@@ -176,7 +220,9 @@ class RateTable:
     empty site, the sum of its directed-pair birth rates taken in neighbor
     order.  The sites are cut into consecutive blocks of ``block`` =
     ``isqrt(N)`` sites (the last one may be shorter) and ``block_sums[b]``
-    holds ``sum(rates[b * block:(b + 1) * block])``.
+    holds the sum of ``rates[b * block:(b + 1) * block]``, added left to
+    right (builtin ``sum`` compensates from Python 3.12, which would make
+    selections depend on the Python version).
 
     Block sums are set, never added to: after a change every touched block
     is summed again from its sites.  Every rate and every block sum is thus
@@ -195,17 +241,12 @@ class RateTable:
     )
 
     def __init__(self, torus: Torus, p: Params):
-        if p.dim != torus.dim:
-            raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
         self.torus = torus
-        two_d = 2.0 * torus.dim
-        self.pair_beta = p.beta / two_d
-        self.pair_coop = p.beta_c / (two_d * two_d)
-        self.pair_defect = (p.beta + p.beta_d) / two_d
+        self.pair_beta, self.pair_coop, self.pair_defect = _pair_rates(torus, p)
         n = torus.n_sites
         self.block = math.isqrt(n)
         self.rates = [self.site_rate(i) for i in range(n)]
-        self.block_sums = [sum(self.rates[lo : lo + self.block]) for lo in range(0, n, self.block)]
+        self.block_sums = [reduce(add, self.rates[lo : lo + self.block], 0.0) for lo in range(0, n, self.block)]
 
     def site_rate(self, i: int) -> float:
         """Total event rate of site ``i`` in the current configuration."""
@@ -237,7 +278,24 @@ class RateTable:
             rates[i] = self.site_rate(i)
         for b in {i // block for i in changed}:
             lo = b * block
-            self.block_sums[b] = sum(rates[lo : lo + block])
+            self.block_sums[b] = reduce(add, rates[lo : lo + block], 0.0)
+
+
+def _pair_rates(torus: Torus, p: Params) -> tuple[float, float, float]:
+    """(beta, support, defector) directed-pair rate constants of ``p`` on ``torus``."""
+    if p.dim != torus.dim:
+        raise DomainError(f"params dim {p.dim} != torus dim {torus.dim}")
+    two_d = 2.0 * torus.dim
+    return p.beta / two_d, p.beta_c / (two_d * two_d), (p.beta + p.beta_d) / two_d
+
+
+def _rate_table(torus: Torus, p: Params, rng: np.random.Generator) -> RateTable | _engine.Table:
+    """The compiled engine's table, bound to ``rng``, when its module
+    loads; else a ``RateTable``."""
+    module = _engine.load()
+    if module is None:
+        return RateTable(torus, p)
+    return _engine.Table(module, torus, _geometry(torus.side, torus.dim), _pair_rates(torus, p), rng)
 
 
 def step(
@@ -251,7 +309,12 @@ def step(
     is given and the exponential holding time exceeds it, no event is
     selected or applied and ``(None, elapsed)`` is returned, which is the
     exact way to stop a continuous-time chain at a horizon.
+
+    ``table`` may also be the compiled engine's table, which takes the
+    same steps in C from the generator it was built with.
     """
+    if table.__class__ is _engine.Table:
+        return _compiled_step(table, rng, t_limit)
     block_sums = table.block_sums
     cum_blocks = list(accumulate(block_sums))
     total = cum_blocks[-1]
@@ -312,6 +375,30 @@ def step(
     return event, elapsed
 
 
+_new_tuple = tuple.__new__
+
+
+def _compiled_step(
+    table: _engine.Table,
+    rng: np.random.Generator,
+    t_limit: float | None,
+) -> tuple[Event | None, float]:
+    if rng is not table.rng:
+        raise DomainError("a compiled table draws only from the generator it was built with")
+    elapsed = table.c_step(table.c, math.inf if t_limit is None else t_limit, table.ev)
+    if elapsed < 0.0:
+        raise Absorbed("all sites empty: total event rate is zero" if elapsed == -1.0
+                       else "no occupied neighbor at the selected empty site")
+    site, parent, state, prev = table.ev
+    if site < 0:
+        return None, elapsed
+    table.torus.sites[site] = state
+    # tuple.__new__ skips Event's Python-level __new__, about 0.4 us per event
+    if parent < 0:
+        return _new_tuple(Event, ("death", site, None, state, prev)), elapsed
+    return _new_tuple(Event, ("birth", site, parent, state, prev)), elapsed
+
+
 @dataclass(frozen=True, slots=True)
 class TimeSeries:
     """Counts sampled on a fixed grid; constant after absorption."""
@@ -348,7 +435,7 @@ def run(
     k = 0
     t = 0.0
     if t_end > 0:
-        table = RateTable(torus, p)
+        table = _rate_table(torus, p, rng)
         try:
             while True:
                 event, elapsed = step(table, rng, t_limit=t_end - t)
@@ -458,6 +545,7 @@ def survival_estimate(
         for i in range(replicas)
     ]
     if jobs > 1:
+        _engine.load()  # forked workers inherit the loaded module
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_survival_replica, arg_list, chunksize=8))
     else:

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from coopsim import cli
 from coopsim.cli import main, parse_config_text
 from coopsim.errors import DomainError
 from coopsim.graphical import sterile_probability
@@ -155,6 +156,46 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "horizon" in err and "sied" in err
+
+
+def test_config_key_given_twice_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("beta=4\nside=4\n# later edit\nside=6\n")
+    code = main(["simulate", "--config", str(cfg), "--t-end", "1", "--replicas", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "'side'" in err and "lines 2 and 4" in err
+
+
+@pytest.mark.parametrize("grid", ["0,,3", "0,3,", ",0,3", ""])
+def test_empty_item_in_list_option_exits_2(tmp_path, capsys, grid):
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text(f"beta=4\nbeta_c_grid={grid}\nbeta_d_grid=1\n")
+    code = main(["sweep", "--config", str(cfg), "--side", "4", "--t-end", "1", "--replicas", "2"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert f"beta_c_grid={grid!r}" in err
+    code = main(["sweep", "--beta", "4", "--beta-c-grid", "0,,3", "--beta-d-grid", "1"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and "--beta-c-grid" in err
+
+
+def test_repeated_main_calls_reuse_one_parser(capsys):
+    # the parser is built once; usage errors, help and exit codes are as before
+    assert cli._build_parser() is cli._build_parser()
+    assert main(["frobnicate"]) == 2
+    first = capsys.readouterr().err
+    assert main(["frobnicate"]) == 2
+    assert capsys.readouterr().err == first and "invalid choice" in first
+    assert main(["meanfield", "--beta", "nan"]) == 2
+    assert "usage: coopsim" in capsys.readouterr().err
+    assert main(["--help"]) == 0
+    assert "usage: coopsim" in capsys.readouterr().out
+    assert main(["meanfield", "--beta", "2", "--t-end", "1", "--sample-interval", "0.5"]) == 0
+    assert "# regime=" in capsys.readouterr().out
 
 
 # -------------------------------------------------------------------- replay

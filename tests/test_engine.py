@@ -1,0 +1,271 @@
+"""The compiled lattice step against the Python engine it reproduces.
+
+Both engines must give the same bytes for a seed: the same series, the
+same final configuration, and the generator left at the same point.  The
+compiled tests skip when the module cannot be built (no cffi or no C
+compiler); the Python engine then runs everywhere.
+"""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from functools import reduce
+from operator import add
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from coopsim import _engine, lattice
+from coopsim.errors import Absorbed, DomainError
+from coopsim.lattice import RateTable, Torus, product_measure, run
+from coopsim.params import Params
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def compiled_module():
+    module = _engine.load()
+    if module is None:
+        pytest.skip("compiled engine unavailable")
+    return module
+
+
+@pytest.fixture(params=["python", "compiled"])
+def engine(request, monkeypatch):
+    if request.param == "python":
+        monkeypatch.setattr(_engine, "load", lambda: None)
+    else:
+        compiled_module()
+    return request.param
+
+
+def fresh_loader(monkeypatch, tmp_path):
+    """Make ``_engine.load`` act as in a new process, with an empty cache."""
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    monkeypatch.setattr(_engine, "_module", None)
+    monkeypatch.setattr(_engine, "_tried", False)
+
+
+def run_bytes(side, dim, p, seed, t_end, interval, python=False, monkeypatch=None):
+    rng = np.random.default_rng(seed)
+    torus = product_measure(side, dim, 0.3, 0.3, rng)
+    if python:
+        with monkeypatch.context() as m:
+            m.setattr(_engine, "load", lambda: None)
+            series = run(torus, p, t_end, rng, sample_interval=interval)
+    else:
+        series = run(torus, p, t_end, rng, sample_interval=interval)
+    arrays = (series.t, series.n_c, series.n_d, series.n_e)
+    return b"".join(a.tobytes() for a in arrays), torus.state_string(), rng.random()
+
+
+def battery(n, seed):
+    r = random.Random(seed)
+    for _ in range(n):
+        dim = r.choice([1, 2, 3])
+        side = r.randint(2, {1: 59, 2: 11, 3: 5}[dim])
+        beta_c = 0.0 if r.random() < 0.5 else r.uniform(0.0, 8.0)
+        beta_d = r.choice([0.0, r.uniform(0.0, 3.0)])
+        p = Params(r.uniform(0.3, 6.0), beta_c, beta_d, dim)
+        yield (side, dim, p, r.randrange(10**6), r.choice([0, 0.7, 3.3, 10, 25]), r.choice([0.25, 1, 7]))
+
+
+# ------------------------------------------------------------- differential
+
+
+def test_engines_give_the_same_bytes(monkeypatch):
+    compiled_module()
+    for case in battery(300, 2024):
+        assert run_bytes(*case) == run_bytes(*case, python=True, monkeypatch=monkeypatch), case
+
+
+@pytest.mark.parametrize("dim, side", [(1, 2), (2, 2), (3, 2), (1, 3)])
+def test_engines_agree_on_the_smallest_tori(monkeypatch, dim, side):
+    # side 2 repeats each neighbor; side 3 makes every site a distance-two neighbor
+    compiled_module()
+    for seed in range(20):
+        case = (side, dim, Params(2.5, 3.0, 0.5, dim), seed, 10.0, 1.0)
+        assert run_bytes(*case) == run_bytes(*case, python=True, monkeypatch=monkeypatch), case
+
+
+def test_block_sums_add_left_to_right(engine):
+    # beta = 1e16 on a 2-d torus: pair rates of 2.5e15 share blocks with the
+    # unit death rates, so the order of addition decides how a sum rounds
+    p = Params(1e16, 0.0, 0.0, 2)
+    rng = np.random.default_rng(1)
+    torus = product_measure(6, 2, 0.35, 0.35, rng)
+    table = lattice._rate_table(torus, p, rng)
+    n, block = torus.n_sites, math.isqrt(torus.n_sites)
+    sharp = 0
+    for _ in range(40):
+        if engine == "python":
+            rates, block_sums = table.rates, table.block_sums
+        else:
+            ffi = compiled_module().ffi
+            rates, block_sums = ffi.unpack(table.c.rates, n), ffi.unpack(table.c.block_sums, n // block)
+        assert rates == RateTable(torus, p).rates
+        chunks = [rates[lo : lo + block] for lo in range(0, n, block)]
+        assert block_sums == [reduce(add, chunk) for chunk in chunks]
+        # blocks where a compensated sum (as builtin sum from 3.12) rounds differently
+        sharp += sum(math.fsum(chunk) != reduce(add, chunk) for chunk in chunks)
+        lattice.step(table, rng)
+    assert sharp > 10
+
+
+def test_compiled_run_calls_step_once_per_event(monkeypatch):
+    compiled_module()
+    calls = []
+    real = lattice.step
+
+    def counting(table, rng, t_limit=None):
+        event, elapsed = real(table, rng, t_limit)
+        calls.append(event)
+        return event, elapsed
+
+    monkeypatch.setattr(lattice, "step", counting)
+    rng = np.random.default_rng(5)
+    torus = product_measure(40, 1, 0.3, 0.3, rng)
+    reference = torus.copy()
+    run(torus, Params(3.0, 1.0, 0.5, 1), 6.0, rng)
+    assert calls[-1] is None and None not in calls[:-1]
+    events = calls[:-1]
+    # replaying the reported events turns the start into the final state
+    for ev in events:
+        assert reference.sites[ev.site] == ev.prev
+        reference.sites[ev.site] = ev.state
+    assert reference.sites == torus.sites and len(events) > 100
+
+
+def test_compiled_step_matches_python_step_event_by_event():
+    module = compiled_module()
+    p = Params(4.0, 6.0, 1.0, 2)
+    start = product_measure(9, 2, 0.3, 0.3, np.random.default_rng(3))
+    rng_c, rng_p = np.random.default_rng(4), np.random.default_rng(4)
+    torus_c, torus_p = start.copy(), start.copy()
+    table_c = lattice._rate_table(torus_c, p, rng_c)
+    table_p = RateTable(torus_p, p)
+    assert isinstance(table_c, _engine.Table)
+    for _ in range(500):
+        try:
+            expected = lattice.step(table_p, rng_p)
+        except Absorbed:
+            with pytest.raises(Absorbed):
+                lattice.step(table_c, rng_c)
+            break
+        assert lattice.step(table_c, rng_c) == expected
+        assert torus_c.sites == torus_p.sites
+    assert module.ffi.unpack(table_c.c.rates, start.n_sites) == table_p.rates
+
+
+def test_compiled_step_rejects_a_foreign_generator():
+    compiled_module()
+    rng = np.random.default_rng(0)
+    table = lattice._rate_table(Torus.from_state_string("ccdee"), Params(2.0), rng)
+    with pytest.raises(DomainError, match="generator it was built with"):
+        lattice.step(table, np.random.default_rng(0))
+
+
+def test_compiled_step_absorbed_on_empty_torus():
+    compiled_module()
+    rng = np.random.default_rng(0)
+    table = lattice._rate_table(Torus.from_state_string("eeeee"), Params(2.0), rng)
+    state = rng.bit_generator.state
+    with pytest.raises(Absorbed):
+        lattice.step(table, rng)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+# ---------------------------------------------------- selection, through C
+
+
+def c_select(table, u):
+    """Site and parent the compiled selection picks for uniform ``u``."""
+    module = compiled_module()
+    n, block = table.torus.n_sites, math.isqrt(table.torus.n_sites)
+    total = reduce(add, module.ffi.unpack(table.c.block_sums, -(-n // block)))
+    parent = module.ffi.new("int32_t *")
+    site = module.lib.coop_select(table.c, u * total, parent)
+    return site, (None if parent[0] < 0 else parent[0])
+
+
+@pytest.mark.parametrize(
+    "pattern, p, u, site",
+    [
+        ("eeccdeeeee", Params(2.0, 1.0, 1.0, 1), float(np.nextafter(1.0, 0.0)), 5),
+        ("eeedeeeede", Params(0.7, 0.0, 0.0, 1), float(np.nextafter(0.5, 0.0)), 4),
+    ],
+)
+def test_compiled_selection_boundary_never_picks_zero_rate_site(pattern, p, u, site):
+    # the cases of test_step_selection_boundary_never_picks_zero_rate_site
+    torus = Torus.from_state_string(pattern)
+    table = lattice._rate_table(torus, p, np.random.default_rng(0))
+    rates = RateTable(torus.copy(), p).rates
+    assert compiled_module().ffi.unpack(table.c.rates, torus.n_sites) == rates
+    assert rates[site + 1] == 0.0
+    assert c_select(table, u) == (site, 4 if site == 5 else 3)
+
+
+def test_compiled_birth_walk_picks_every_pair_of_mixed_sites():
+    # the 16-pair case of test_step_birth_walk_picks_every_pair_of_mixed_sites
+    p = Params(4.0, 32.0, 12.0, 2)
+    start = Torus.from_state_string("ccedcedcedccdecd", dim=2)
+    table = lattice._rate_table(start, p, np.random.default_rng(0))
+    site_rates = RateTable(start.copy(), p).rates
+    total = sum(site_rates)
+    pairs = 0
+    for x, s in enumerate(start.sites):
+        if s != lattice.EMPTY:
+            assert c_select(table, (sum(site_rates[:x]) + 0.5) / total) == (x, None)
+            continue
+        lo = sum(site_rates[:x])
+        for y in start.neighbors[x]:
+            if start.sites[y] == lattice.EMPTY:
+                continue
+            k = sum(1 for z in start.neighbors[y] if start.sites[z] == lattice.COOPERATOR)
+            r = p.beta / 4 + p.beta_c / 16 * k if start.sites[y] == lattice.COOPERATOR else 4.0
+            assert c_select(table, (lo + r / 2) / total) == (x, y)
+            lo += r
+            pairs += 1
+    assert pairs == 16
+
+
+# ------------------------------------------------------ building and fallback
+
+
+def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, capfd):
+    compiled_module()
+    case = (20, 1, Params(3.0, 2.0, 0.5, 1), 77, 10.0, 0.25)
+    compiled = run_bytes(*case)
+    fresh_loader(monkeypatch, tmp_path)
+    broken = tmp_path / "broken.c"
+    broken.write_text("this is not C\n")
+    monkeypatch.setattr(_engine, "SOURCE", broken)
+    capfd.readouterr()
+    assert _engine.load() is None
+    assert run_bytes(*case) == compiled
+    assert _engine.load() is None
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "using the Python engine" in err
+
+
+def test_build_into_empty_cache_writes_nothing(monkeypatch, tmp_path, capfd):
+    fresh_loader(monkeypatch, tmp_path)
+    module = _engine.load()
+    out, err = capfd.readouterr()
+    assert out == ""
+    if module is None:
+        pytest.skip("compiled engine unavailable")
+    assert err == ""
+    built = list((tmp_path / "cache" / "coopsim").iterdir())
+    assert [path.name for path in built] == [Path(module.__file__).name]
+
+
+def test_import_does_not_load_cffi():
+    code = "import sys, coopsim.cli; print(sorted(m for m in sys.modules if 'cffi' in m))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
+    assert proc.stdout.strip() == "[]"
