@@ -18,12 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
 from .errors import BudgetExhausted, DomainError
 from .graphical import COUPLED, coupled_evolve, sample_event_log
-from .lattice import COOPERATOR, DEFECTOR, product_measure, survival_estimate
+from .lattice import (COOPERATOR, DEFECTOR, SurvivalResult, product_measure, survival_estimate,
+                      survival_replicas)
 from .mean_field import classify_regime
 from .params import Params, equal_rate_benefit
 
@@ -129,45 +131,40 @@ def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
     """Survival-outcome frequencies over the full benefit grid.
 
     Grid points are visited in row-major order (beta_c outer, beta_d
-    inner); point ``i`` runs ``survival_estimate`` under its own derived
-    seed, so rerunning any subset of the grid reproduces the same rows.
-    The mean-field regime label for the same parameters rides along for
-    side-by-side comparison.
+    inner); point ``i`` runs its replicas under its own derived seed, so
+    rerunning any subset of the grid reproduces the same rows.  The
+    replicas of every point go through one ``survival_replicas`` call,
+    and so through one process pool when ``jobs > 1``.  The mean-field
+    regime label for the same parameters rides along for side-by-side
+    comparison.
     """
+    points = [
+        (Params(spec.beta, beta_c, beta_d, spec.dim), point_seed(spec.master_seed, k))
+        for k, (beta_c, beta_d) in enumerate(product(spec.beta_c_grid, spec.beta_d_grid))
+    ]
+    n = spec.replicas
+    runs = [
+        (p, spec.side, spec.horizon, spec.rho_c, spec.rho_d, seed, i)
+        for p, seed in points
+        for i in range(n)
+    ]
+    outcomes = survival_replicas(runs, jobs)
     rows: list[SweepPoint] = []
-    index = 0
-    for beta_c in spec.beta_c_grid:
-        for beta_d in spec.beta_d_grid:
-            p = Params(spec.beta, beta_c, beta_d, spec.dim)
-            seed = point_seed(spec.master_seed, index)
-            result = survival_estimate(
-                p,
-                spec.side,
-                spec.horizon,
-                spec.replicas,
-                spec.rho_c,
-                spec.rho_d,
-                seed,
-                jobs=jobs,
+    for k, (p, seed) in enumerate(points):
+        result = SurvivalResult(tuple(outcomes[k * n : (k + 1) * n]))
+        rows.append(
+            SweepPoint(
+                beta_c=p.beta_c,
+                beta_d=p.beta_d,
+                n_c_wins=result.n_c_wins,
+                n_d_wins=result.n_d_wins,
+                n_coexist=result.n_coexist,
+                n_both_extinct=result.n_both_extinct,
+                replicas=n,
+                mf_regime=classify_regime(p),
+                seed=seed,
             )
-            n_c = sum(1 for o in result.outcomes if o.n_c > 0 and o.n_d == 0)
-            n_d = sum(1 for o in result.outcomes if o.n_d > 0 and o.n_c == 0)
-            n_co = sum(1 for o in result.outcomes if o.n_c > 0 and o.n_d > 0)
-            n_ext = sum(1 for o in result.outcomes if o.n_c == 0 and o.n_d == 0)
-            rows.append(
-                SweepPoint(
-                    beta_c=beta_c,
-                    beta_d=beta_d,
-                    n_c_wins=n_c,
-                    n_d_wins=n_d,
-                    n_coexist=n_co,
-                    n_both_extinct=n_ext,
-                    replicas=spec.replicas,
-                    mf_regime=classify_regime(p),
-                    seed=seed,
-                )
-            )
-            index += 1
+        )
     return rows
 
 

@@ -628,9 +628,7 @@ def estimate_sterile(
                 done += 1
                 if done == replicas:
                     break
-    freq = sterile_total / replicas
-    stderr = math.sqrt(freq * (1.0 - freq) / replicas)
-    return freq, stderr
+    return lattice.binomial_estimate(sterile_total, replicas)
 
 
 # --------------------------------------------------------------- dual tree

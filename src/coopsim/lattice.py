@@ -29,6 +29,7 @@ engine is the specification and the reference the tests compare against.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -469,41 +470,40 @@ class SurvivalResult:
     """Replica outcomes and the outcome frequencies they give.
 
     A type is alive when its count is positive at the horizon; it wins when
-    it is alive and the opponent is extinct.  These are finite-horizon,
-    finite-volume surrogates for the limit statements, and are labelled as
-    such wherever they are written out.
+    it is alive and the opponent is extinct.  The four classes (cooperators
+    win, defectors win, coexist, both extinct) partition the replicas.
+    These are finite-horizon, finite-volume surrogates for the limit
+    statements, and are labelled as such wherever they are written out.
     """
 
     outcomes: tuple[ReplicaOutcome, ...]
 
+    def count(self, predicate: Callable[[ReplicaOutcome], bool]) -> int:
+        return sum(1 for o in self.outcomes if predicate(o))
+
     def freq(self, predicate: Callable[[ReplicaOutcome], bool]) -> float:
-        if not self.outcomes:
-            return float("nan")
-        return sum(1 for o in self.outcomes if predicate(o)) / len(self.outcomes)
+        return self._share(self.count(predicate))
 
-    @property
-    def freq_c_alive(self) -> float:
-        return self.freq(lambda o: o.n_c > 0)
+    def _share(self, n: int) -> float:
+        return n / len(self.outcomes) if self.outcomes else float("nan")
 
-    @property
-    def freq_d_alive(self) -> float:
-        return self.freq(lambda o: o.n_d > 0)
+    # the four outcome classes, as counts and as frequencies
+    n_c_wins = property(lambda self: self.count(lambda o: o.n_c > 0 and o.n_d == 0))
+    n_d_wins = property(lambda self: self.count(lambda o: o.n_d > 0 and o.n_c == 0))
+    n_coexist = property(lambda self: self.count(lambda o: o.n_c > 0 and o.n_d > 0))
+    n_both_extinct = property(lambda self: self.count(lambda o: o.n_c == 0 and o.n_d == 0))
+    freq_c_wins = property(lambda self: self._share(self.n_c_wins))
+    freq_d_wins = property(lambda self: self._share(self.n_d_wins))
+    freq_coexist = property(lambda self: self._share(self.n_coexist))
+    freq_both_extinct = property(lambda self: self._share(self.n_both_extinct))
+    freq_c_alive = property(lambda self: self.freq(lambda o: o.n_c > 0))
+    freq_d_alive = property(lambda self: self.freq(lambda o: o.n_d > 0))
 
-    @property
-    def freq_c_wins(self) -> float:
-        return self.freq(lambda o: o.n_c > 0 and o.n_d == 0)
 
-    @property
-    def freq_d_wins(self) -> float:
-        return self.freq(lambda o: o.n_d > 0 and o.n_c == 0)
-
-    @property
-    def freq_both_extinct(self) -> float:
-        return self.freq(lambda o: o.n_c == 0 and o.n_d == 0)
-
-    @property
-    def freq_coexist(self) -> float:
-        return self.freq(lambda o: o.n_c > 0 and o.n_d > 0)
+def binomial_estimate(hits: int, n: int) -> tuple[float, float]:
+    """Frequency ``hits / n`` and its binomial standard error."""
+    freq = hits / n
+    return freq, math.sqrt(freq * (1.0 - freq) / n)
 
 
 def replica_rng(master_seed: int, index: int) -> np.random.Generator:
@@ -511,13 +511,30 @@ def replica_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _survival_replica(args: tuple) -> ReplicaOutcome:
-    (index, master_seed, beta, beta_c, beta_d, dim, side, rho_c, rho_d, horizon) = args
-    p = Params(beta, beta_c, beta_d, dim)
+def _survival_replica(spec: tuple) -> ReplicaOutcome:
+    p, side, horizon, rho_c, rho_d, master_seed, index = spec
     rng = replica_rng(master_seed, index)
-    torus = product_measure(side, dim, rho_c, rho_d, rng)
+    torus = product_measure(side, p.dim, rho_c, rho_d, rng)
     run(torus, p, horizon, rng, sample_interval=max(horizon, 1.0))
     return ReplicaOutcome(index, *torus.counts())
+
+
+def survival_replicas(runs: Sequence[tuple], jobs: int = 1) -> list[ReplicaOutcome]:
+    """Final counts of ``runs``, each ``(params, side, horizon, rho_c, rho_d,
+    master_seed, index)`` and drawn from ``replica_rng(master_seed, index)``.
+
+    ``jobs > 1`` runs them in one process pool that lives only inside this
+    call, with ``min(jobs, usable cpus, len(runs))`` workers.
+    """
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1 or not runs:
+        return [_survival_replica(r) for r in runs]
+    _engine.load()  # forked workers inherit the loaded module
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(jobs, cpus, len(runs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(_survival_replica, runs, chunksize=8))
 
 
 def survival_estimate(
@@ -540,14 +557,5 @@ def survival_estimate(
         raise DomainError(f"need at least one replica, got {replicas}")
     if not (math.isfinite(horizon) and horizon >= 0):
         raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
-    arg_list = [
-        (i, master_seed, p.beta, p.beta_c, p.beta_d, p.dim, side, rho_c, rho_d, horizon)
-        for i in range(replicas)
-    ]
-    if jobs > 1:
-        _engine.load()  # forked workers inherit the loaded module
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_survival_replica, arg_list, chunksize=8))
-    else:
-        outcomes = [_survival_replica(a) for a in arg_list]
-    return SurvivalResult(outcomes=tuple(outcomes))
+    runs = [(p, side, horizon, rho_c, rho_d, master_seed, i) for i in range(replicas)]
+    return SurvivalResult(tuple(survival_replicas(runs, jobs)))

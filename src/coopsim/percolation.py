@@ -102,9 +102,7 @@ def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tu
         raise DomainError(f"need at least one replica, got {replicas}")
     _require_positive_finite(T=T)
     counts = rng.poisson(T, size=(replicas, inner_box_sites(d)))
-    hits = (counts > 0).all(axis=1)
-    freq = float(hits.mean())
-    return freq, math.sqrt(freq * (1.0 - freq) / replicas)
+    return lattice.binomial_estimate(int((counts > 0).all(axis=1).sum()), replicas)
 
 
 def _mark_rate(p: Params, d: int) -> float:
@@ -150,8 +148,7 @@ def estimate_a2(
         times = np.sort(rng.uniform(0.0, window, size=n))
         if float(np.diff(times).min()) > 2.0 * delta:
             ok += 1
-    freq = ok / replicas
-    return freq, math.sqrt(freq * (1.0 - freq) / replicas)
+    return lattice.binomial_estimate(ok, replicas)
 
 
 def prob_a3_bound(beta: float, beta_c: float, T: float, delta: float, d: int) -> float:
@@ -195,8 +192,7 @@ def estimate_c_plus_absence(
     c_plus_absence_prob(L, d, rho)  # argument validation
     lam = rho * (6 * L + 1) ** d * 2.0 * L**2
     counts = rng.poisson(lam, size=replicas)
-    freq = float((counts == 0).mean())
-    return freq, math.sqrt(freq * (1.0 - freq) / replicas)
+    return lattice.binomial_estimate(int((counts == 0).sum()), replicas)
 
 
 # ------------------------------------------------------------- percolation
@@ -448,10 +444,5 @@ def block_spread_estimate(
             if not ok:
                 break
         hits += ok
-    freq = hits / replicas
-    return BlockSpreadResult(
-        frequency=freq,
-        stderr=math.sqrt(freq * (1.0 - freq) / replicas),
-        replicas=replicas,
-        spec=spec,
-    )
+    freq, stderr = lattice.binomial_estimate(hits, replicas)
+    return BlockSpreadResult(frequency=freq, stderr=stderr, replicas=replicas, spec=spec)

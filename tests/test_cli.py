@@ -226,6 +226,41 @@ def test_jobs_flag_does_not_change_output(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+SWEEP_ARGS = [
+    "sweep", "--beta", "4", "--beta-c-grid", "0,4,8", "--beta-d-grid", "0.5,1,1.5",
+    "--side", "20", "--t-end", "30", "--replicas", "20", "--seed", "1",
+]
+BRACKET_ARGS = [
+    "bracket", "--beta", "4", "--beta-d", "1", "--side", "24", "--t-end", "80",
+    "--replicas", "20", "--budget", "4", "--tau", "0.5", "--seed", "1",
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (SWEEP_ARGS + ["--jobs", "1"], "c6a28a8141d1d872713cf91a5474d2405f884c1529c7f2cbcd07d4d2b7c0f1cf"),
+        (SWEEP_ARGS + ["--jobs", "2"], "c6a28a8141d1d872713cf91a5474d2405f884c1529c7f2cbcd07d4d2b7c0f1cf"),
+        (BRACKET_ARGS, "332b9afce9ff4b39c3ed9f202eb8ba7d4d5fe88034b9e42b271aba0007bd016a"),
+    ],
+    ids=["sweep-jobs1", "sweep-jobs2", "bracket"],
+)
+def test_survival_commands_pinned_bytes(argv, digest, capsys):
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("command", [SIM_ARGS, SWEEP_ARGS])
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_exits_2(command, jobs, capsys):
+    code = main(command + ["--jobs", jobs])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "jobs must be at least 1" in err
+
+
 def test_env_seed_fallback(tmp_path, monkeypatch):
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(SIM_ARGS + ["--out", str(a)]) == 0

@@ -89,6 +89,12 @@ def test_sweep_is_deterministic_in_spec_and_seed():
     assert shifted != sweep_phase_diagram(spec)
 
 
+def test_sweep_opens_one_pool_for_the_whole_grid(serial_pool):
+    spec = small_spec(replicas=3, horizon=5.0)
+    assert sweep_phase_diagram(spec, jobs=2) == sweep_phase_diagram(spec)
+    assert serial_pool == [2]
+
+
 def test_sweep_zero_benefit_defectors_dominate():
     spec = small_spec(
         beta_c_grid=(0.0,),

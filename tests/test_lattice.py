@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim import lattice
 from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import (
     COOPERATOR,
@@ -502,6 +503,28 @@ def test_survival_independent_of_worker_count():
     serial = survival_estimate(**kwargs, jobs=1)
     pooled = survival_estimate(**kwargs, jobs=2)
     assert serial.outcomes == pooled.outcomes
+
+
+@pytest.mark.parametrize(
+    "jobs, replicas, workers", [(64, 3, 3), (64, 10, 4), (2, 10, 2), (1000, 1, 1)]
+)
+def test_survival_pool_is_capped(serial_pool, jobs, replicas, workers):
+    # the pool gets min(jobs, usable cpus (4 here), replicas) workers
+    kwargs = dict(
+        p=Params(4.0, 1.0, 1.0, 1), side=6, horizon=2.0, replicas=replicas,
+        rho_c=0.3, rho_d=0.3, master_seed=3,
+    )
+    pooled = survival_estimate(**kwargs, jobs=jobs)
+    assert serial_pool == [workers]
+    assert pooled == survival_estimate(**kwargs, jobs=1)
+
+
+def test_survival_pool_without_affinity_uses_cpu_count(serial_pool, monkeypatch):
+    monkeypatch.delattr(lattice.os, "sched_getaffinity")
+    monkeypatch.setattr(lattice.os, "cpu_count", lambda: 3)
+    survival_estimate(Params(4.0), side=4, horizon=1.0, replicas=10, rho_c=0.3, rho_d=0.3,
+                      master_seed=1, jobs=8)
+    assert serial_pool == [3]
 
 
 def test_survival_pinned_outcomes():
