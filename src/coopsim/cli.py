@@ -203,15 +203,17 @@ def _resolve(cmd: Command, ns: argparse.Namespace) -> tuple[dict, RunConfig]:
 
     resolved: dict[str, object] = {}
     for opt in cmd.options:
-        value = getattr(ns, opt.name)
+        value, source = getattr(ns, opt.name), opt.flag
         if value is None and opt.name in file_values:
-            value = _convert(opt, file_values[opt.name], opt.name)
+            value, source = _convert(opt, file_values[opt.name], opt.name), f"config key {opt.name}"
         if value is None and opt.name == "seed" and "COOP_SEED" in os.environ:
-            value = _convert(opt, os.environ["COOP_SEED"], "COOP_SEED")
+            value, source = _convert(opt, os.environ["COOP_SEED"], "COOP_SEED"), "COOP_SEED"
         if value is None:
             value = opt.default
         if value is None and opt.required:
             raise DomainError(f"missing required option {opt.flag}")
+        if opt.name == "seed" and value < 0:
+            raise DomainError(f"{source} must be a non-negative integer, got {value}")
         resolved[opt.name] = value
 
     entries = tuple(

@@ -92,39 +92,18 @@ class SweepSpec:
 
 
 @dataclass(frozen=True, slots=True)
-class SweepPoint:
-    """Outcome tallies at one (beta_c, beta_d) grid point.
-
-    Counts are kept as integers so the partition identity
-    ``n_c_wins + n_d_wins + n_coexist + n_both_extinct == replicas``
-    holds exactly; the ``freq_*`` properties divide on demand.
-    """
+class SweepPoint(SurvivalResult):
+    """The replica outcomes at one (beta_c, beta_d) grid point, whose
+    inherited counts partition ``replicas`` exactly."""
 
     beta_c: float
     beta_d: float
-    n_c_wins: int
-    n_d_wins: int
-    n_coexist: int
-    n_both_extinct: int
-    replicas: int
     mf_regime: str
     seed: int
 
     @property
-    def freq_c_wins(self) -> float:
-        return self.n_c_wins / self.replicas
-
-    @property
-    def freq_d_wins(self) -> float:
-        return self.n_d_wins / self.replicas
-
-    @property
-    def freq_coexist(self) -> float:
-        return self.n_coexist / self.replicas
-
-    @property
-    def freq_both_extinct(self) -> float:
-        return self.n_both_extinct / self.replicas
+    def replicas(self) -> int:
+        return len(self.outcomes)
 
 
 def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
@@ -149,23 +128,16 @@ def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
         for i in range(n)
     ]
     outcomes = survival_replicas(runs, jobs)
-    rows: list[SweepPoint] = []
-    for k, (p, seed) in enumerate(points):
-        result = SurvivalResult(tuple(outcomes[k * n : (k + 1) * n]))
-        rows.append(
-            SweepPoint(
-                beta_c=p.beta_c,
-                beta_d=p.beta_d,
-                n_c_wins=result.n_c_wins,
-                n_d_wins=result.n_d_wins,
-                n_coexist=result.n_coexist,
-                n_both_extinct=result.n_both_extinct,
-                replicas=n,
-                mf_regime=classify_regime(p),
-                seed=seed,
-            )
+    return [
+        SweepPoint(
+            outcomes=tuple(outcomes[k * n : (k + 1) * n]),
+            beta_c=p.beta_c,
+            beta_d=p.beta_d,
+            mf_regime=classify_regime(p),
+            seed=seed,
         )
-    return rows
+        for k, (p, seed) in enumerate(points)
+    ]
 
 
 def sweep_to_csv(spec: SweepSpec, rows: list[SweepPoint]) -> str:
@@ -358,8 +330,8 @@ def bracket_critical(
     """
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau must lie in (0, 1), got {tau}")
-    if lo < 0.0 or lo >= hi:
-        raise DomainError(f"need 0 <= lo < hi, got ({lo}, {hi})")
+    if not 0.0 <= lo < hi < math.inf:
+        raise DomainError(f"need 0 <= lo < hi < inf, got ({lo}, {hi})")
     if budget < 2:
         raise DomainError(f"budget must allow both endpoint checks, got {budget}")
 
@@ -391,18 +363,19 @@ def bracket_critical(
         evaluations.append(ev)
         return ev
 
+    def bracket(low: float, high: float, caveat: str) -> CriticalBracket:
+        return CriticalBracket(
+            beta_c_low=low,
+            beta_c_high=high,
+            evaluations=tuple(evaluations),
+            lower_edge_exceeds_equal_rate_point=low >= equal_rate_point,
+            notes=caveat + finite_size_note,
+        )
+
     at_lo = measure(lo)
     if not at_lo.freq_d_wins > tau:
-        return CriticalBracket(
-            beta_c_low=lo,
-            beta_c_high=lo,
-            evaluations=tuple(evaluations),
-            lower_edge_exceeds_equal_rate_point=lo >= equal_rate_point,
-            notes=(
-                "degenerate: defectors never dominate at the lower endpoint, "
-                "so the flip sits at or below it; " + finite_size_note
-            ),
-        )
+        return bracket(lo, lo, "degenerate: defectors never dominate at the lower endpoint, "
+                       "so the flip sits at or below it; ")
     at_hi = measure(hi)
     if not at_hi.freq_c_wins > tau:
         raise BudgetExhausted(
@@ -411,13 +384,7 @@ def bracket_critical(
                 f"beta_c={ev.beta_c} freq_c_wins={ev.freq_c_wins} freq_d_wins={ev.freq_d_wins}"
                 for ev in evaluations
             ),
-            partial=CriticalBracket(
-                beta_c_low=lo,
-                beta_c_high=hi,
-                evaluations=tuple(evaluations),
-                lower_edge_exceeds_equal_rate_point=lo >= equal_rate_point,
-                notes="upper endpoint never cooperator-dominant; " + finite_size_note,
-            ),
+            partial=bracket(lo, hi, "upper endpoint never cooperator-dominant; "),
         )
 
     low, high = lo, hi
@@ -427,13 +394,7 @@ def bracket_critical(
             low = mid
         else:
             high = mid
-    return CriticalBracket(
-        beta_c_low=low,
-        beta_c_high=high,
-        evaluations=tuple(evaluations),
-        lower_edge_exceeds_equal_rate_point=low >= equal_rate_point,
-        notes=finite_size_note,
-    )
+    return bracket(low, high, "")
 
 
 def bracket_to_json(

@@ -247,7 +247,19 @@ class RateTable:
         n = torus.n_sites
         self.block = math.isqrt(n)
         self.rates = [self.site_rate(i) for i in range(n)]
-        self.block_sums = [reduce(add, self.rates[lo : lo + self.block], 0.0) for lo in range(0, n, self.block)]
+        self.block_sums = [self.block_sum(b) for b in range((n + self.block - 1) // self.block)]
+
+    def pair_rate(self, y: int) -> float:
+        """Birth rate through the occupied site ``y`` into an empty neighbor:
+        beta/2d + beta_c/4d^2 * #{cooperator neighbors of y}, or (beta + beta_d)/2d."""
+        sites = self.torus.sites
+        if sites[y] == DEFECTOR:
+            return self.pair_defect
+        k = 0
+        for z in self.torus.neighbors[y]:
+            if sites[z] == COOPERATOR:
+                k += 1
+        return self.pair_beta + self.pair_coop * k
 
     def site_rate(self, i: int) -> float:
         """Total event rate of site ``i`` in the current configuration."""
@@ -255,31 +267,22 @@ class RateTable:
         if sites[i] != EMPTY:
             return 1.0
         tot = 0.0
-        neighbors = self.torus.neighbors
-        pair_beta = self.pair_beta
-        pair_coop = self.pair_coop
-        pair_defect = self.pair_defect
-        for y in neighbors[i]:
-            sy = sites[y]
-            if sy == COOPERATOR:
-                k = 0
-                for z in neighbors[y]:
-                    if sites[z] == COOPERATOR:
-                        k += 1
-                tot += pair_beta + pair_coop * k
-            elif sy == DEFECTOR:
-                tot += pair_defect
+        for y in self.torus.neighbors[i]:
+            if sites[y] != EMPTY:
+                tot += self.pair_rate(y)
         return tot
+
+    def block_sum(self, b: int) -> float:
+        """Sum of block ``b``'s site rates, added left to right."""
+        lo = b * self.block
+        return reduce(add, self.rates[lo : lo + self.block], 0.0)
 
     def refresh(self, changed: Sequence[int]) -> None:
         """Recompute the rates of ``changed`` sites, then their block sums."""
-        rates = self.rates
-        block = self.block
         for i in changed:
-            rates[i] = self.site_rate(i)
-        for b in {i // block for i in changed}:
-            lo = b * block
-            self.block_sums[b] = reduce(add, rates[lo : lo + block], 0.0)
+            self.rates[i] = self.site_rate(i)
+        for b in {i // self.block for i in changed}:
+            self.block_sums[b] = self.block_sum(b)
 
 
 def _pair_rates(torus: Torus, p: Params) -> tuple[float, float, float]:
@@ -299,6 +302,16 @@ def _rate_table(torus: Torus, p: Params, rng: np.random.Generator) -> RateTable 
     return _engine.Table(module, torus, _geometry(torus.side, torus.dim), _pair_rates(torus, p), rng)
 
 
+def _pick(cum: list[float], weights: Sequence[float], x: float) -> int:
+    """Index of the first prefix sum in ``cum`` above ``x``, so never a
+    zero-weight entry; when rounding carries ``x`` past the last one, the
+    last ``k`` with ``weights[k] > 0``.  ``_engine.c``'s pick, in Python."""
+    k = bisect_right(cum, x)
+    if k == len(cum):
+        k = next(j for j in reversed(range(k)) if weights[j] > 0.0)
+    return k
+
+
 def step(
     table: RateTable,
     rng: np.random.Generator,
@@ -316,8 +329,7 @@ def step(
     """
     if table.__class__ is _engine.Table:
         return _compiled_step(table, rng, t_limit)
-    block_sums = table.block_sums
-    cum_blocks = list(accumulate(block_sums))
+    cum_blocks = list(accumulate(table.block_sums))
     total = cum_blocks[-1]
     if total <= 0.0:
         raise Absorbed("all sites empty: total event rate is zero")
@@ -325,19 +337,12 @@ def step(
     if t_limit is not None and elapsed > t_limit:
         return None, elapsed
     target = rng.random() * total
-    # bisect_right never picks a zero-rate block or site; when rounding
-    # carries the target past the last prefix sum, the clamp falls back to
-    # the last positive entry, never to trailing zero-rate sites
-    b = bisect_right(cum_blocks, target)
-    if b == len(cum_blocks):
-        b = next(k for k in reversed(range(b)) if block_sums[k] > 0.0)
+    b = _pick(cum_blocks, table.block_sums, target)
     residual = target - (cum_blocks[b - 1] if b > 0 else 0.0)
-    rates = table.rates
     lo = b * table.block
-    cum = list(accumulate(rates[lo : lo + table.block]))
-    j = bisect_right(cum, residual)
-    if j == len(cum):
-        j = next(k for k in reversed(range(j)) if rates[lo + k] > 0.0)
+    block_rates = table.rates[lo : lo + table.block]
+    cum = list(accumulate(block_rates))
+    j = _pick(cum, block_rates, residual)
     i = lo + j
 
     sites = table.torus.sites
@@ -346,27 +351,13 @@ def step(
         event = Event("death", i, None, EMPTY, prev)
     else:
         residual -= cum[j - 1] if j > 0 else 0.0
-        neighbors = table.torus.neighbors
-        pair_beta = table.pair_beta
-        pair_coop = table.pair_coop
-        pair_defect = table.pair_defect
         chosen = None
-        for y in neighbors[i]:
-            sy = sites[y]
-            if sy == COOPERATOR:
-                k = 0
-                for z in neighbors[y]:
-                    if sites[z] == COOPERATOR:
-                        k += 1
-                r = pair_beta + pair_coop * k
-            elif sy == DEFECTOR:
-                r = pair_defect
-            else:
-                continue
-            chosen = y
-            residual -= r
-            if residual < 0.0:
-                break
+        for y in table.torus.neighbors[i]:
+            if sites[y] != EMPTY:
+                chosen = y
+                residual -= table.pair_rate(y)
+                if residual < 0.0:
+                    break
         if chosen is None:  # cannot happen unless the rate table was stale
             raise Absorbed(f"no occupied neighbor at selected empty site {i}")
         event = Event("birth", i, chosen, sites[chosen], prev)

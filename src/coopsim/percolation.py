@@ -36,17 +36,20 @@ from coopsim.params import Params, equal_rate_benefit
 BETA_STAR_D1 = 3.2978
 
 
-def inner_box_sites(d: int) -> int:
-    """Sites in the union of the 2d face-adjacent side-3 sub-boxes."""
+def _require_dim(d: int) -> None:
     if d < 1:
         raise DomainError(f"dimension must be >= 1, got {d}")
+
+
+def inner_box_sites(d: int) -> int:
+    """Sites in the union of the 2d face-adjacent side-3 sub-boxes."""
+    _require_dim(d)
     return 2 * d * 3 ** (d - 1)
 
 
 def outer_box_sites(d: int) -> int:
     """Inner box plus the three central columns: 3^(d-1) * (2d + 3) sites."""
-    if d < 1:
-        raise DomainError(f"dimension must be >= 1, got {d}")
+    _require_dim(d)
     return 3 ** (d - 1) * (2 * d + 3)
 
 
@@ -157,6 +160,7 @@ def prob_a3_bound(beta: float, beta_c: float, T: float, delta: float, d: int) ->
     Each of the 2 * outer_box_sites(d) * T / delta sub-intervals must carry
     an arrow that arrives at per-site rate (beta + beta_c/2d) / 2d.
     """
+    _require_dim(d)
     _require_positive_finite(beta=beta, T=T, delta=delta)
     if not 0 <= beta_c < math.inf:
         raise DomainError(f"beta_c must be nonnegative and finite, got {beta_c}")
@@ -171,6 +175,7 @@ def c_plus_absence_prob(L: int, d: int, rho: float) -> float:
     The region spans (6L+1)^d sites over a time window of length 2L^2, and
     the difference stream delivers arrows into any fixed site at rate rho.
     """
+    _require_dim(d)
     if L < 1 or int(L) != L:
         raise DomainError(f"L must be a positive integer, got {L}")
     if not 0 <= rho < math.inf:

@@ -107,12 +107,30 @@ def test_non_finite_rate_exits_2(capsys):
         "blocks cplus --rho nan",
         "blocks cplus --rho inf",
         "couple --beta 2 --t-end nan",
+        "bracket --beta 4 --side 4 --t-end 1 --replicas 2 --hi inf",
+        "bracket --beta 4 --side 4 --t-end 1 --replicas 2 --lo nan",
     ],
 )
 def test_non_finite_input_exits_2(argv, capsys):
     code, out = run_main(argv.split(), capsys)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "blocks cplus --L 1 --dim 0",
+        "blocks cplus --L 1 --dim -1",
+        "blocks a3 --beta 1 --dim 0",
+    ],
+)
+def test_closed_form_dimension_below_one_exits_2(argv, capsys):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "dimension must be >= 1" in err
 
 
 def test_unparsable_config_value_and_seed_exit_2(tmp_path, monkeypatch, capsys):
@@ -259,6 +277,44 @@ def test_jobs_below_one_exits_2(command, jobs, capsys):
     assert code == 2
     assert out == ""
     assert "jobs must be at least 1" in err
+
+
+SEEDED_ARGS = [
+    "simulate --beta 2",
+    "sweep --beta 2 --beta-c-grid 0 --beta-d-grid 0",
+    "couple --beta 2",
+    "dual --beta 2",
+    "bracket --beta 2",
+    "sterile --beta 2",
+    "blocks a1",
+    "blocks a2 --beta 2",
+    "blocks cplus",
+    "blocks spread --beta 2 --beta-d 1",
+    "blocks perc",
+]
+
+
+def test_seeded_args_cover_every_seeded_command():
+    assert sum(cli._SEED in cmd.options for cmd in cli._COMMANDS.values()) == len(SEEDED_ARGS)
+
+
+@pytest.mark.parametrize("source", ["--seed", "config", "COOP_SEED"])
+@pytest.mark.parametrize("argv", SEEDED_ARGS)
+def test_negative_seed_exits_2(argv, source, tmp_path, monkeypatch, capsys):
+    argv = argv.split()
+    if source == "--seed":
+        argv += ["--seed", "-1"]
+    elif source == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-2\n")
+        argv += ["--config", str(cfg)]
+    else:
+        monkeypatch.setenv("COOP_SEED", "-4")
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert source in err and "non-negative" in err
 
 
 def test_env_seed_fallback(tmp_path, monkeypatch):

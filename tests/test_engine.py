@@ -6,6 +6,7 @@ compiled tests skip when the module cannot be built (no cffi or no C
 compiler); the Python engine then runs everywhere.
 """
 
+import itertools
 import math
 import os
 import random
@@ -17,6 +18,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.stats import chisquare
 
 from coopsim import _engine, lattice
 from coopsim.errors import Absorbed, DomainError
@@ -176,6 +179,63 @@ def test_compiled_step_absorbed_on_empty_torus():
     with pytest.raises(Absorbed):
         lattice.step(table, rng)
     assert rng.bit_generator.state == state  # nothing drawn
+
+
+# ---------------------------------------------------------------- exact law
+
+
+def ring_generator(ring: int, p: Params) -> tuple[np.ndarray, dict]:
+    """Generator of the process on a d=1 ring of ``ring`` >= 3 sites, over
+    all 3**ring configurations, written straight from the paper's rates:
+    an occupied site dies at rate 1; an empty site gains a cooperator at
+    rate beta/2 + beta_c/4 * (cooperator neighbors of y) through each
+    cooperator neighbor y, and a defector at rate (beta + beta_d)/2
+    through each defector neighbor."""
+    states = list(itertools.product((lattice.EMPTY, lattice.COOPERATOR, lattice.DEFECTOR), repeat=ring))
+    index = {s: i for i, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        for x in range(ring):
+            t = list(s)
+            if s[x] != lattice.EMPTY:
+                t[x] = lattice.EMPTY
+                q[index[s], index[tuple(t)]] += 1.0
+                continue
+            for y in ((x - 1) % ring, (x + 1) % ring):
+                if s[y] == lattice.COOPERATOR:
+                    k = (s[(y - 1) % ring] == lattice.COOPERATOR) + (s[(y + 1) % ring] == lattice.COOPERATOR)
+                    rate = p.beta / 2 + p.beta_c / 4 * k
+                elif s[y] == lattice.DEFECTOR:
+                    rate = (p.beta + p.beta_d) / 2
+                else:
+                    continue
+                t[x] = s[y]
+                q[index[s], index[tuple(t)]] += rate
+    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
+    return q, index
+
+
+@pytest.mark.slow
+def test_run_matches_the_exact_law_on_a_five_site_ring(engine):
+    # the joint law of all five sites at t = 2, not only the counts; bins
+    # expecting fewer than 5 replicas are pooled into one
+    p = Params(2.0, 4.0, 1.0, 1)
+    start = Torus.from_state_string("cdcde")
+    q, index = ring_generator(start.n_sites, p)
+    exact = expm(2.0 * q)[index[tuple(start.sites)]]
+    n = 20_000
+    counts = np.zeros(len(index))
+    rng = np.random.default_rng(61)
+    for _ in range(n):
+        torus = start.copy()
+        run(torus, p, 2.0, rng, sample_interval=2.0)
+        counts[index[tuple(torus.sites)]] += 1
+    expected = n * exact / exact.sum()
+    sparse = expected < 5.0
+    observed = np.append(counts[~sparse], counts[sparse].sum())
+    expected = np.append(expected[~sparse], expected[sparse].sum())
+    assert expected[-1] >= 5.0 and len(observed) > 100
+    assert chisquare(observed, expected).pvalue > 0.001
 
 
 # ---------------------------------------------------- selection, through C

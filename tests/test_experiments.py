@@ -18,6 +18,7 @@ from coopsim.experiments import (
     sweep_phase_diagram,
     sweep_to_csv,
 )
+from coopsim.lattice import SurvivalResult, survival_estimate
 from coopsim.mean_field import classify_regime
 from coopsim.params import Params
 
@@ -80,6 +81,18 @@ def test_sweep_rows_partition_and_order():
         )
         assert r.mf_regime == classify_regime(Params(spec.beta, r.beta_c, r.beta_d, 1))
     assert len({r.seed for r in rows}) == 4
+
+
+def test_sweep_rows_are_the_survival_results_of_their_points():
+    spec = small_spec(replicas=6, horizon=5.0)
+    for r in sweep_phase_diagram(spec):
+        alone = survival_estimate(
+            Params(spec.beta, r.beta_c, r.beta_d, spec.dim),
+            spec.side, spec.horizon, spec.replicas, spec.rho_c, spec.rho_d, r.seed,
+        )
+        assert isinstance(r, SurvivalResult)
+        assert r.outcomes == alone.outcomes and r.replicas == spec.replicas
+        assert r.freq_d_wins == alone.freq_d_wins == r.n_d_wins / spec.replicas
 
 
 def test_sweep_is_deterministic_in_spec_and_seed():
@@ -211,6 +224,14 @@ def test_bracket_validation():
         bracket_critical(4.0, 1.0, lo=-1.0, hi=1.0, **kw)
     with pytest.raises(DomainError):
         bracket_critical(4.0, 1.0, budget=1, **kw)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, float("inf")), (float("nan"), 4.0), (0.0, float("nan"))])
+def test_bracket_rejects_non_finite_endpoints(lo, hi):
+    # at lo = 0 defectors do not dominate, so hi would never be evaluated
+    with pytest.raises(DomainError, match="lo < hi < inf"):
+        bracket_critical(4.0, 0.0, side=10, horizon=1.0, replicas=2, rho_c=0.2, rho_d=0.2,
+                         master_seed=1, lo=lo, hi=hi)
 
 
 def test_bracket_degenerate_when_defectors_never_dominate():

@@ -44,6 +44,18 @@ def test_box_site_counts_reject_bad_dimension():
         outer_box_sites(-1)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_closed_forms_reject_dimension_below_one(d):
+    rng = np.random.default_rng(0)
+    for call in (
+        lambda: c_plus_absence_prob(1, d, 0.001),
+        lambda: estimate_c_plus_absence(1, d, 0.001, 10, rng),
+        lambda: prob_a3_bound(1.0, 0.0, 1.0, 0.5, d),
+    ):
+        with pytest.raises(DomainError, match=f"dimension must be >= 1, got {d}"):
+            call()
+
+
 # ------------------------------------------------------- clearing event (A1)
 
 
