@@ -45,7 +45,7 @@ from .experiments import (
     SweepSpec,
     _fmt,
     bracket_critical,
-    bracket_to_json,
+    bracket_document,
     monotonicity_check,
     sweep_phase_diagram,
     sweep_to_csv,
@@ -477,8 +477,8 @@ def _cmd_bracket(v: dict, cfg: RunConfig) -> str:
         hi=v["hi"],
         budget=v["budget"],
     )
-    body = json.loads(bracket_to_json(bracket, v["beta"], v["beta_d"], v["seed"]))
-    return _json_payload(cfg, v["seed"], body)
+    doc = bracket_document(bracket, v["beta"], v["beta_d"], v["seed"])
+    return _json_payload(cfg, v["seed"], doc)
 
 
 def _estimate(freq: float, stderr: float, **reference: float) -> dict:

@@ -15,7 +15,6 @@ serialized outputs say so.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from itertools import product
@@ -39,7 +38,7 @@ __all__ = [
     "CriticalBracket",
     "BracketEvaluation",
     "bracket_critical",
-    "bracket_to_json",
+    "bracket_document",
 ]
 
 
@@ -397,14 +396,14 @@ def bracket_critical(
     return bracket(low, high, "")
 
 
-def bracket_to_json(
+def bracket_document(
     bracket: CriticalBracket,
     beta: float,
     beta_d: float,
     master_seed: int,
-) -> str:
-    """JSON document carrying the bracket plus everything needed to replay."""
-    doc = {
+) -> dict:
+    """JSON-ready document carrying the bracket plus everything needed to replay."""
+    return {
         "beta": _fmt(beta),
         "beta_d": _fmt(beta_d),
         "master_seed": master_seed,
@@ -422,4 +421,3 @@ def bracket_to_json(
             for ev in bracket.evaluations
         ],
     }
-    return json.dumps(doc, indent=2) + "\n"

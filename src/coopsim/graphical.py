@@ -34,14 +34,14 @@ backward-in-time tree of potential ancestors of a space-time point.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy import stats
 
 from coopsim import lattice
 from coopsim.errors import (
@@ -53,7 +53,7 @@ from coopsim.errors import (
     InsufficientHistory,
 )
 from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus
-from coopsim.params import Params, equal_rate_benefit
+from coopsim.params import Params, require_equal_rate
 
 STANDARD = "standard"
 EQUAL_RATE = "equal_rate"
@@ -79,9 +79,25 @@ KIND_ORDER = {
 # Marks whose tip can place an occupant at their target site.
 ARROW_KINDS = frozenset({ARROW, DOT_ARROW, D_ARROW, C_PLUS_DOT_ARROW, D_PLUS_ARROW})
 
-RATE_TOL = 1e-12
-
 _TIME = attrgetter("time")
+
+
+def _two(convert, value: str) -> tuple:
+    a, b = value.split()
+    return convert(a), convert(b)
+
+
+# The v1 text header: each key with the parser of its value.
+_HEADER = {
+    "flavor": str,
+    "window": lambda value: _two(float, value),
+    "history": float,
+    "torus": lambda value: _two(int, value),
+    "seed": lambda value: None if value == "-" else int(value),
+}
+
+# Checks a kind read from text, and gives every mark of a kind one shared string.
+_KINDS = {kind: kind for kind in KIND_ORDER}
 
 
 class Mark(NamedTuple):
@@ -227,49 +243,58 @@ class EventLog:
 
     @classmethod
     def from_text(cls, text: str) -> "EventLog":
-        header: dict[str, str] = {}
+        """Read :meth:`to_text` output; malformed text raises :class:`DomainError` naming its line."""
+        header: dict[str, object] = {}
         intensities: dict[str, float] = {}
-        marks: list[Mark] = []
-        for line in text.splitlines():
+        rows: list[tuple[int, str]] = []  # (line number, text) of each mark line
+        for no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            if line.startswith("intensity "):
-                key, value = line[len("intensity "):].split("=", 1)
-                intensities[key] = float(value)
-            elif "=" in line and line.split("=", 1)[0] in (
-                "flavor",
-                "window",
-                "history",
-                "torus",
-                "seed",
-            ):
-                key, value = line.split("=", 1)
-                header[key] = value
-            else:
-                t_str, kind, target, src, dot = line.split()
-                marks.append(
-                    Mark(
-                        time=float(t_str),
-                        kind=kind,
-                        target=int(target),
-                        source=None if src == "-" else int(src),
-                        dot=None if dot == "-" else int(dot),
-                    )
-                )
-        t_start, t_end = (float(v) for v in header["window"].split())
-        side, dim = (int(v) for v in header["torus"].split())
-        seed = None if header["seed"] == "-" else int(header["seed"])
+            try:
+                if line.startswith("intensity "):
+                    key, value = line[len("intensity "):].split("=", 1)
+                    intensities[key] = float(value)
+                elif "=" in line and (key := line.split("=", 1)[0]) in _HEADER:
+                    header[key] = _HEADER[key](line.split("=", 1)[1])
+                else:
+                    rows.append((no, line))
+            except ValueError as exc:
+                raise DomainError(f"event log line {no} {line!r}: {exc}") from None
+        missing = _HEADER.keys() - header.keys()
+        if missing:
+            raise DomainError(f"event log has no {min(missing)}= line")
+        (t_start, t_end), (side, dim) = header["window"], header["torus"]
+        if side < 2 or dim < 1:
+            raise DomainError(f"event log torus needs side >= 2 and dim >= 1, got {side} {dim}")
+
+        @functools.cache  # each distinct site token is parsed and checked once
+        def site(token: str) -> int:
+            value = int(token)
+            if not 0 <= value < side**dim:
+                raise ValueError(f"site {value} is off the {side**dim}-site torus")
+            return value
+
+        marks: list[Mark] = []
+        for no, line in rows:
+            try:
+                t_str, kind, x, y, z = line.split()
+                marks.append(Mark(float(t_str), _KINDS[kind], site(x),
+                                  None if y == "-" else site(y), None if z == "-" else site(z)))
+            except KeyError:
+                raise DomainError(f"event log line {no} {line!r}: unknown mark kind") from None
+            except ValueError as exc:
+                raise DomainError(f"event log line {no} {line!r}: {exc}") from None
         return cls(
             t_start=t_start,
             t_end=t_end,
-            history=float(header["history"]),
+            history=header["history"],
             flavor=header["flavor"],
             marks=marks,
             intensities=intensities,
             side=side,
             dim=dim,
-            seed=seed,
+            seed=header["seed"],
         )
 
 
@@ -284,11 +309,7 @@ def _stream_intensities(p: Params, flavor: str, p2: Params | None) -> dict[str, 
             D_ARROW: p.beta_d / two_d,
         }
     if flavor == EQUAL_RATE:
-        required = equal_rate_benefit(p.beta_d, p.dim)
-        if abs(p.beta_c - required) > RATE_TOL:
-            raise FlavorMismatch(
-                f"equal-rate sampling needs beta_c = {required!r}, got {p.beta_c!r}"
-            )
+        require_equal_rate(p, "equal-rate sampling")
         return {
             CROSS: 1.0,
             ARROW: p.beta / two_d,
@@ -742,99 +763,3 @@ def resolve_origin_type(tree: DualTree, initial: Torus) -> str:
             continue
         return ORIGIN_DEFECTOR if state == DEFECTOR else ORIGIN_INDETERMINATE
     return ORIGIN_EMPTY
-
-
-# ------------------------------------------------- engine equivalence check
-
-
-@dataclass(frozen=True, slots=True)
-class EquivalenceReport:
-    """Two-sample chi-square comparison of the two engines' count laws."""
-
-    statistics: tuple[float, float, float]  # per tracked state: c, d, e
-    p_values: tuple[float, float, float]
-    dofs: tuple[int, int, int]
-    passed: bool
-
-
-def _chi2_two_sample(counts_a: np.ndarray, counts_b: np.ndarray) -> tuple[float, float, int]:
-    """Two-sample chi-square on histograms with adaptive bin merging."""
-    values = np.union1d(counts_a, counts_b)
-    hist_a = np.array([(counts_a == v).sum() for v in values], dtype=float)
-    hist_b = np.array([(counts_b == v).sum() for v in values], dtype=float)
-    # merge sparse adjacent bins so expected counts stay chi-square friendly
-    merged_a: list[float] = []
-    merged_b: list[float] = []
-    acc_a = acc_b = 0.0
-    for a, b in zip(hist_a, hist_b):
-        acc_a += a
-        acc_b += b
-        if acc_a + acc_b >= 10.0:
-            merged_a.append(acc_a)
-            merged_b.append(acc_b)
-            acc_a = acc_b = 0.0
-    if acc_a or acc_b:
-        if merged_a:
-            merged_a[-1] += acc_a
-            merged_b[-1] += acc_b
-        else:
-            merged_a.append(acc_a)
-            merged_b.append(acc_b)
-    a = np.asarray(merged_a)
-    b = np.asarray(merged_b)
-    if len(a) < 2:
-        return 0.0, 1.0, 0
-    n_a, n_b = a.sum(), b.sum()
-    pooled = (a + b) / (n_a + n_b)
-    expected_a = pooled * n_a
-    expected_b = pooled * n_b
-    stat = float(((a - expected_a) ** 2 / expected_a).sum()
-                 + ((b - expected_b) ** 2 / expected_b).sum())
-    dof = len(a) - 1
-    return stat, float(stats.chi2.sf(stat, dof)), dof
-
-
-def distributional_equivalence_check(
-    p: Params,
-    init: Torus,
-    t_probe: float,
-    replicas: int,
-    rng: np.random.Generator,
-) -> EquivalenceReport:
-    """Compare the event-driven engine to mark-set evolution statistically.
-
-    Both engines run ``replicas`` independent trials from the same initial
-    configuration; the three occupancy-count distributions at ``t_probe``
-    are compared by two-sample chi-square tests, each at level 0.01 / 3, so
-    the three together keep a Bonferroni family-wise level of 0.01.
-    """
-    if replicas < 2:
-        raise DomainError("need at least two replicas per engine")
-    counts_a = np.empty((replicas, 3), dtype=np.int64)
-    counts_b = np.empty((replicas, 3), dtype=np.int64)
-    for i in range(replicas):
-        torus = init.copy()
-        lattice.run(torus, p, t_probe, rng, sample_interval=max(t_probe, 1e-9))
-        counts_a[i] = torus.counts()
-    if t_probe == 0:
-        counts_b[:] = init.counts()
-    else:
-        for i in range(replicas):
-            log = sample_event_log(p, init, t_probe, rng, flavor=STANDARD, history=0.0)
-            final = evolve_from_log(init, log)
-            counts_b[i] = final.counts()
-    stats_out = []
-    ps = []
-    dofs = []
-    for k in range(3):
-        stat, p_value, dof = _chi2_two_sample(counts_a[:, k], counts_b[:, k])
-        stats_out.append(stat)
-        ps.append(p_value)
-        dofs.append(dof)
-    level = 0.01 / 3.0
-    return EquivalenceReport(
-        statistics=tuple(stats_out),
-        p_values=tuple(ps),
-        dofs=tuple(dofs),
-        passed=all(pv >= level for pv in ps),
-    )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, FlavorMismatch
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,3 +53,10 @@ def equal_rate_benefit(beta_d: float, dim: int) -> float:
     if dim < 1:
         raise DomainError(f"dim must be a positive integer, got {dim}")
     return 2.0 * dim * beta_d / (2.0 * dim - 1.0)
+
+
+def require_equal_rate(p: Params, what: str) -> None:
+    """Raise :class:`FlavorMismatch` unless ``p.beta_c`` is the equal-rate benefit."""
+    required = equal_rate_benefit(p.beta_d, p.dim)
+    if abs(p.beta_c - required) > 1e-12:
+        raise FlavorMismatch(f"{what} needs beta_c = {required!r}, got {p.beta_c!r}")

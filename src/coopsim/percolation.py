@@ -27,9 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from coopsim import lattice
-from coopsim.errors import DomainError, FlavorMismatch, OutOfBounds
+from coopsim.errors import DomainError, OutOfBounds
 from coopsim.lattice import DEFECTOR, Torus
-from coopsim.params import Params, equal_rate_benefit
+from coopsim.params import Params, require_equal_rate
 
 # Pilot-validated critical birth rate of the d=1 single-type process
 # (per-neighbor rate beta/2d crosses criticality near 1.6489).
@@ -278,14 +278,13 @@ def percolate(
         raise DomainError(
             f"uniforms shape {uniforms.shape} != {(levels + 1, span)}"
         )
-    zs = np.arange(-width, width + 1)
-    parity = (zs[None, :] + np.arange(levels + 1)[:, None]) % 2 == 0
+    parity = _parity(levels, width)
     open_ = parity & (uniforms >= epsilon)
 
     if isinstance(sources, str):
         if sources != "all":
             raise DomainError(f"unknown source designation {sources!r}")
-        source_list = [int(z) for z in zs[parity[0]]]
+        source_list = [int(j) - width for j in np.flatnonzero(parity[0])]
     else:
         source_list = sorted(int(z) for z in sources)
         for z in source_list:
@@ -298,10 +297,7 @@ def percolate(
     for z in source_list:
         wet[0, z + width] = open_[0, z + width]
     for n in range(levels):
-        feeder = np.zeros(span, dtype=bool)
-        feeder[1:] |= wet[n, :-1]
-        feeder[:-1] |= wet[n, 1:]
-        wet[n + 1] = open_[n + 1] & feeder
+        wet[n + 1] = open_[n + 1] & _either_side(wet[n], 1)
     return PercolationField(
         epsilon=epsilon,
         levels=levels,
@@ -312,29 +308,38 @@ def percolate(
     )
 
 
-def _dry_reach_by_level(field: PercolationField, graph: str, n_max: int):
-    """Yield, per level up to ``n_max``, the dry sites reachable from level 0."""
-    span = 2 * field.width + 1
-    zs = np.arange(-field.width, field.width + 1)
-    dry = ~field.wet & (((zs[None, :] + np.arange(field.levels + 1)[:, None]) % 2) == 0)
-    reach = dry[0].copy()
-    for n in range(n_max + 1):
+def _parity(levels: int, width: int) -> np.ndarray:
+    """Mask of the parity sublattice z + n even, levels by positions -width..width."""
+    return (np.arange(-width, width + 1) + np.arange(levels + 1)[:, None]) % 2 == 0
+
+
+def _either_side(row: np.ndarray, k: int) -> np.ndarray:
+    """Positions ``k`` to the left or right of some member of the set ``row``."""
+    out = np.zeros_like(row)
+    out[k:] |= row[:-k]
+    out[:-k] |= row[k:]
+    return out
+
+
+def _dry_reach(field: PercolationField, graph: str) -> list[np.ndarray]:
+    """Per level, the dry sites reachable from level 0, up to the last level any reaches."""
+    if graph not in ("G", "H"):
+        raise DomainError(f"graph must be 'G' or 'H', got {graph!r}")
+    dry = ~field.wet & _parity(field.levels, field.width)
+    levels: list[np.ndarray] = []
+    reach = dry[0]
+    for n in range(field.levels + 1):
         if n > 0:
-            feeder = np.zeros(span, dtype=bool)
-            feeder[1:] |= reach[:-1]
-            feeder[:-1] |= reach[1:]
-            reach = dry[n] & feeder
-        if graph == "H":
-            # saturate same-level double steps
-            while True:
-                spread = reach.copy()
-                spread[2:] |= reach[:-2]
-                spread[:-2] |= reach[2:]
-                spread &= dry[n]
-                if (spread == reach).all():
-                    break
-                reach = spread
-        yield reach
+            reach = dry[n] & _either_side(reach, 1)  # the diagonal steps up
+        while graph == "H":  # saturate the same-level double steps
+            spread = dry[n] & (reach | _either_side(reach, 2))
+            if (spread == reach).all():
+                break
+            reach = spread
+        if not reach.any():
+            break
+        levels.append(reach)
+    return levels
 
 
 def dry_path_exists(field: PercolationField, target: tuple[int, int], graph: str = "G") -> bool:
@@ -343,17 +348,13 @@ def dry_path_exists(field: PercolationField, target: tuple[int, int], graph: str
     ``graph`` "G" uses the upward steps only; "H" also walks the same-level
     double steps.  A site is dry when it is not wet (closed sites count).
     """
-    if graph not in ("G", "H"):
-        raise DomainError(f"graph must be 'G' or 'H', got {graph!r}")
+    levels = _dry_reach(field, graph)
     z_t, n_t = target
     if not field.in_bounds(z_t, n_t):
         raise OutOfBounds(f"target {target} outside the sampled field")
     if (z_t + n_t) % 2 != 0:
         raise DomainError(f"target {target} is not on the parity sublattice")
-    for n, reach in enumerate(_dry_reach_by_level(field, graph, n_t)):
-        if n == n_t:
-            return bool(reach[z_t + field.width])
-    raise AssertionError("unreachable")
+    return n_t < len(levels) and bool(levels[n_t][z_t + field.width])
 
 
 def max_dry_level(field: PercolationField, graph: str = "G") -> int:
@@ -363,15 +364,7 @@ def max_dry_level(field: PercolationField, graph: str = "G") -> int:
     indicator of "some dry path reaches level n" is nonincreasing in n
     field by field.
     """
-    if graph not in ("G", "H"):
-        raise DomainError(f"graph must be 'G' or 'H', got {graph!r}")
-    top = -1
-    for n, reach in enumerate(_dry_reach_by_level(field, graph, field.levels)):
-        if reach.any():
-            top = n
-        else:
-            break
-    return top
+    return len(_dry_reach(field, graph)) - 1
 
 
 # ----------------------------------------------------------- block spread
@@ -414,11 +407,7 @@ def block_spread_estimate(
         raise DomainError(
             "degenerate block family: the type bonuses vanish with beta_d"
         )
-    required = equal_rate_benefit(p.beta_d, p.dim)
-    if abs(p.beta_c - required) > 1e-12:
-        raise FlavorMismatch(
-            f"block events use the equal-rate process: beta_c must be {required!r}"
-        )
+    require_equal_rate(p, "block spread (the equal-rate process)")
     if p.beta <= BETA_STAR_D1:
         raise DomainError(
             f"beta = {p.beta} is not above the pilot-validated threshold "

@@ -27,6 +27,8 @@ from coopsim.mean_field import (
 )
 from coopsim.params import Params, equal_rate_benefit
 
+from engine_agreement import distributional_equivalence_check
+
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -261,7 +263,7 @@ def _two_site_generator(p: Params) -> tuple[np.ndarray, dict]:
 def test_09_event_engine_matches_mark_engine_and_exact_law():
     failures = []
     p = Params(2.0, 1.0, 1.0, 1)
-    verdict = g.distributional_equivalence_check(
+    verdict = distributional_equivalence_check(
         p, Torus.from_state_string("cdcde"), 2.0, 100_000, np.random.default_rng(57)
     )
     if not verdict.passed:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -14,6 +15,8 @@ from coopsim.cli import main, parse_config_text
 from coopsim.errors import DomainError
 from coopsim.graphical import sterile_probability
 from coopsim.percolation import prob_a1
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_main(args, capsys):
@@ -358,6 +361,64 @@ def test_cli_entry_point_subprocess():
     )
     assert r.returncode == 0
     assert "coopsim" in r.stdout
+
+
+# One small argv per command.
+SMALL_ARGS = [
+    "meanfield --beta 2 --t-end 1",
+    "simulate --beta 2 --side 6 --t-end 1 --replicas 2",
+    "sweep --beta 2 --beta-c-grid 0 --beta-d-grid 0 --side 6 --t-end 1 --replicas 2",
+    "couple --beta 2 --delta-c 1 --side 6 --t-end 1 --replicas 2",
+    "dual --beta 2 --side 6 --t-end 1",
+    "bracket --beta 4 --beta-d 1 --side 6 --t-end 2 --replicas 2 --budget 2 --tau 0.5",
+    "sterile --beta 2 --side 8 --t-end 2 --replicas 2",
+    "blocks a1 --replicas 2",
+    "blocks a2 --beta 2 --replicas 2",
+    "blocks a3 --beta 2",
+    "blocks cplus --replicas 2",
+    "blocks spread --beta 4 --beta-d 1 --L 2 --replicas 2",
+    "blocks perc --levels 2 --width 3",
+]
+
+# Blocks scipy, imports every coopsim module, then runs each argv given as
+# JSON and prints the exit codes.
+WITHOUT_SCIPY = """
+import contextlib, importlib, io, json, pkgutil, sys
+sys.modules["scipy"] = None  # any import of scipy or a submodule now fails
+import coopsim
+from coopsim import cli
+for info in pkgutil.iter_modules(coopsim.__path__):
+    importlib.import_module("coopsim." + info.name)
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv.split()))
+print(json.dumps(codes))
+"""
+
+
+def python_in_src(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=600)
+
+
+def test_small_args_cover_every_command():
+    names = {":".join(argv.split()[:2]) if argv.startswith("blocks") else argv.split()[0]
+             for argv in SMALL_ARGS}
+    assert names == set(cli._COMMANDS)
+
+
+def test_every_command_runs_without_scipy():
+    proc = python_in_src("-c", WITHOUT_SCIPY, json.dumps(SMALL_ARGS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(SMALL_ARGS)
+
+
+def test_import_loads_no_scipy():
+    proc = python_in_src("-c", "import sys, coopsim.cli; "
+                               "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- blocks

@@ -12,7 +12,7 @@ from coopsim.experiments import (
     MonotonicityReport,
     SweepSpec,
     bracket_critical,
-    bracket_to_json,
+    bracket_document,
     monotonicity_check,
     point_seed,
     sweep_phase_diagram,
@@ -292,7 +292,7 @@ def test_bracket_dataclass_invariants():
 def test_bracket_json_round_trip():
     ev = BracketEvaluation(beta_c=0.5, freq_c_wins=0.125, freq_d_wins=0.875, seed=7)
     br = CriticalBracket(0.5, 1.0, (ev,), False, "finite-size estimate")
-    doc = json.loads(bracket_to_json(br, 4.0, 1.0, 99))
+    doc = json.loads(json.dumps(bracket_document(br, 4.0, 1.0, 99)))
     assert float(doc["beta_c_low"]) == 0.5
     assert doc["master_seed"] == 99
     assert doc["evaluations"][0]["seed"] == 7

@@ -20,6 +20,8 @@ from coopsim.errors import (
 from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus, product_measure
 from coopsim.params import Params, equal_rate_benefit
 
+from engine_agreement import distributional_equivalence_check
+
 # closed-form sterile probabilities, evaluated at 30-digit precision
 STERILE_AT_SUM_ONE = 0.14699594306608088  # beta + beta_c = 1
 STERILE_AT_SUM_LN2 = 0.15803013970713942  # beta + beta_c = ln 2
@@ -178,6 +180,51 @@ def test_round_trip_survives_arbitrary_marks(marks):
     back = g.EventLog.from_text(log.to_text())
     assert back.marks == log.marks
     assert back.intensities == log.intensities
+
+
+LOG_TEXT = """# coopsim event log v1
+flavor=standard
+window=0.0 1.0
+history=0.0
+torus=5 1
+seed=-
+intensity cross=1.0
+0.5 cross 2 - -
+"""
+MARK_LINE = "0.5 cross 2 - -"
+
+
+@pytest.mark.parametrize(
+    "old, new, named",
+    [
+        (MARK_LINE, "0.5 arrow -1 0 -", "line 8"),
+        (MARK_LINE, "0.5 arrow 9 0 -", "line 8"),
+        (MARK_LINE, "0.5 arrow 0 5 -", "line 8"),
+        (MARK_LINE, "0.5 dot_arrow 0 1 -3", "line 8"),
+        (MARK_LINE, "0.5 cross - - -", "line 8"),
+        (MARK_LINE, "0.5 arow 1 0 -", "line 8"),
+        (MARK_LINE, "0.5 cross 2 -", "line 8"),
+        (MARK_LINE, "0.5 cross 2 - - -", "line 8"),
+        (MARK_LINE, "half cross 2 - -", "line 8"),
+        (MARK_LINE, "0.5 cross two - -", "line 8"),
+        ("window=0.0 1.0", "window=0.0", "line 3"),
+        ("torus=5 1", "torus=5 one", "line 5"),
+        ("torus=5 1", "torus=0 -1", "torus needs"),
+        ("intensity cross=1.0", "intensity cross=fast", "line 7"),
+        ("window=0.0 1.0\n", "", "no window= line"),
+    ],
+    ids=[
+        "negative-target", "target-off-torus", "source-off-torus", "negative-dot",
+        "no-target", "misspelt-kind", "four-fields", "six-fields", "bad-time",
+        "bad-site", "window-one-number", "bad-torus", "empty-torus", "bad-intensity",
+        "no-window",
+    ],
+)
+def test_from_text_rejects_malformed_text_naming_the_line(old, new, named):
+    assert g.EventLog.from_text(LOG_TEXT).marks == (g.Mark(0.5, g.CROSS, 2),)
+    assert old in LOG_TEXT
+    with pytest.raises(DomainError, match=named):
+        g.EventLog.from_text(LOG_TEXT.replace(old, new))
 
 
 def test_event_log_validation():
@@ -765,7 +812,7 @@ def test_origin_respects_hierarchy_order_over_site_position():
 
 def test_equivalence_check_at_time_zero_is_exact():
     rng = np.random.default_rng(19)
-    report = g.distributional_equivalence_check(
+    report = distributional_equivalence_check(
         Params(2.0, 1.0, 1.0, 1), Torus.from_state_string("cdcde"), 0.0, 50, rng
     )
     assert report.passed
@@ -778,7 +825,7 @@ def test_equivalence_check_pure_death():
     p = NO_BIRTHS
     init = Torus.from_state_string("cdcdc")
     t_probe = 1.0
-    report = g.distributional_equivalence_check(p, init, t_probe, 3000, rng)
+    report = distributional_equivalence_check(p, init, t_probe, 3000, rng)
     assert report.passed
     survive = math.exp(-t_probe)
     logs = [g.sample_event_log(p, init, t_probe, rng, history=0.0) for _ in range(3000)]
@@ -792,7 +839,7 @@ def test_equivalence_check_pure_death():
 
 def test_equivalence_check_contact_process_case():
     rng = np.random.default_rng(21)
-    report = g.distributional_equivalence_check(
+    report = distributional_equivalence_check(
         Params(2.0), Torus.from_state_string("cdcde"), 2.0, 4000, rng
     )
     assert report.passed
@@ -802,4 +849,4 @@ def test_equivalence_check_contact_process_case():
 def test_equivalence_check_validation():
     rng = np.random.default_rng(22)
     with pytest.raises(DomainError):
-        g.distributional_equivalence_check(Params(1.0), Torus(5, 1), 1.0, 1, rng)
+        distributional_equivalence_check(Params(1.0), Torus(5, 1), 1.0, 1, rng)
