@@ -76,6 +76,11 @@ KIND_ORDER = {
     D_PLUS_ARROW: 5,
 }
 
+# Neighbor slots in each kind's channel: a cross has one channel per site, an
+# arrow one per (site, neighbor slot of the source), a dot-arrow one per
+# (site, source slot, dot slot among the source's neighbors).
+_SLOTS = {CROSS: 0, ARROW: 1, D_ARROW: 1, D_PLUS_ARROW: 1, DOT_ARROW: 2, C_PLUS_DOT_ARROW: 2}
+
 # Marks whose tip can place an occupant at their target site.
 ARROW_KINDS = frozenset({ARROW, DOT_ARROW, D_ARROW, C_PLUS_DOT_ARROW, D_PLUS_ARROW})
 
@@ -98,6 +103,18 @@ _HEADER = {
 
 # Checks a kind read from text, and gives every mark of a kind one shared string.
 _KINDS = {kind: kind for kind in KIND_ORDER}
+
+
+def _check_header(t_start, t_end, history, flavor, side, dim) -> None:
+    """The checks every log header passes, whether built directly or read from text."""
+    if flavor not in (STANDARD, EQUAL_RATE, COUPLED):
+        raise DomainError(f"unknown flavor {flavor!r}")
+    if not -math.inf < t_start <= t_end < math.inf:
+        raise DomainError(f"event log window must be finite and nonempty, got ({t_start}, {t_end})")
+    if not 0 <= history < math.inf:
+        raise DomainError(f"event log history must be nonnegative and finite, got {history}")
+    if side < 2 or dim < 1:
+        raise DomainError(f"event log torus needs side >= 2 and dim >= 1, got {side} {dim}")
 
 
 class Mark(NamedTuple):
@@ -155,10 +172,7 @@ class EventLog:
         dim: int,
         seed: int | None = None,
     ):
-        if flavor not in (STANDARD, EQUAL_RATE, COUPLED):
-            raise DomainError(f"unknown flavor {flavor!r}")
-        if t_end < t_start:
-            raise DomainError(f"empty window ({t_start}, {t_end})")
+        _check_header(t_start, t_end, history, flavor, side, dim)
         self.t_start = float(t_start)
         self.t_end = float(t_end)
         self.history = float(history)
@@ -174,17 +188,25 @@ class EventLog:
     def __len__(self) -> int:
         return len(self.marks)
 
+    def with_marks(self, marks: Iterable[Mark]) -> "EventLog":
+        """A log with this header over other marks."""
+        return EventLog(self.t_start, self.t_end, self.history, self.flavor, marks,
+                        self.intensities, self.side, self.dim, self.seed)
+
+    def _window(self, t_from: float | None, t_to: float | None) -> slice:
+        """Index slice of the marks with t_from < time <= t_to (window bounds by default)."""
+        lo = self.t_start if t_from is None else t_from
+        hi = self.t_end if t_to is None else t_to
+        if math.isnan(lo) or math.isnan(hi):
+            raise DomainError(f"window bounds must not be NaN, got ({lo}, {hi})")
+        return slice(bisect_right(self.marks, lo, key=_TIME), bisect_right(self.marks, hi, key=_TIME))
+
     def window_marks(
         self, t_from: float | None = None, t_to: float | None = None
     ) -> Iterable[tuple[int, Mark]]:
         """Marks with t_from < time <= t_to (window bounds by default), with index."""
-        lo = self.t_start if t_from is None else t_from
-        hi = self.t_end if t_to is None else t_to
-        for i, m in enumerate(self.marks):
-            if m.time > lo:
-                if m.time > hi:
-                    break
-                yield i, m
+        window = self._window(t_from, t_to)
+        return enumerate(self.marks[window], window.start)
 
     def _ensure_site_indexes(self) -> None:
         """Build the per-site indexes once per log, in one pass over the marks.
@@ -265,8 +287,7 @@ class EventLog:
         if missing:
             raise DomainError(f"event log has no {min(missing)}= line")
         (t_start, t_end), (side, dim) = header["window"], header["torus"]
-        if side < 2 or dim < 1:
-            raise DomainError(f"event log torus needs side >= 2 and dim >= 1, got {side} {dim}")
+        _check_header(t_start, t_end, header["history"], header["flavor"], side, dim)
 
         @functools.cache  # each distinct site token is parsed and checked once
         def site(token: str) -> int:
@@ -275,11 +296,16 @@ class EventLog:
                 raise ValueError(f"site {value} is off the {side**dim}-site torus")
             return value
 
+        # replay bisects the marks by time, so a NaN time would misplace others
+        t_lo = t_start - header["history"]
         marks: list[Mark] = []
         for no, line in rows:
             try:
                 t_str, kind, x, y, z = line.split()
-                marks.append(Mark(float(t_str), _KINDS[kind], site(x),
+                t = float(t_str)
+                if not t_lo <= t <= t_end:
+                    raise ValueError(f"time {t!r} is outside the log's span [{t_lo!r}, {t_end!r}]")
+                marks.append(Mark(t, _KINDS[kind], site(x),
                                   None if y == "-" else site(y), None if z == "-" else site(z)))
             except KeyError:
                 raise DomainError(f"event log line {no} {line!r}: unknown mark kind") from None
@@ -301,20 +327,18 @@ class EventLog:
 def _stream_intensities(p: Params, flavor: str, p2: Params | None) -> dict[str, float]:
     """Per-channel rates, keyed by mark kind."""
     two_d = 2.0 * p.dim
+    rates = {
+        CROSS: 1.0,
+        ARROW: p.beta / two_d,
+        DOT_ARROW: p.beta_c / (two_d * two_d),
+        D_ARROW: p.beta_d / two_d,
+    }
     if flavor == STANDARD:
-        return {
-            CROSS: 1.0,
-            ARROW: p.beta / two_d,
-            DOT_ARROW: p.beta_c / (two_d * two_d),
-            D_ARROW: p.beta_d / two_d,
-        }
+        return rates
     if flavor == EQUAL_RATE:
         require_equal_rate(p, "equal-rate sampling")
-        return {
-            CROSS: 1.0,
-            ARROW: p.beta / two_d,
-            DOT_ARROW: p.beta_c / (two_d * two_d),
-        }
+        del rates[D_ARROW]
+        return rates
     if flavor == COUPLED:
         if p2 is None:
             raise DomainError("coupled sampling needs the second parameter set")
@@ -324,14 +348,10 @@ def _stream_intensities(p: Params, flavor: str, p2: Params | None) -> dict[str, 
             raise CouplingOrder(
                 "first process must have beta_c >= and beta_d <= the second's"
             )
-        return {
-            CROSS: 1.0,
-            ARROW: p.beta / two_d,
-            DOT_ARROW: p2.beta_c / (two_d * two_d),
-            D_ARROW: p.beta_d / two_d,
-            C_PLUS_DOT_ARROW: (p.beta_c - p2.beta_c) / (two_d * two_d),
-            D_PLUS_ARROW: (p2.beta_d - p.beta_d) / two_d,
-        }
+        rates[DOT_ARROW] = p2.beta_c / (two_d * two_d)
+        rates[C_PLUS_DOT_ARROW] = (p.beta_c - p2.beta_c) / (two_d * two_d)
+        rates[D_PLUS_ARROW] = (p2.beta_d - p.beta_d) / two_d
+        return rates
     raise DomainError(f"unknown flavor {flavor!r}")
 
 
@@ -343,7 +363,6 @@ def sample_event_log(
     flavor: str = STANDARD,
     p2: Params | None = None,
     history: float = 2.0,
-    seed: int | None = None,
 ) -> EventLog:
     """Draw every Poisson stream over ``[-history, t_max]``.
 
@@ -368,26 +387,22 @@ def sample_event_log(
     marks: list[Mark] = []
     for kind in sorted(rates, key=KIND_ORDER.get):
         rate = rates[kind]
-        if kind == CROSS:
-            n_channels = n
-        elif kind in (ARROW, D_ARROW, D_PLUS_ARROW):
-            n_channels = n * two_d
-        else:
-            n_channels = n * two_d * two_d
         if rate <= 0.0:
             continue
+        slots = _SLOTS[kind]
+        n_channels = n * two_d**slots
         count = int(rng.poisson(rate * n_channels * duration))
         times = rng.uniform(t_lo, t_max, size=count)
         channels = rng.integers(0, n_channels, size=count)
-        if kind == CROSS:
+        if slots == 0:
             marks.extend(
                 Mark(float(t), kind, int(ch)) for t, ch in zip(times, channels)
             )
-        elif kind in (ARROW, D_ARROW, D_PLUS_ARROW):
+        elif slots == 1:
             for t, ch in zip(times, channels):
                 x, slot = divmod(int(ch), two_d)
                 marks.append(Mark(float(t), kind, x, neighbors[x][slot]))
-        else:  # dot-arrow families
+        else:
             for t, ch in zip(times, channels):
                 x, rest = divmod(int(ch), two_d * two_d)
                 slot_y, slot_z = divmod(rest, two_d)
@@ -402,7 +417,6 @@ def sample_event_log(
         intensities=rates,
         side=torus.side,
         dim=torus.dim,
-        seed=seed,
     )
 
 
@@ -418,21 +432,12 @@ def _check_geometry(c0: Torus, log: EventLog) -> None:
 
 
 def evolve_from_log(
-    c0: Torus,
-    log: EventLog,
-    drop_self_dotted: bool = False,
-    cooperator_blocked: frozenset[int] | set[int] = frozenset(),
-    t_from: float | None = None,
-    t_to: float | None = None,
+    c0: Torus, log: EventLog, t_from: float | None = None, t_to: float | None = None
 ) -> Torus:
     """Deterministically apply the window marks to a copy of ``c0``.
 
-    ``drop_self_dotted`` ignores dot-arrows whose dot is their own target.
-    ``cooperator_blocked`` holds mark indexes (positions in ``log.marks``)
-    whose cooperator-birth eligibility is suppressed; defector use of the
-    same marks, where the flavor allows it, is unaffected.  ``t_from`` /
-    ``t_to`` override the applied sub-window, e.g. to warm a configuration
-    up through the pre-window history marks.
+    ``t_from`` / ``t_to`` override the applied sub-window, e.g. to warm a
+    configuration up through the pre-window history marks.
     """
     if log.flavor not in (STANDARD, EQUAL_RATE):
         raise FlavorMismatch(f"cannot single-evolve a {log.flavor!r} log")
@@ -440,7 +445,7 @@ def evolve_from_log(
     state = c0.copy()
     sites = state.sites
     equal_rate = log.flavor == EQUAL_RATE
-    for idx, m in log.window_marks(t_from, t_to):
+    for m in log.marks[log._window(t_from, t_to)]:
         if m.kind == CROSS:
             sites[m.target] = EMPTY
         elif m.kind == ARROW:
@@ -450,16 +455,10 @@ def evolve_from_log(
             if sites[m.target] == EMPTY and sites[m.source] == DEFECTOR:
                 sites[m.target] = DEFECTOR
         elif m.kind == DOT_ARROW:
-            if drop_self_dotted and m.dot == m.target:
-                continue
             if sites[m.target] != EMPTY:
                 continue
             src = sites[m.source]
-            if (
-                src == COOPERATOR
-                and sites[m.dot] == COOPERATOR
-                and idx not in cooperator_blocked
-            ):
+            if src == COOPERATOR and sites[m.dot] == COOPERATOR:
                 sites[m.target] = COOPERATOR
             elif equal_rate and src == DEFECTOR and m.dot != m.target:
                 sites[m.target] = DEFECTOR
@@ -501,7 +500,7 @@ def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[To
     first = c0_first.copy()
     second = c0_second.copy()
     s1, s2 = first.sites, second.sites
-    for _, m in log.window_marks():
+    for m in log.marks[log._window(None, None)]:
         x = m.target
         if m.kind == CROSS:
             s1[x] = EMPTY
@@ -632,16 +631,7 @@ def estimate_sterile(
             for z in probe_sites
             for s in probe_times
         ]
-        log = EventLog(
-            t_start=base.t_start,
-            t_end=base.t_end,
-            history=base.history,
-            flavor=base.flavor,
-            marks=base.marks + tuple(probes),
-            intensities=base.intensities,
-            side=base.side,
-            dim=base.dim,
-        )
+        log = base.with_marks(base.marks + tuple(probes))
         probe_keys = {(m.time, m.dot) for m in probes}
         for i, m in enumerate(log.marks):
             if m.kind == DOT_ARROW and (m.time, m.dot) in probe_keys:

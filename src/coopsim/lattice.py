@@ -118,6 +118,10 @@ class Torus(object):
 
     @classmethod
     def from_state_string(cls, text: str, dim: int = 1) -> "Torus":
+        if dim < 1:
+            raise DomainError(f"torus dim must be at least 1, got {dim}")
+        if not set(text) <= CHAR_STATES.keys():
+            raise DomainError(f"state string {text!r} holds a character other than e, c, d")
         side = round(len(text) ** (1.0 / dim))
         if side**dim != len(text):
             raise DomainError(f"{len(text)} sites do not fill a dim-{dim} torus")

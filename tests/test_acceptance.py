@@ -28,6 +28,7 @@ from coopsim.mean_field import (
 from coopsim.params import Params, equal_rate_benefit
 
 from engine_agreement import distributional_equivalence_check
+from mark_edits import sterile_births_blocked, without_self_dotted
 
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -182,15 +183,10 @@ def test_07_inert_mark_deletions_change_nothing():
         seed_cfg = product_measure(30, 1, 0.3, 0.3, rng)
         warmed = g.evolve_from_log(seed_cfg, log, t_from=-log.history, t_to=0.0)
         plain = g.evolve_from_log(warmed, log)
-        dropped = g.evolve_from_log(warmed, log, drop_self_dotted=True)
+        dropped = g.evolve_from_log(warmed, without_self_dotted(log))
         if plain.sites != dropped.sites:
             failures.append(f"self-dotted deletion changed run {i}")
-        sterile = {
-            j
-            for j, m in log.window_marks()
-            if m.kind == g.DOT_ARROW and g.classify_sterile(log, j)
-        }
-        blocked = g.evolve_from_log(warmed, log, cooperator_blocked=sterile)
+        blocked = g.evolve_from_log(warmed, sterile_births_blocked(log))
         if plain.sites != blocked.sites:
             failures.append(f"sterile blocking changed run {i}")
         if failures:

@@ -255,6 +255,11 @@ BRACKET_ARGS = [
     "bracket", "--beta", "4", "--beta-d", "1", "--side", "24", "--t-end", "80",
     "--replicas", "20", "--budget", "4", "--tau", "0.5", "--seed", "1",
 ]
+COUPLE_ARGS = [
+    "couple", "--beta", "3", "--beta-c", "1.2", "--beta-d", "0.5", "--delta-c", "1",
+    "--replicas", "200", "--seed", "1",
+]
+STERILE_ARGS = ["sterile", "--beta", "0.3", "--beta-c", "0.7", "--replicas", "6000", "--seed", "1"]
 
 
 @pytest.mark.parametrize(
@@ -263,8 +268,10 @@ BRACKET_ARGS = [
         (SWEEP_ARGS + ["--jobs", "1"], "c6a28a8141d1d872713cf91a5474d2405f884c1529c7f2cbcd07d4d2b7c0f1cf"),
         (SWEEP_ARGS + ["--jobs", "2"], "c6a28a8141d1d872713cf91a5474d2405f884c1529c7f2cbcd07d4d2b7c0f1cf"),
         (BRACKET_ARGS, "332b9afce9ff4b39c3ed9f202eb8ba7d4d5fe88034b9e42b271aba0007bd016a"),
+        (COUPLE_ARGS, "381dc9e218ac6bebb0eb9c10e12dece1fbbac6b6d90c4948b4f6fe571328f252"),
+        (STERILE_ARGS, "92adfff2082aef0c951bca4e49c8f90dbe307cfdca4673ea1a802ad0fab49391"),
     ],
-    ids=["sweep-jobs1", "sweep-jobs2", "bracket"],
+    ids=["sweep-jobs1", "sweep-jobs2", "bracket", "couple", "sterile"],
 )
 def test_survival_commands_pinned_bytes(argv, digest, capsys):
     code, out = run_main(argv, capsys)

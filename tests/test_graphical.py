@@ -21,6 +21,7 @@ from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus, product_measure
 from coopsim.params import Params, equal_rate_benefit
 
 from engine_agreement import distributional_equivalence_check
+from mark_edits import sterile_births_blocked, without_self_dotted
 
 # closed-form sterile probabilities, evaluated at 30-digit precision
 STERILE_AT_SUM_ONE = 0.14699594306608088  # beta + beta_c = 1
@@ -152,9 +153,10 @@ def test_sampling_argument_validation():
 
 def test_round_trip_is_exact():
     rng = np.random.default_rng(8)
-    log = g.sample_event_log(Params(2.0, 3.0, 0.5, 1), Torus(5, 1), 2.0, rng,
-                             flavor=g.COUPLED, p2=Params(2.0, 1.0, 1.5, 1),
-                             seed=99)
+    sampled = g.sample_event_log(Params(2.0, 3.0, 0.5, 1), Torus(5, 1), 2.0, rng,
+                                 flavor=g.COUPLED, p2=Params(2.0, 1.0, 1.5, 1))
+    log = g.EventLog(0.0, 2.0, sampled.history, sampled.flavor, sampled.marks,
+                     sampled.intensities, 5, 1, seed=99)
     back = g.EventLog.from_text(log.to_text())
     assert back.marks == log.marks
     assert (back.t_start, back.t_end, back.history) == (0.0, 2.0, 2.0)
@@ -207,17 +209,31 @@ MARK_LINE = "0.5 cross 2 - -"
         (MARK_LINE, "0.5 cross 2 - - -", "line 8"),
         (MARK_LINE, "half cross 2 - -", "line 8"),
         (MARK_LINE, "0.5 cross two - -", "line 8"),
+        (MARK_LINE, "nan cross 2 - -", "line 8"),
+        (MARK_LINE, "1.5 cross 2 - -", "line 8"),
+        (MARK_LINE, "-0.5 cross 2 - -", "line 8"),
         ("window=0.0 1.0", "window=0.0", "line 3"),
         ("torus=5 1", "torus=5 one", "line 5"),
         ("torus=5 1", "torus=0 -1", "torus needs"),
+        ("torus=5 1", "torus=1 1", "torus needs"),
+        ("torus=5 1", "torus=5 0", "torus needs"),
+        ("window=0.0 1.0", "window=0.0 nan", "window must be"),
+        ("window=0.0 1.0", "window=nan 1.0", "window must be"),
+        ("window=0.0 1.0", "window=0.0 inf", "window must be"),
+        ("window=0.0 1.0", "window=1.0 0.0", "window must be"),
+        ("history=0.0", "history=-3.0", "history must be"),
+        ("history=0.0", "history=nan", "history must be"),
+        ("flavor=standard", "flavor=exotic", "unknown flavor"),
         ("intensity cross=1.0", "intensity cross=fast", "line 7"),
         ("window=0.0 1.0\n", "", "no window= line"),
     ],
     ids=[
         "negative-target", "target-off-torus", "source-off-torus", "negative-dot",
         "no-target", "misspelt-kind", "four-fields", "six-fields", "bad-time",
-        "bad-site", "window-one-number", "bad-torus", "empty-torus", "bad-intensity",
-        "no-window",
+        "bad-site", "nan-time", "time-after-window", "time-before-history", "window-one-number", "bad-torus", "empty-torus", "side-one",
+        "dim-zero", "nan-window-end", "nan-window-start", "infinite-window",
+        "reversed-window", "negative-history", "nan-history", "unknown-flavor",
+        "bad-intensity", "no-window",
     ],
 )
 def test_from_text_rejects_malformed_text_naming_the_line(old, new, named):
@@ -228,10 +244,19 @@ def test_from_text_rejects_malformed_text_naming_the_line(old, new, named):
 
 
 def test_event_log_validation():
-    with pytest.raises(DomainError):
-        g.EventLog(0.0, -1.0, 0.0, g.STANDARD, [], {}, 4, 1)
-    with pytest.raises(DomainError):
-        g.EventLog(0.0, 1.0, 0.0, "exotic", [], {}, 4, 1)
+    for (t_start, t_end, history, flavor, side, dim), named in [
+        ((0.0, -1.0, 0.0, g.STANDARD, 4, 1), "window must be"),
+        ((0.0, math.nan, 0.0, g.STANDARD, 4, 1), "window must be"),
+        ((-math.inf, 1.0, 0.0, g.STANDARD, 4, 1), "window must be"),
+        ((0.0, 1.0, -3.0, g.STANDARD, 4, 1), "history must be"),
+        ((0.0, 1.0, math.inf, g.STANDARD, 4, 1), "history must be"),
+        ((0.0, 1.0, 0.0, "exotic", 4, 1), "unknown flavor"),
+        ((0.0, 1.0, 0.0, g.STANDARD, 0, -1), "torus needs"),
+        ((0.0, 1.0, 0.0, g.STANDARD, 1, 1), "torus needs"),
+        ((0.0, 1.0, 0.0, g.STANDARD, 4, 0), "torus needs"),
+    ]:
+        with pytest.raises(DomainError, match=named):
+            g.EventLog(t_start, t_end, history, flavor, [], {}, side, dim)
 
 
 # ---------------------------------------------------------------- evolution
@@ -295,6 +320,53 @@ def test_evolution_is_deterministic_and_flavor_checked():
         g.evolve_from_log(Torus(5, 1), log)
 
 
+def test_window_bounds_are_half_open_and_never_nan():
+    marks = [g.Mark(t, g.CROSS, site) for site, t in enumerate((-1.0, 1.0, 2.0, 3.0))]
+    log = hand_log(marks, side=5)
+    c0 = Torus.from_state_string("ccccc")
+    # a mark exactly at t_from is left out, one exactly at t_to is applied
+    assert g.evolve_from_log(c0, log, t_from=1.0, t_to=2.0).state_string() == "ccecc"
+    assert list(log.window_marks(1.0, 2.0)) == [(2, marks[2])]
+    assert list(log.window_marks()) == [(1, marks[1]), (2, marks[2]), (3, marks[3])]
+    assert list(log.window_marks(2.0, 1.0)) == []
+    everything = g.evolve_from_log(c0, log, t_from=-math.inf, t_to=math.inf)
+    assert everything.state_string() == "eeeec"
+    for bounds in ({"t_from": math.nan}, {"t_to": math.nan}):
+        with pytest.raises(DomainError, match="NaN"):
+            g.evolve_from_log(c0, log, **bounds)
+        with pytest.raises(DomainError, match="NaN"):
+            log.window_marks(**bounds)
+
+
+def test_mark_engine_pinned_digests():
+    # SHA-256 digests computed with the mark-by-mark window scan of coopsim 0.1.0
+    def sha(lines):
+        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+    rng = np.random.default_rng(2024)
+    line, square = Torus(40, 1), Torus(7, 2)
+    p = Params(2.0, 1.0, 1.0, 1)
+    standard = g.sample_event_log(p, line, 6.0, rng)
+    equal = g.sample_event_log(Params(2.0, equal_rate_benefit(0.8, 2), 0.8, 2), square, 6.0, rng,
+                               flavor=g.EQUAL_RATE)
+    coupled = g.sample_event_log(Params(2.0, 2.7, 0.6, 1), line, 6.0, rng, flavor=g.COUPLED, p2=p)
+    assert sha([log.to_text() for log in (standard, equal, coupled)]) == (
+        "e9152f3e7e6d50eb28102dfffc3edddec5375cc17917dc5453c8f5ee8226128a"
+    )
+    states = []
+    for log, torus in ((standard, line), (equal, square)):
+        for _ in range(3):
+            c0 = product_measure(torus.side, torus.dim, 0.3, 0.3, rng)
+            states.append(g.evolve_from_log(c0, log).state_string())
+            states.append(g.evolve_from_log(c0, log, t_from=-log.history, t_to=0.0).state_string())
+    assert sha(states) == "a7f807c0365a90c70e243b2e941712ee8984aaca2848f5c17006f22dce36994b"
+    c0 = product_measure(40, 1, 0.3, 0.3, rng)
+    pair = g.coupled_evolve(c0, c0.copy(), coupled)
+    assert sha([t.state_string() for t in pair]) == (
+        "27260dff0573f9cbbad52f5a45157fb01647f7f20ffae369e4279f0934b95e81"
+    )
+
+
 def warmed_equal_rate_log(rng, side=30, window=20.0):
     beta = rng.uniform(0.5, 3.0)
     beta_d = rng.uniform(0.1, 2.0)
@@ -310,7 +382,7 @@ def test_deleting_self_dotted_arrows_never_matters():
     for _ in range(30):
         log, warmed = warmed_equal_rate_log(rng)
         plain = g.evolve_from_log(warmed, log)
-        dropped = g.evolve_from_log(warmed, log, drop_self_dotted=True)
+        dropped = g.evolve_from_log(warmed, without_self_dotted(log))
         assert plain.sites == dropped.sites
 
 
@@ -318,14 +390,23 @@ def test_blocking_sterile_cooperator_births_never_matters():
     rng = np.random.default_rng(11)
     for _ in range(30):
         log, warmed = warmed_equal_rate_log(rng)
-        sterile = {
-            i
-            for i, m in log.window_marks()
-            if m.kind == g.DOT_ARROW and g.classify_sterile(log, i)
-        }
         plain = g.evolve_from_log(warmed, log)
-        blocked = g.evolve_from_log(warmed, log, cooperator_blocked=sterile)
+        blocked = g.evolve_from_log(warmed, sterile_births_blocked(log))
         assert plain.sites == blocked.sites
+
+
+def test_log_edits_change_only_the_named_marks():
+    # site 2 died 0.5 and 0.7 before the dot-arrows and last gained an
+    # arrow 1.5 and 1.7 before them, so both are sterile; the one at 6.0 is not
+    arrow, cross = g.Mark(3.5, g.ARROW, 2, 3), g.Mark(4.5, g.CROSS, 2)
+    sterile = g.Mark(5.0, g.DOT_ARROW, 0, 1, 2)
+    sterile_self_dotted = g.Mark(5.2, g.DOT_ARROW, 2, 1, 2)
+    live = g.Mark(6.0, g.DOT_ARROW, 0, 1, 2)
+    log = hand_log([arrow, cross, sterile, sterile_self_dotted, live], side=5)
+    assert without_self_dotted(log).marks == (arrow, cross, sterile, live)
+    assert sterile_births_blocked(log).marks == (
+        arrow, cross, g.Mark(5.0, g.D_ARROW, 0, 1), live
+    )
 
 
 # ----------------------------------------------------------------- coupling

@@ -72,6 +72,17 @@ def test_torus_validation():
         Torus(3, dim=1, sites=[0, 1, 7])
 
 
+@pytest.mark.parametrize(
+    "text, dim, named",
+    [("cxe", 1, "other than e, c, d"), ("cde", 0, "dim must be"), ("cde", -1, "dim must be"),
+     ("cdeec", 2, "do not fill"), ("", 1, "side must be")],
+    ids=["unknown-char", "dim-zero", "dim-negative", "not-square", "empty"],
+)
+def test_from_state_string_rejects_bad_input(text, dim, named):
+    with pytest.raises(DomainError, match=named):
+        Torus.from_state_string(text, dim=dim)
+
+
 def test_product_measure_frequencies():
     rng = np.random.default_rng(123)
     t = product_measure(10_000, 1, 0.3, 0.5, rng)
