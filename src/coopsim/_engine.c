@@ -1,14 +1,18 @@
-/* One event of the cooperator/defector process, compiled.
+/* The compiled loops of coopsim: one lattice event, and log replay.
  *
- * This is coopsim.lattice's RateTable and step written in C, operation for
- * operation, so that both give the same bits: site rates summed over the
- * neighbors in order, block sums and prefix sums added left to right, the
- * same bisection and clamps, the same birth-source walk and the same
- * refresh of the sites within distance two.  The draws are numpy's own
- * routines on the caller's bit generator, in the order of
- * Generator.standard_exponential() then Generator.random().  Build with
- * -ffp-contract=off and without -ffast-math: a fused multiply-add or a
+ * coop_init, coop_select and coop_step are coopsim.lattice's RateTable and
+ * step written in C, operation for operation, so that both give the same
+ * bits: site rates summed over the neighbors in order, block sums and
+ * prefix sums added left to right, the same bisection and clamps, the same
+ * birth-source walk and the same refresh of the sites within distance two.
+ * The draws are numpy's own routines on the caller's bit generator, in the
+ * order of Generator.standard_exponential() then Generator.random().  Build
+ * with -ffp-contract=off and without -ffast-math: a fused multiply-add or a
  * reordered sum changes how a rate rounds.
+ *
+ * coop_evolve and coop_couple are the mark loops of
+ * coopsim.graphical.evolve_from_log and coupled_evolve over an event log's
+ * columns; they draw nothing and do no arithmetic on times.
  */
 #include <stdint.h>
 #include "numpy/random/distributions.h"
@@ -16,6 +20,14 @@
 #define EMPTY 0
 #define COOPERATOR 1
 #define DEFECTOR 2
+
+/* mark kind codes: coopsim.graphical.KIND_ORDER */
+#define CROSS 0
+#define ARROW 1
+#define DOT_ARROW 2
+#define D_ARROW 3
+#define C_PLUS_DOT_ARROW 4
+#define D_PLUS_ARROW 5
 
 typedef struct {
     int32_t n, deg, block, n_blocks;
@@ -166,4 +178,103 @@ double coop_step(coop_table *t, double t_limit, int32_t *ev)
         if (*z / t->block != last)
             sum_block(t, last = *z / t->block);
     return elapsed;
+}
+
+/* Applies marks [lo, hi) of a standard or equal-rate log to s.  Returns hi,
+ * or the index of the first mark it cannot apply, left unapplied: a
+ * difference-stream kind, or an arrow without its source or dot (-1). */
+int64_t coop_evolve(int8_t *s, const int8_t *kind, const int32_t *target, const int32_t *source,
+                    const int32_t *dot, int64_t lo, int64_t hi, int equal_rate)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        int32_t x = target[i], y = source[i], z = dot[i];
+        switch (kind[i]) {
+        case CROSS:
+            s[x] = EMPTY;
+            break;
+        case ARROW:
+            if (y < 0)
+                return i;
+            if (s[x] == EMPTY && s[y] != EMPTY)
+                s[x] = s[y];
+            break;
+        case D_ARROW:
+            if (y < 0)
+                return i;
+            if (s[x] == EMPTY && s[y] == DEFECTOR)
+                s[x] = DEFECTOR;
+            break;
+        case DOT_ARROW:
+            if (y < 0 || z < 0)
+                return i;
+            if (s[x] != EMPTY)
+                break;
+            if (s[y] == COOPERATOR && s[z] == COOPERATOR)
+                s[x] = COOPERATOR;
+            else if (equal_rate && s[y] == DEFECTOR && z != x)
+                s[x] = DEFECTOR;
+            break;
+        default:
+            return i;
+        }
+    }
+    return hi;
+}
+
+/* allowed[first][second]: the pairs the coupling order keeps, the first
+ * process cooperator-richer and defector-poorer than the second */
+static const int8_t allowed[3][3] = {
+    {1, 0, 1},  /* (e, e), (e, d) */
+    {1, 1, 1},  /* (c, e), (c, c), (c, d) */
+    {0, 0, 1},  /* (d, d) */
+};
+
+/* Applies marks [lo, hi) of a coupled log to both processes.  Returns hi,
+ * or the index of the first mark that leaves its target in a pair the
+ * order forbids (applied) or that it cannot apply (an arrow without its
+ * source or dot, left unapplied). */
+int64_t coop_couple(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
+                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi)
+{
+    for (int64_t i = lo; i < hi; i++) {
+        int32_t x = target[i], y = source[i], z = dot[i];
+        int8_t k = kind[i];
+        if (k != CROSS && (y < 0 || ((k == DOT_ARROW || k == C_PLUS_DOT_ARROW) && z < 0)))
+            return i;
+        switch (k) {
+        case CROSS:
+            s1[x] = EMPTY;
+            s2[x] = EMPTY;
+            break;
+        case ARROW:
+            if (s1[x] == EMPTY && s1[y] != EMPTY)
+                s1[x] = s1[y];
+            if (s2[x] == EMPTY && s2[y] != EMPTY)
+                s2[x] = s2[y];
+            break;
+        case D_ARROW:
+            if (s1[x] == EMPTY && s1[y] == DEFECTOR)
+                s1[x] = DEFECTOR;
+            if (s2[x] == EMPTY && s2[y] == DEFECTOR)
+                s2[x] = DEFECTOR;
+            break;
+        case DOT_ARROW:
+            if (s1[x] == EMPTY && s1[y] == COOPERATOR && s1[z] == COOPERATOR)
+                s1[x] = COOPERATOR;
+            if (s2[x] == EMPTY && s2[y] == COOPERATOR && s2[z] == COOPERATOR)
+                s2[x] = COOPERATOR;
+            break;
+        case C_PLUS_DOT_ARROW:
+            if (s1[x] == EMPTY && s1[y] == COOPERATOR && s1[z] == COOPERATOR)
+                s1[x] = COOPERATOR;
+            break;
+        case D_PLUS_ARROW:
+            if (s2[x] == EMPTY && s2[y] == DEFECTOR)
+                s2[x] = DEFECTOR;
+            break;
+        }
+        if (!allowed[s1[x]][s2[x]])
+            return i;
+    }
+    return hi;
 }

@@ -1,16 +1,20 @@
-"""The compiled per-event step of ``coopsim.lattice``: built on first use, cached, optional.
+"""The compiled loops of coopsim: built on first use, cached, optional.
 
-``_engine.c`` is ``RateTable`` and ``step`` written in C, operation for
+``_engine.c`` holds two sets of loops.  ``coop_init`` / ``coop_step`` are
+``lattice.RateTable`` and ``lattice.step`` written in C, operation for
 operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
-:func:`load` builds it with cffi in API mode, linked against numpy's
-``libnpyrandom.a``, in a subprocess whose output is captured.  The module
-is kept in ``$XDG_CACHE_HOME/coopsim`` (default ``~/.cache/coopsim``)
-under a name keyed by a hash of the C source, the numpy version and the
-Python ABI, and moved into place with ``os.replace``, so that processes
-building at once do not race.  When it cannot be built or loaded, one
-line on stderr says so and :func:`load` returns ``None``: ``lattice.run``
-then uses the Python engine.
+``coop_evolve`` / ``coop_couple`` are the mark loops of
+``graphical.evolve_from_log`` and ``graphical.coupled_evolve`` over an
+event log's columns.  :func:`load` builds the module with cffi in API
+mode, linked against numpy's ``libnpyrandom.a``, in a subprocess whose
+output is captured.  The module is kept in ``$XDG_CACHE_HOME/coopsim``
+(default ``~/.cache/coopsim``) under a name keyed by a hash of the C
+source, the numpy version and the Python ABI, and moved into place with
+``os.replace``, so that processes building at once do not race.  When it
+cannot be built or loaded, one line on stderr says so and :func:`load`
+returns ``None``: ``lattice.run`` and the replay routines then run their
+Python loops.
 
 Nothing here imports cffi until :func:`load` is called.
 """
@@ -49,6 +53,10 @@ typedef struct {
 void coop_init(coop_table *t);
 int32_t coop_select(coop_table *t, double target, int32_t *parent);
 double coop_step(coop_table *t, double t_limit, int32_t *ev);
+int64_t coop_evolve(int8_t *s, const int8_t *kind, const int32_t *target, const int32_t *source,
+                    const int32_t *dot, int64_t lo, int64_t hi, int equal_rate);
+int64_t coop_couple(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
+                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi);
 """
 
 # run as ``python -c BUILD source name cdef`` in an empty directory
@@ -165,3 +173,29 @@ class Table:
         self.c = c
         self.c_step = module.lib.coop_step
         self.ev = ffi.new("int32_t[4]")
+
+
+def _columns(ffi, log) -> tuple:
+    return (ffi.from_buffer("int8_t[]", log.kind), ffi.from_buffer("int32_t[]", log.target),
+            ffi.from_buffer("int32_t[]", log.source), ffi.from_buffer("int32_t[]", log.dot))
+
+
+def evolve(module, sites: list[int], log, lo: int, hi: int, equal_rate: bool) -> int:
+    """``coop_evolve`` over marks ``[lo, hi)`` of ``log``, updating ``sites`` in place."""
+    ffi = module.ffi
+    s = bytearray(sites)
+    stop = module.lib.coop_evolve(ffi.from_buffer("int8_t[]", s), *_columns(ffi, log), lo, hi,
+                                  equal_rate)
+    sites[:] = s
+    return stop
+
+
+def couple(module, first: list[int], second: list[int], log, lo: int, hi: int) -> int:
+    """``coop_couple`` over marks ``[lo, hi)`` of ``log``, updating both site lists in place."""
+    ffi = module.ffi
+    s1, s2 = bytearray(first), bytearray(second)
+    stop = module.lib.coop_couple(ffi.from_buffer("int8_t[]", s1), ffi.from_buffer("int8_t[]", s2),
+                                  *_columns(ffi, log), lo, hi)
+    first[:] = s1
+    second[:] = s2
+    return stop

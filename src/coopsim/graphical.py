@@ -38,12 +38,11 @@ import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from coopsim import lattice
+from coopsim import _engine, lattice
 from coopsim.errors import (
     BudgetExhausted,
     CouplingOrder,
@@ -66,7 +65,8 @@ D_ARROW = "d_arrow"
 C_PLUS_DOT_ARROW = "c_plus_dot_arrow"
 D_PLUS_ARROW = "d_plus_arrow"
 
-# Deterministic tie-break order for equal-time marks.
+# Deterministic tie-break order for equal-time marks, and each kind's code
+# in a log's ``kind`` column (the codes of ``_engine.c``).
 KIND_ORDER = {
     CROSS: 0,
     ARROW: 1,
@@ -75,6 +75,8 @@ KIND_ORDER = {
     C_PLUS_DOT_ARROW: 4,
     D_PLUS_ARROW: 5,
 }
+_KIND_NAMES = tuple(sorted(KIND_ORDER, key=KIND_ORDER.get))
+_CROSS, _ARROW, _DOT_ARROW, _D_ARROW, _C_PLUS_DOT_ARROW, _D_PLUS_ARROW = range(len(_KIND_NAMES))
 
 # Neighbor slots in each kind's channel: a cross has one channel per site, an
 # arrow one per (site, neighbor slot of the source), a dot-arrow one per
@@ -83,8 +85,6 @@ _SLOTS = {CROSS: 0, ARROW: 1, D_ARROW: 1, D_PLUS_ARROW: 1, DOT_ARROW: 2, C_PLUS_
 
 # Marks whose tip can place an occupant at their target site.
 ARROW_KINDS = frozenset({ARROW, DOT_ARROW, D_ARROW, C_PLUS_DOT_ARROW, D_PLUS_ARROW})
-
-_TIME = attrgetter("time")
 
 
 def _two(convert, value: str) -> tuple:
@@ -100,9 +100,6 @@ _HEADER = {
     "torus": lambda value: _two(int, value),
     "seed": lambda value: None if value == "-" else int(value),
 }
-
-# Checks a kind read from text, and gives every mark of a kind one shared string.
-_KINDS = {kind: kind for kind in KIND_ORDER}
 
 
 def _check_header(t_start, t_end, history, flavor, side, dim) -> None:
@@ -127,14 +124,63 @@ class Mark(NamedTuple):
     dot: int | None = None
 
 
-def _sort_key(mark: Mark):
-    return (
-        mark.time,
-        KIND_ORDER[mark.kind],
-        mark.target,
-        -1 if mark.source is None else mark.source,
-        -1 if mark.dot is None else mark.dot,
-    )
+class _Columns(NamedTuple):
+    """Marks as parallel arrays: kind codes, and -1 for a missing source or dot."""
+
+    time: np.ndarray
+    kind: np.ndarray
+    target: np.ndarray
+    source: np.ndarray
+    dot: np.ndarray
+
+    @classmethod
+    def of(cls, time, kind, target, source, dot) -> "_Columns":
+        # contiguous: the compiled replay loops read the buffers directly
+        return cls(np.ascontiguousarray(time, dtype=np.float64),
+                   np.ascontiguousarray(kind, dtype=np.int8),
+                   *(np.ascontiguousarray(c, dtype=np.int32) for c in (target, source, dot)))
+
+
+def _checked_columns(marks: Iterable[Mark], t_lo: float, t_hi: float, n_sites: int) -> _Columns:
+    """Columns of marks built in code, each kind known, each time finite and in
+    [t_lo, t_hi] and each site on the torus: replay bisects the marks by time,
+    so a NaN time would misplace others."""
+    marks = list(marks)
+    try:
+        kind = [KIND_ORDER[m.kind] for m in marks]
+    except KeyError as exc:
+        raise DomainError(f"unknown mark kind {exc.args[0]!r}") from None
+    time = np.array([m.time for m in marks], dtype=np.float64)
+    sites = {
+        "target": np.array([m.target for m in marks], dtype=np.int64),
+        "source": np.array([-1 if m.source is None else m.source for m in marks], dtype=np.int64),
+        "dot": np.array([-1 if m.dot is None else m.dot for m in marks], dtype=np.int64),
+    }
+    if marks and not (t_lo <= time.min() and time.max() <= t_hi):  # NaN fails both
+        t = float(time[~((t_lo <= time) & (time <= t_hi))][0])
+        raise DomainError(f"mark time {t!r} is outside the log's span [{t_lo!r}, {t_hi!r}]")
+    for name, column in sites.items():
+        lowest = 0 if name == "target" else -1
+        if marks and (column.min() < lowest or column.max() >= n_sites):
+            site = int(column[(column < lowest) | (column >= n_sites)][0])
+            raise DomainError(f"mark {name} {site} is off the {n_sites}-site torus")
+    return _Columns.of(time, kind, *sites.values())
+
+
+class _SiteIndex(NamedTuple):
+    """Per-site lists, flat: site x's entries sit at ``[ptr[x], ptr[x + 1])``, in log order.
+
+    ``cross_*`` hold the crosses at each site; ``arrow_*`` every mark of an
+    arrow kind aimed at each site, self-dotted ones included, with its
+    source and whether it can feed its target (its dot is not the target).
+    """
+
+    cross_ptr: list[int]
+    cross_time: list[float]
+    arrow_ptr: list[int]
+    arrow_time: list[float]
+    arrow_source: list[int]
+    arrow_feeds: list[bool]
 
 
 class EventLog:
@@ -144,6 +190,12 @@ class EventLog:
     ``t_start`` exists only so that backward-looking classification near
     ``t_start`` has something to look at, and is never applied by the
     evolution routines.
+
+    The marks are stored as five read-only columns sorted by (time, kind
+    code, target, source, dot): ``time`` (float64), ``kind`` (int8,
+    :data:`KIND_ORDER` codes) and ``target``, ``source``, ``dot`` (int32
+    sites, -1 for none).  ``marks`` is the same log as a tuple of
+    :class:`Mark`, built on first access.
     """
 
     __slots__ = (
@@ -151,13 +203,17 @@ class EventLog:
         "t_end",
         "history",
         "flavor",
-        "marks",
+        "time",
+        "kind",
+        "target",
+        "source",
+        "dot",
         "intensities",
         "side",
         "dim",
         "seed",
-        "_crosses_at",
-        "_arrows_into",
+        "_marks",
+        "_index",
     )
 
     def __init__(
@@ -177,16 +233,39 @@ class EventLog:
         self.t_end = float(t_end)
         self.history = float(history)
         self.flavor = flavor
-        self.marks = tuple(sorted(marks, key=_sort_key))
+        if isinstance(marks, _Columns):  # drawn, read from checked text, or edited here
+            columns = marks
+        else:
+            columns = _checked_columns(marks, self.t_start - self.history, self.t_end, side**dim)
+        time = columns.time
+        if not (time[:-1] < time[1:]).all():  # text written by to_text is already in order
+            order = np.lexsort(columns[::-1])
+            columns = [c[order] for c in columns]
+        for name, column in zip(_Columns._fields, _Columns.of(*columns)):
+            column.flags.writeable = False
+            setattr(self, name, column)
         self.intensities = dict(intensities)
         self.side = side
         self.dim = dim
         self.seed = seed
-        self._crosses_at = None
-        self._arrows_into = None
+        self._marks = None
+        self._index = None
 
     def __len__(self) -> int:
-        return len(self.marks)
+        return len(self.time)
+
+    @property
+    def marks(self) -> tuple[Mark, ...]:
+        """The marks as :class:`Mark` tuples, in log order."""
+        if self._marks is None:
+            self._marks = tuple(
+                Mark(t, _KIND_NAMES[k], x, None if y < 0 else y, None if z < 0 else z)
+                for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))
+            )
+        return self._marks
+
+    def _columns(self) -> _Columns:
+        return _Columns(self.time, self.kind, self.target, self.source, self.dot)
 
     def with_marks(self, marks: Iterable[Mark]) -> "EventLog":
         """A log with this header over other marks."""
@@ -199,7 +278,8 @@ class EventLog:
         hi = self.t_end if t_to is None else t_to
         if math.isnan(lo) or math.isnan(hi):
             raise DomainError(f"window bounds must not be NaN, got ({lo}, {hi})")
-        return slice(bisect_right(self.marks, lo, key=_TIME), bisect_right(self.marks, hi, key=_TIME))
+        start, stop = np.searchsorted(self.time, (lo, hi), side="right").tolist()
+        return slice(start, stop)
 
     def window_marks(
         self, t_from: float | None = None, t_to: float | None = None
@@ -208,41 +288,36 @@ class EventLog:
         window = self._window(t_from, t_to)
         return enumerate(self.marks[window], window.start)
 
-    def _ensure_site_indexes(self) -> None:
-        """Build the per-site indexes once per log, in one pass over the marks.
-
-        ``_crosses_at[site]`` holds the times of the crosses at ``site``;
-        ``_arrows_into[site]`` holds the marks of every arrow kind whose
-        target is ``site``, self-dotted ones included.  Both are
-        time-ascending and keep log order among equal times.
-        """
-        if self._crosses_at is not None:
-            return
-        crosses: dict[int, list[float]] = {}
-        arrows: dict[int, list[Mark]] = {}
-        for m in self.marks:  # already time-sorted
-            if m.kind == CROSS:
-                crosses.setdefault(m.target, []).append(m.time)
-            elif m.kind in ARROW_KINDS:
-                arrows.setdefault(m.target, []).append(m)
-        self._crosses_at = crosses
-        self._arrows_into = arrows
+    def _site_index(self) -> _SiteIndex:
+        """The per-site lists, built once per log by two stable sorts on the target."""
+        if self._index is None:
+            n = self.side**self.dim
+            sites = np.arange(n + 1)
+            crosses = np.flatnonzero(self.kind == _CROSS)  # every other kind is an arrow kind
+            arrows = np.flatnonzero(self.kind != _CROSS)
+            crosses = crosses[np.argsort(self.target[crosses], kind="stable")]
+            arrows = arrows[np.argsort(self.target[arrows], kind="stable")]
+            self._index = _SiteIndex(
+                np.searchsorted(self.target[crosses], sites).tolist(),
+                self.time[crosses].tolist(),
+                np.searchsorted(self.target[arrows], sites).tolist(),
+                self.time[arrows].tolist(),
+                self.source[arrows].tolist(),
+                (self.dot[arrows] != self.target[arrows]).tolist(),
+            )
+        return self._index
 
     def last_cross_at(self, site: int, before: float) -> float | None:
-        self._ensure_site_indexes()
-        times = self._crosses_at.get(site)
-        if not times:
-            return None
-        i = bisect_left(times, before)
-        return times[i - 1] if i > 0 else None
+        index = self._site_index()
+        lo = index.cross_ptr[site]
+        i = bisect_left(index.cross_time, before, lo, index.cross_ptr[site + 1])
+        return index.cross_time[i - 1] if i > lo else None
 
     def last_arrow_into(self, site: int, before: float) -> float | None:
-        self._ensure_site_indexes()
-        arrows = self._arrows_into.get(site)
-        if not arrows:
-            return None
-        i = bisect_left(arrows, before, key=_TIME)
-        return arrows[i - 1].time if i > 0 else None
+        index = self._site_index()
+        lo = index.arrow_ptr[site]
+        i = bisect_left(index.arrow_time, before, lo, index.arrow_ptr[site + 1])
+        return index.arrow_time[i - 1] if i > lo else None
 
     # ------------------------------------------------------- serialization
 
@@ -257,10 +332,11 @@ class EventLog:
         ]
         for kind in sorted(self.intensities):
             lines.append(f"intensity {kind}={self.intensities[kind]!r}")
-        for m in self.marks:
-            src = "-" if m.source is None else m.source
-            dot = "-" if m.dot is None else m.dot
-            lines.append(f"{m.time!r} {m.kind} {m.target} {src} {dot}")
+        names = [str(x) for x in range(self.side**self.dim)] + ["-"]  # names[-1]: no site
+        lines.extend(
+            f"{t!r} {_KIND_NAMES[k]} {names[x]} {names[y]} {names[z]}"
+            for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))
+        )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -268,7 +344,10 @@ class EventLog:
         """Read :meth:`to_text` output; malformed text raises :class:`DomainError` naming its line."""
         header: dict[str, object] = {}
         intensities: dict[str, float] = {}
-        rows: list[tuple[int, str]] = []  # (line number, text) of each mark line
+        # line number and text of each mark line, in two lists: a tuple per
+        # line would make the garbage collector scan them all
+        row_no: list[int] = []
+        row_text: list[str] = []
         for no, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -280,7 +359,8 @@ class EventLog:
                 elif "=" in line and (key := line.split("=", 1)[0]) in _HEADER:
                     header[key] = _HEADER[key](line.split("=", 1)[1])
                 else:
-                    rows.append((no, line))
+                    row_no.append(no)
+                    row_text.append(line)
             except ValueError as exc:
                 raise DomainError(f"event log line {no} {line!r}: {exc}") from None
         missing = _HEADER.keys() - header.keys()
@@ -298,15 +378,18 @@ class EventLog:
 
         # replay bisects the marks by time, so a NaN time would misplace others
         t_lo = t_start - header["history"]
-        marks: list[Mark] = []
-        for no, line in rows:
+        time, kind, target, source, dot = [], [], [], [], []
+        for no, line in zip(row_no, row_text):
             try:
-                t_str, kind, x, y, z = line.split()
+                t_str, k, x, y, z = line.split()
                 t = float(t_str)
                 if not t_lo <= t <= t_end:
                     raise ValueError(f"time {t!r} is outside the log's span [{t_lo!r}, {t_end!r}]")
-                marks.append(Mark(t, _KINDS[kind], site(x),
-                                  None if y == "-" else site(y), None if z == "-" else site(z)))
+                kind.append(KIND_ORDER[k])
+                target.append(site(x))
+                source.append(-1 if y == "-" else site(y))
+                dot.append(-1 if z == "-" else site(z))
+                time.append(t)
             except KeyError:
                 raise DomainError(f"event log line {no} {line!r}: unknown mark kind") from None
             except ValueError as exc:
@@ -316,7 +399,7 @@ class EventLog:
             t_end=t_end,
             history=header["history"],
             flavor=header["flavor"],
-            marks=marks,
+            marks=_Columns.of(time, kind, target, source, dot),
             intensities=intensities,
             side=side,
             dim=dim,
@@ -382,9 +465,9 @@ def sample_event_log(
     two_d = 2 * torus.dim
     duration = t_max + history
     t_lo = -history
-    neighbors = torus.neighbors
+    neighbors = lattice._geometry(torus.side, torus.dim).nbr
 
-    marks: list[Mark] = []
+    codes, counts, times, targets, sources, dots = [], [], [], [], [], []
     for kind in sorted(rates, key=KIND_ORDER.get):
         rate = rates[kind]
         if rate <= 0.0:
@@ -392,22 +475,26 @@ def sample_event_log(
         slots = _SLOTS[kind]
         n_channels = n * two_d**slots
         count = int(rng.poisson(rate * n_channels * duration))
-        times = rng.uniform(t_lo, t_max, size=count)
+        times.append(rng.uniform(t_lo, t_max, size=count))
         channels = rng.integers(0, n_channels, size=count)
+        # channel = (x * 2d + source slot) * 2d + dot slot, for the slots the kind
+        # has, and neighbors[x * 2d + slot] is site x's neighbor in that slot
+        y = z = np.full(count, -1)
         if slots == 0:
-            marks.extend(
-                Mark(float(t), kind, int(ch)) for t, ch in zip(times, channels)
-            )
+            x = channels
         elif slots == 1:
-            for t, ch in zip(times, channels):
-                x, slot = divmod(int(ch), two_d)
-                marks.append(Mark(float(t), kind, x, neighbors[x][slot]))
+            x, y = channels // two_d, neighbors[channels]
         else:
-            for t, ch in zip(times, channels):
-                x, rest = divmod(int(ch), two_d * two_d)
-                slot_y, slot_z = divmod(rest, two_d)
-                y = neighbors[x][slot_y]
-                marks.append(Mark(float(t), kind, x, y, neighbors[y][slot_z]))
+            pair, slot_z = np.divmod(channels, two_d)
+            y = neighbors[pair]
+            x, z = pair // two_d, neighbors[y * two_d + slot_z]
+        codes.append(KIND_ORDER[kind])
+        counts.append(count)
+        targets.append(x)
+        sources.append(y)
+        dots.append(z)
+    marks = _Columns(np.concatenate(times), np.repeat(np.array(codes, dtype=np.int8), counts),
+                     *(np.concatenate(c, dtype=np.int32) for c in (targets, sources, dots)))
     return EventLog(
         t_start=0.0,
         t_end=t_max,
@@ -431,39 +518,67 @@ def _check_geometry(c0: Torus, log: EventLog) -> None:
         )
 
 
+def _unapplied(log: EventLog, i: int) -> FlavorMismatch | DomainError:
+    kind = _KIND_NAMES[log.kind[i]]
+    if log.flavor != COUPLED and kind in (C_PLUS_DOT_ARROW, D_PLUS_ARROW):
+        # difference streams never appear outside coupled logs
+        return FlavorMismatch(f"mark kind {kind!r} in a {log.flavor!r} log")
+    return DomainError(f"{kind} mark at time {log.time.item(i)!r} has no source or dot")
+
+
+def _evolve_marks(sites: list[int], log: EventLog, lo: int, hi: int, equal_rate: bool) -> int:
+    """Apply marks [lo, hi) to ``sites``; ``coop_evolve`` of ``_engine.c`` in Python.
+
+    Returns ``hi``, or the index of the first mark it cannot apply.
+    """
+    columns = (c[lo:hi].tolist() for c in log._columns()[1:])
+    for i, (k, x, y, z) in enumerate(zip(*columns), lo):
+        if k == _CROSS:
+            sites[x] = EMPTY
+        elif y < 0:
+            return i
+        elif k == _ARROW:
+            if sites[x] == EMPTY and sites[y] != EMPTY:
+                sites[x] = sites[y]
+        elif k == _D_ARROW:
+            if sites[x] == EMPTY and sites[y] == DEFECTOR:
+                sites[x] = DEFECTOR
+        elif k == _DOT_ARROW and z >= 0:
+            if sites[x] != EMPTY:
+                continue
+            src = sites[y]
+            if src == COOPERATOR and sites[z] == COOPERATOR:
+                sites[x] = COOPERATOR
+            elif equal_rate and src == DEFECTOR and z != x:
+                sites[x] = DEFECTOR
+        else:
+            return i
+    return hi
+
+
 def evolve_from_log(
     c0: Torus, log: EventLog, t_from: float | None = None, t_to: float | None = None
 ) -> Torus:
     """Deterministically apply the window marks to a copy of ``c0``.
 
     ``t_from`` / ``t_to`` override the applied sub-window, e.g. to warm a
-    configuration up through the pre-window history marks.
+    configuration up through the pre-window history marks.  The marks run
+    through ``_engine.c``'s loop when the compiled module loads, else
+    through the same loop in Python.
     """
     if log.flavor not in (STANDARD, EQUAL_RATE):
         raise FlavorMismatch(f"cannot single-evolve a {log.flavor!r} log")
     _check_geometry(c0, log)
     state = c0.copy()
-    sites = state.sites
+    window = log._window(t_from, t_to)
     equal_rate = log.flavor == EQUAL_RATE
-    for m in log.marks[log._window(t_from, t_to)]:
-        if m.kind == CROSS:
-            sites[m.target] = EMPTY
-        elif m.kind == ARROW:
-            if sites[m.target] == EMPTY and sites[m.source] != EMPTY:
-                sites[m.target] = sites[m.source]
-        elif m.kind == D_ARROW:
-            if sites[m.target] == EMPTY and sites[m.source] == DEFECTOR:
-                sites[m.target] = DEFECTOR
-        elif m.kind == DOT_ARROW:
-            if sites[m.target] != EMPTY:
-                continue
-            src = sites[m.source]
-            if src == COOPERATOR and sites[m.dot] == COOPERATOR:
-                sites[m.target] = COOPERATOR
-            elif equal_rate and src == DEFECTOR and m.dot != m.target:
-                sites[m.target] = DEFECTOR
-        else:  # difference streams never appear outside coupled logs
-            raise FlavorMismatch(f"mark kind {m.kind!r} in a {log.flavor!r} log")
+    module = _engine.load()
+    if module is None:
+        stop = _evolve_marks(state.sites, log, window.start, window.stop, equal_rate)
+    else:
+        stop = _engine.evolve(module, state.sites, log, window.start, window.stop, equal_rate)
+    if stop < window.stop:
+        raise _unapplied(log, stop)
     return state
 
 
@@ -480,57 +595,84 @@ ALLOWED_PAIRS = frozenset(
 )
 
 
-def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[Torus, Torus]:
-    """Drive both processes off one shared coupled-flavor log.
+def _couple_marks(s1: list[int], s2: list[int], log: EventLog, lo: int, hi: int) -> int:
+    """Apply marks [lo, hi) to both processes; ``coop_couple`` of ``_engine.c`` in Python.
 
-    The first process must start cooperator-richer and defector-poorer
-    site by site; every mark preserves that comparison, which the routine
-    re-checks at each application.
+    Returns ``hi``, or the index of the first mark that leaves its target
+    in a pair outside :data:`ALLOWED_PAIRS` or that it cannot apply.
     """
-    if log.flavor != COUPLED:
-        raise FlavorMismatch(f"coupled_evolve needs a coupled log, got {log.flavor!r}")
-    _check_geometry(c0_first, log)
-    _check_geometry(c0_second, log)
-    for x, (a, b) in enumerate(zip(c0_first.sites, c0_second.sites)):
+    columns = (c[lo:hi].tolist() for c in log._columns()[1:])
+    for i, (k, x, y, z) in enumerate(zip(*columns), lo):
+        if k != _CROSS and (y < 0 or (k in (_DOT_ARROW, _C_PLUS_DOT_ARROW) and z < 0)):
+            return i
+        if k == _CROSS:
+            s1[x] = EMPTY
+            s2[x] = EMPTY
+        elif k == _ARROW:
+            if s1[x] == EMPTY and s1[y] != EMPTY:
+                s1[x] = s1[y]
+            if s2[x] == EMPTY and s2[y] != EMPTY:
+                s2[x] = s2[y]
+        elif k == _D_ARROW:
+            if s1[x] == EMPTY and s1[y] == DEFECTOR:
+                s1[x] = DEFECTOR
+            if s2[x] == EMPTY and s2[y] == DEFECTOR:
+                s2[x] = DEFECTOR
+        elif k == _DOT_ARROW:
+            if s1[x] == EMPTY and s1[y] == COOPERATOR and s1[z] == COOPERATOR:
+                s1[x] = COOPERATOR
+            if s2[x] == EMPTY and s2[y] == COOPERATOR and s2[z] == COOPERATOR:
+                s2[x] = COOPERATOR
+        elif k == _C_PLUS_DOT_ARROW:
+            if s1[x] == EMPTY and s1[y] == COOPERATOR and s1[z] == COOPERATOR:
+                s1[x] = COOPERATOR
+        elif k == _D_PLUS_ARROW:
+            if s2[x] == EMPTY and s2[y] == DEFECTOR:
+                s2[x] = DEFECTOR
+        if (s1[x], s2[x]) not in ALLOWED_PAIRS:
+            return i
+    return hi
+
+
+def _check_coupling_order(first: Torus, second: Torus) -> None:
+    for x, (a, b) in enumerate(zip(first.sites, second.sites)):
         if (a, b) not in ALLOWED_PAIRS:
             raise DomainError(
                 f"initial configurations violate the coupling order at site {x}: "
                 f"({lattice.STATE_CHARS[a]}, {lattice.STATE_CHARS[b]})"
             )
+
+
+def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[Torus, Torus]:
+    """Drive both processes off one shared coupled-flavor log.
+
+    The first process must start cooperator-richer and defector-poorer
+    site by site; every mark preserves that comparison, which the routine
+    re-checks at each application, in ``_engine.c``'s loop when the
+    compiled module loads, else in the same loop in Python.
+    """
+    if log.flavor != COUPLED:
+        raise FlavorMismatch(f"coupled_evolve needs a coupled log, got {log.flavor!r}")
+    _check_geometry(c0_first, log)
+    _check_geometry(c0_second, log)
+    _check_coupling_order(c0_first, c0_second)
     first = c0_first.copy()
     second = c0_second.copy()
     s1, s2 = first.sites, second.sites
-    for m in log.marks[log._window(None, None)]:
-        x = m.target
-        if m.kind == CROSS:
-            s1[x] = EMPTY
-            s2[x] = EMPTY
-        elif m.kind == ARROW:
-            if s1[x] == EMPTY and s1[m.source] != EMPTY:
-                s1[x] = s1[m.source]
-            if s2[x] == EMPTY and s2[m.source] != EMPTY:
-                s2[x] = s2[m.source]
-        elif m.kind == D_ARROW:
-            if s1[x] == EMPTY and s1[m.source] == DEFECTOR:
-                s1[x] = DEFECTOR
-            if s2[x] == EMPTY and s2[m.source] == DEFECTOR:
-                s2[x] = DEFECTOR
-        elif m.kind == DOT_ARROW:
-            if s1[x] == EMPTY and s1[m.source] == COOPERATOR and s1[m.dot] == COOPERATOR:
-                s1[x] = COOPERATOR
-            if s2[x] == EMPTY and s2[m.source] == COOPERATOR and s2[m.dot] == COOPERATOR:
-                s2[x] = COOPERATOR
-        elif m.kind == C_PLUS_DOT_ARROW:
-            if s1[x] == EMPTY and s1[m.source] == COOPERATOR and s1[m.dot] == COOPERATOR:
-                s1[x] = COOPERATOR
-        elif m.kind == D_PLUS_ARROW:
-            if s2[x] == EMPTY and s2[m.source] == DEFECTOR:
-                s2[x] = DEFECTOR
-        if (s1[x], s2[x]) not in ALLOWED_PAIRS:
-            raise InclusionViolation(
-                f"pair ({lattice.STATE_CHARS[s1[x]]}, {lattice.STATE_CHARS[s2[x]]}) "
-                f"at site {x}, time {m.time!r} after a {m.kind} mark"
-            )
+    window = log._window(None, None)
+    module = _engine.load()
+    if module is None:
+        stop = _couple_marks(s1, s2, log, window.start, window.stop)
+    else:
+        stop = _engine.couple(module, s1, s2, log, window.start, window.stop)
+    if stop < window.stop:
+        x = log.target.item(stop)
+        if (s1[x], s2[x]) in ALLOWED_PAIRS:
+            raise _unapplied(log, stop)
+        raise InclusionViolation(
+            f"pair ({lattice.STATE_CHARS[s1[x]]}, {lattice.STATE_CHARS[s2[x]]}) "
+            f"at site {x}, time {log.time.item(stop)!r} after a {_KIND_NAMES[log.kind[stop]]} mark"
+        )
     return first, second
 
 
@@ -560,13 +702,15 @@ def classify_sterile(log: EventLog, mark_index: int) -> bool:
     :class:`InsufficientHistory` when the sampled window cannot pin down
     the truth value.
     """
-    if not 0 <= mark_index < len(log.marks):
+    if not 0 <= mark_index < len(log):
         raise DomainError(f"no mark at index {mark_index}")
-    mark = log.marks[mark_index]
-    if mark.kind not in (DOT_ARROW, C_PLUS_DOT_ARROW):
-        raise DomainError(f"mark {mark_index} is a {mark.kind}, not a dot-arrow")
-    z = mark.dot
-    s = mark.time
+    kind = log.kind.item(mark_index)
+    if kind not in (_DOT_ARROW, _C_PLUS_DOT_ARROW):
+        raise DomainError(f"mark {mark_index} is a {_KIND_NAMES[kind]}, not a dot-arrow")
+    z = log.dot.item(mark_index)
+    s = log.time.item(mark_index)
+    if z < 0:
+        raise DomainError(f"mark {mark_index} is a dot-arrow without a dot")
     lo = log.t_start - log.history
 
     u = log.last_cross_at(z, s)
@@ -619,26 +763,22 @@ def estimate_sterile(
         raise DomainError(f"probe grid needs side >= 8 and finite window > 1, got {side}, {window}")
     p = Params(beta, beta_c, 0.0, 1)
     torus = Torus(side, 1)
-    probe_sites = range(0, side - 4, 5)  # pairwise torus distance >= 5
+    probe_sites = np.arange(0, side - 4, 5)  # pairwise torus distance >= 5
     probe_times = np.arange(0.5, window, 3.0)  # pairwise gap 3 > 2
+    # dot at z, source z+1, target z+2: never an arrow into any probe site
+    dots = np.repeat(probe_sites, len(probe_times))
+    probes = _Columns.of(np.tile(probe_times, len(probe_sites)), np.full(len(dots), _DOT_ARROW),
+                         (dots + 2) % side, (dots + 1) % side, dots)
     done = 0
     sterile_total = 0
     while done < replicas:
         base = sample_event_log(p, torus, window, rng, flavor=STANDARD)
-        probes = [
-            # dot at z, source z+1, target z+2: never an arrow into any probe site
-            Mark(float(s), DOT_ARROW, (z + 2) % side, (z + 1) % side, z)
-            for z in probe_sites
-            for s in probe_times
-        ]
-        log = base.with_marks(base.marks + tuple(probes))
-        probe_keys = {(m.time, m.dot) for m in probes}
-        for i, m in enumerate(log.marks):
-            if m.kind == DOT_ARROW and (m.time, m.dot) in probe_keys:
-                sterile_total += classify_sterile(log, i)
-                done += 1
-                if done == replicas:
-                    break
+        log = base.with_marks(_Columns(*map(np.concatenate, zip(base._columns(), probes))))
+        # the dot-arrows at a probe's (time, dot), in log order
+        found = (log.kind == _DOT_ARROW) & np.isin(log.time, probe_times) & np.isin(log.dot, probe_sites)
+        for i in np.flatnonzero(found)[: replicas - done].tolist():
+            sterile_total += classify_sterile(log, i)
+            done += 1
     return lattice.binomial_estimate(sterile_total, replicas)
 
 
@@ -681,10 +821,10 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
     indexed 1, 2, ... in the order their arrows are met walking up from
     the segment's stopping mark.
 
-    The walk reads the log's per-site indexes (built once per log, in one
-    O(marks) pass, and shared with :func:`classify_sterile`): each segment
-    costs three bisections into its site's lists plus its own children, so
-    a query is O(segments x log marks) and never rescans the log.
+    The walk reads the log's per-site index (built once per log and shared
+    with :func:`classify_sterile`): each segment costs three bisections
+    inside its site's range of the flat lists plus its own children, so a
+    query never rescans the log.
     Children are pushed latest first, so segments come off the
     stack, and into ``nodes``, in hierarchy order: a preorder walk.  When
     the tree has more than ``max_nodes`` segments, :class:`BudgetExhausted`
@@ -696,8 +836,9 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
     if not (0 <= x < log.side**log.dim):
         raise DomainError(f"site {x} not on the log's torus")
 
-    log._ensure_site_indexes()
-    arrows_into = log._arrows_into
+    lists = log._site_index()
+    arrow_ptr, arrow_time = lists.arrow_ptr, lists.arrow_time
+    arrow_source, arrow_feeds = lists.arrow_source, lists.arrow_feeds
     nodes: list[DualNode] = []
     # Work stack of (site, real time the segment is entered, hierarchy index).
     stack: list[tuple[int, float, tuple[int, ...]]] = [(x, t, (1,))]
@@ -722,13 +863,15 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
             )
         )
         # Arrows strictly inside (r_lo, r_hi); r_hi <= t, so none is later than t.
-        arrows = arrows_into.get(site, ())
-        lo = bisect_right(arrows, r_lo, key=_TIME)
-        hi = bisect_left(arrows, r_hi, lo, key=_TIME)
-        feeders = [m for m in arrows[lo:hi] if m.dot != m.target]
+        end = arrow_ptr[site + 1]
+        lo = bisect_right(arrow_time, r_lo, arrow_ptr[site], end)
+        hi = bisect_left(arrow_time, r_hi, lo, end)
+        feeders = [k for k in range(lo, hi) if arrow_feeds[k]]
         for i in range(len(feeders), 0, -1):
-            m = feeders[i - 1]
-            stack.append((m.source, m.time, index + (i,)))
+            k = feeders[i - 1]
+            if arrow_source[k] < 0:
+                raise DomainError(f"arrow into site {site} at time {arrow_time[k]!r} has no source")
+            stack.append((arrow_source[k], arrow_time[k], index + (i,)))
     return DualTree(origin_site=x, origin_time=t, horizon=t - log.t_start, nodes=tuple(nodes))
 
 

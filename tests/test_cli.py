@@ -270,8 +270,10 @@ STERILE_ARGS = ["sterile", "--beta", "0.3", "--beta-c", "0.7", "--replicas", "60
         (BRACKET_ARGS, "332b9afce9ff4b39c3ed9f202eb8ba7d4d5fe88034b9e42b271aba0007bd016a"),
         (COUPLE_ARGS, "381dc9e218ac6bebb0eb9c10e12dece1fbbac6b6d90c4948b4f6fe571328f252"),
         (STERILE_ARGS, "92adfff2082aef0c951bca4e49c8f90dbe307cfdca4673ea1a802ad0fab49391"),
+        # seed 41 lands 4.3 standard errors from the closed form
+        (STERILE_ARGS[:-1] + ["41"], "275d168f9aa7ef594f84952cf506d5480252956a94446b29f3be5e05867268cf"),
     ],
-    ids=["sweep-jobs1", "sweep-jobs2", "bracket", "couple", "sterile"],
+    ids=["sweep-jobs1", "sweep-jobs2", "bracket", "couple", "sterile", "sterile-seed41"],
 )
 def test_survival_commands_pinned_bytes(argv, digest, capsys):
     code, out = run_main(argv, capsys)

@@ -21,7 +21,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import chisquare
 
-from coopsim import _engine, lattice
+from coopsim import _engine, graphical, lattice
 from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import RateTable, Torus, product_measure, run
 from coopsim.params import Params
@@ -295,10 +295,27 @@ def test_compiled_birth_walk_picks_every_pair_of_mixed_sites():
 # ------------------------------------------------------ building and fallback
 
 
+def replay_bytes(seed):
+    """Final sites of window, history and coupled replays of logs sampled from ``seed``."""
+    rng = np.random.default_rng(seed)
+    line = Torus(30, 1)
+    p, favored = Params(2.0, 1.0, 1.0, 1), Params(2.0, 2.5, 0.5, 1)
+    log = graphical.sample_event_log(p, line, 5.0, rng)
+    coupled = graphical.sample_event_log(favored, line, 5.0, rng, flavor=graphical.COUPLED, p2=p)
+    states = []
+    for _ in range(3):
+        c0 = product_measure(30, 1, 0.3, 0.3, rng)
+        states.append(graphical.evolve_from_log(c0, log).state_string())
+        states.append(graphical.evolve_from_log(c0, log, t_from=-2.0, t_to=0.0).state_string())
+        states.extend(t.state_string() for t in graphical.coupled_evolve(c0, c0.copy(), coupled))
+    return states
+
+
 def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, capfd):
     compiled_module()
     case = (20, 1, Params(3.0, 2.0, 0.5, 1), 77, 10.0, 0.25)
     compiled = run_bytes(*case)
+    compiled_replays = replay_bytes(5)
     fresh_loader(monkeypatch, tmp_path)
     broken = tmp_path / "broken.c"
     broken.write_text("this is not C\n")
@@ -306,6 +323,7 @@ def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, cap
     capfd.readouterr()
     assert _engine.load() is None
     assert run_bytes(*case) == compiled
+    assert replay_bytes(5) == compiled_replays
     assert _engine.load() is None
     out, err = capfd.readouterr()
     assert out == ""

@@ -2,16 +2,19 @@
 
 import hashlib
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from coopsim import _engine, lattice
 from coopsim import graphical as g
-from coopsim import lattice
 from coopsim.errors import (
     BudgetExhausted,
+    CoopSimError,
     CouplingOrder,
     DomainError,
     FlavorMismatch,
@@ -20,6 +23,7 @@ from coopsim.errors import (
 from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus, product_measure
 from coopsim.params import Params, equal_rate_benefit
 
+import mark_reference as ref
 from engine_agreement import distributional_equivalence_check
 from mark_edits import sterile_births_blocked, without_self_dotted
 
@@ -320,6 +324,45 @@ def test_evolution_is_deterministic_and_flavor_checked():
         g.evolve_from_log(Torus(5, 1), log)
 
 
+def test_event_log_rejects_marks_off_its_span_or_torus():
+    # a NaN time among sorted marks used to hide the cross at 0.5 from replay
+    marks = [g.Mark(0.5, g.CROSS, 2), g.Mark(math.nan, g.CROSS, 1), g.Mark(0.7, g.CROSS, 3)]
+    with pytest.raises(DomainError, match="outside the log's span"):
+        g.EventLog(0.0, 1.0, 0.0, g.STANDARD, marks, {}, 5, 1)
+    for mark, named in [
+        (g.Mark(1.5, g.CROSS, 2), "outside the log's span"),
+        (g.Mark(-2.5, g.CROSS, 2), "outside the log's span"),
+        (g.Mark(math.inf, g.CROSS, 2), "outside the log's span"),
+        (g.Mark(0.5, g.CROSS, 5), "mark target 5 is off the 5-site torus"),
+        (g.Mark(0.5, g.CROSS, -1), "mark target -1 is off"),
+        (g.Mark(0.5, g.ARROW, 2, 7), "mark source 7 is off"),
+        (g.Mark(0.5, g.DOT_ARROW, 2, 1, -2), "mark dot -2 is off"),
+        (g.Mark(0.5, "arow", 2, 1), "unknown mark kind 'arow'"),
+    ]:
+        with pytest.raises(DomainError, match=named):
+            g.EventLog(0.0, 1.0, 2.0, g.STANDARD, [mark], {}, 5, 1)
+    # the span's ends are in it
+    log = g.EventLog(0.0, 1.0, 2.0, g.STANDARD, [g.Mark(1.0, g.CROSS, 0), g.Mark(-2.0, g.CROSS, 4)],
+                     {}, 5, 1)
+    assert [m.time for m in log.marks] == [-2.0, 1.0]
+
+
+def test_an_arrow_without_its_source_or_dot_is_refused(replay_engine):
+    c0 = Torus.from_state_string("ccccc")
+    for kind, source, dot in [(g.ARROW, None, None), (g.DOT_ARROW, 1, None), (g.D_ARROW, None, None)]:
+        log = hand_log([g.Mark(0.5, g.CROSS, 2), g.Mark(1.0, kind, 2, source, dot)], side=5)
+        with pytest.raises(DomainError, match=f"{kind} mark at time 1.0 has no source or dot"):
+            g.evolve_from_log(c0, log)
+        coupled = hand_log(log.marks, flavor=g.COUPLED, side=5)
+        with pytest.raises(DomainError, match="has no source or dot"):
+            g.coupled_evolve(c0, c0, coupled)
+    assert g.evolve_from_log(c0, log, t_to=0.9).state_string() == "ccecc"
+    with pytest.raises(DomainError, match="mark 1 is a dot-arrow without a dot"):
+        g.classify_sterile(hand_log([g.Mark(0.5, g.CROSS, 2), g.Mark(3.0, g.DOT_ARROW, 0, 1)]), 1)
+    with pytest.raises(DomainError, match="arrow into site 3 at time 2.0 has no source"):
+        g.build_dual(hand_log([g.Mark(2.0, g.ARROW, 3)], t_end=5.0), 3, 4.0)
+
+
 def test_window_bounds_are_half_open_and_never_nan():
     marks = [g.Mark(t, g.CROSS, site) for site, t in enumerate((-1.0, 1.0, 2.0, 3.0))]
     log = hand_log(marks, side=5)
@@ -365,6 +408,101 @@ def test_mark_engine_pinned_digests():
     assert sha([t.state_string() for t in pair]) == (
         "27260dff0573f9cbbad52f5a45157fb01647f7f20ffae369e4279f0934b95e81"
     )
+
+
+def test_replay_sized_logs_pinned_text():
+    # SHA-256 of to_text() for the two 1000-site, 20-unit logs one seed
+    # draws (257,850 marks), and the generator's next draw after them;
+    # computed with the mark-by-mark sampler and formatter of coopsim 0.1.0
+    rng = np.random.default_rng(1)
+    line = Torus(1000, 1)
+    standard = g.sample_event_log(Params(2.0, 1.0, 1.0, 1), line, 20.0, rng)
+    coupled = g.sample_event_log(Params(2.0, 2.7, 1.0, 1), line, 20.0, rng, flavor=g.COUPLED,
+                                 p2=Params(2.0, 1.0, 1.0, 1))
+    assert (len(standard), len(coupled)) == (109774, 148076)
+    assert hashlib.sha256(standard.to_text().encode()).hexdigest() == (
+        "1d2bae9b0a8e99baaf16f9ef6362261aa4dd5953a9e98e66415551fc4b913d6c"
+    )
+    assert hashlib.sha256(coupled.to_text().encode()).hexdigest() == (
+        "2fd989446e74a35a7720b3ca0d8c2714409fb9d0106cacf6cd86c7c1bf4df0ce"
+    )
+    assert rng.random() == 0.26425404083771464
+
+
+@pytest.fixture(params=["compiled", "python"])
+def replay_engine(request, monkeypatch):
+    """Replay on the compiled loops, or on the Python loops as when the build fails."""
+    if request.param == "python":
+        monkeypatch.setattr(_engine, "load", lambda: None)
+    elif _engine.load() is None:
+        pytest.skip("compiled engine unavailable")
+    return request.param
+
+
+def reference_cases(n, seed):
+    """(flavor, torus, p, p2, t_max, history, seed) over the three flavors and d = 1..3."""
+    r = random.Random(seed)
+    for _ in range(n):
+        flavor = r.choice([g.STANDARD, g.EQUAL_RATE, g.COUPLED])
+        dim = r.choice([1, 2, 3])
+        side = r.randint(2, {1: 30, 2: 9, 3: 4}[dim])
+        beta, beta_c, beta_d = r.uniform(0.3, 3.0), r.uniform(0.0, 3.0), r.uniform(0.0, 2.0)
+        p2 = None
+        if flavor == g.STANDARD:
+            p = Params(beta, beta_c, beta_d, dim)
+        elif flavor == g.EQUAL_RATE:
+            p = Params(beta, equal_rate_benefit(beta_d, dim), beta_d, dim)
+        else:  # either difference stream may be switched off
+            p = Params(beta, beta_c + r.choice([0.0, r.uniform(0.0, 2.0)]), beta_d, dim)
+            p2 = Params(beta, beta_c, beta_d + r.choice([0.0, r.uniform(0.0, 2.0)]), dim)
+        t_max, history = r.uniform(0.5, 4.0), r.choice([0.0, 0.7, 2.0])
+        yield flavor, Torus(side, dim), p, p2, t_max, history, r.randrange(10**6)
+
+
+def outcome(replay, *args):
+    """Final site strings, or the error's type and message."""
+    try:
+        result = replay(*args)
+    except CoopSimError as exc:
+        return type(exc).__name__, str(exc)
+    return [t.state_string() for t in (result if isinstance(result, tuple) else (result,))]
+
+
+def test_columns_match_the_mark_reference(replay_engine, monkeypatch):
+    # starts out of coupling order reach the loop, which must report the
+    # same InclusionViolation as the reference
+    monkeypatch.setattr(g, "_check_coupling_order", lambda first, second: None)
+    seen = Counter()
+    for flavor, torus, p, p2, t_max, history, seed in reference_cases(60, 5):
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        log = g.sample_event_log(p, torus, t_max, rng, flavor=flavor, p2=p2, history=history)
+        marks = ref.sample_marks(p, torus, t_max, rng_ref, flavor=flavor, p2=p2, history=history)
+        assert log.marks == tuple(marks)
+        assert rng.random() == rng_ref.random()
+        text = log.to_text()
+        assert text == ref.to_text(log, marks)
+        back = g.EventLog.from_text(text)
+        assert back.marks == tuple(ref.read_marks(text))
+        assert back.to_text() == text
+        window = (log.t_start, log.t_end)
+        # the same marks in a standard log: replay refuses the first difference mark
+        relabelled = g.EventLog(*window, log.history, g.STANDARD, marks, {}, torus.side, torus.dim)
+        for j in range(3):
+            c0 = product_measure(torus.side, torus.dim, 0.3, 0.3, rng)
+            if flavor == g.COUPLED:
+                other = c0.copy() if j == 0 else product_measure(torus.side, torus.dim, 0.3, 0.3, rng)
+                cases = [
+                    ((g.coupled_evolve, c0, other, back), (ref.coupled, c0, other, marks, *window)),
+                    ((g.evolve_from_log, c0, relabelled), (ref.evolve, c0, g.STANDARD, marks, *window)),
+                ]
+            else:
+                cases = [((g.evolve_from_log, c0, a, lo, hi), (ref.evolve, c0, flavor, marks, lo, hi))
+                         for a, lo, hi in ((log, *window), (back, -log.history, 0.0))]
+            for new, old in cases:
+                got = outcome(*new)
+                assert got == outcome(*old)
+                seen[got[0] if isinstance(got, tuple) else "states"] += 1
+    assert seen["states"] and seen["InclusionViolation"] and seen["FlavorMismatch"], seen
 
 
 def warmed_equal_rate_log(rng, side=30, window=20.0):
