@@ -10,9 +10,10 @@
  * with -ffp-contract=off and without -ffast-math: a fused multiply-add or a
  * reordered sum changes how a rate rounds.
  *
- * coop_evolve and coop_couple are the mark loops of
- * coopsim.graphical.evolve_from_log and coupled_evolve over an event log's
- * columns; they draw nothing and do no arithmetic on times.
+ * coop_replay is the mark loop of coopsim.graphical.evolve_from_log and
+ * coupled_evolve over an event log's columns: one rule, apply_mark, on one
+ * process's sites, run on one process or, through a kind map, on each of
+ * two.  It draws nothing and does no arithmetic on times.
  */
 #include <stdint.h>
 #include "numpy/random/distributions.h"
@@ -28,6 +29,7 @@
 #define D_ARROW 3
 #define C_PLUS_DOT_ARROW 4
 #define D_PLUS_ARROW 5
+#define NO_MARK -1          /* a kind that does nothing */
 
 typedef struct {
     int32_t n, deg, block, n_blocks;
@@ -180,46 +182,37 @@ double coop_step(coop_table *t, double t_limit, int32_t *ev)
     return elapsed;
 }
 
-/* Applies marks [lo, hi) of a standard or equal-rate log to s.  Returns hi,
- * or the index of the first mark it cannot apply, left unapplied: a
- * difference-stream kind, or an arrow without its source or dot (-1). */
-int64_t coop_evolve(int8_t *s, const int8_t *kind, const int32_t *target, const int32_t *source,
-                    const int32_t *dot, int64_t lo, int64_t hi, int equal_rate)
+/* The mark rule on one process's sites s: a mark of kind k with target x,
+ * source y and dot z, whose source and dot are present. */
+static inline void apply_mark(int8_t *s, int k, int32_t x, int32_t y, int32_t z, int equal_rate)
 {
-    for (int64_t i = lo; i < hi; i++) {
-        int32_t x = target[i], y = source[i], z = dot[i];
-        switch (kind[i]) {
-        case CROSS:
-            s[x] = EMPTY;
-            break;
-        case ARROW:
-            if (y < 0)
-                return i;
-            if (s[x] == EMPTY && s[y] != EMPTY)
-                s[x] = s[y];
-            break;
-        case D_ARROW:
-            if (y < 0)
-                return i;
-            if (s[x] == EMPTY && s[y] == DEFECTOR)
-                s[x] = DEFECTOR;
-            break;
-        case DOT_ARROW:
-            if (y < 0 || z < 0)
-                return i;
-            if (s[x] != EMPTY)
-                break;
-            if (s[y] == COOPERATOR && s[z] == COOPERATOR)
-                s[x] = COOPERATOR;
-            else if (equal_rate && s[y] == DEFECTOR && z != x)
-                s[x] = DEFECTOR;
-            break;
-        default:
-            return i;
-        }
+    if (k == CROSS) {
+        s[x] = EMPTY;
+        return;
     }
-    return hi;
+    if (s[x] != EMPTY)
+        return;
+    switch (k) {
+    case ARROW:
+        s[x] = s[y];
+        break;
+    case D_ARROW:
+        if (s[y] == DEFECTOR)
+            s[x] = DEFECTOR;
+        break;
+    case DOT_ARROW:
+        if (s[y] == COOPERATOR && s[z] == COOPERATOR)
+            s[x] = COOPERATOR;
+        else if (equal_rate && s[y] == DEFECTOR && z != x)
+            s[x] = DEFECTOR;
+        break;
+    }
 }
+
+/* What each kind is to each coupled process: a difference stream acts on
+ * one process only, as the rate excess of that process's own kind. */
+static const int8_t as_first[6] = {CROSS, ARROW, DOT_ARROW, D_ARROW, DOT_ARROW, NO_MARK};
+static const int8_t as_second[6] = {CROSS, ARROW, DOT_ARROW, D_ARROW, NO_MARK, D_ARROW};
 
 /* allowed[first][second]: the pairs the coupling order keeps, the first
  * process cooperator-richer and defector-poorer than the second */
@@ -229,50 +222,29 @@ static const int8_t allowed[3][3] = {
     {0, 0, 1},  /* (d, d) */
 };
 
-/* Applies marks [lo, hi) of a coupled log to both processes.  Returns hi,
- * or the index of the first mark that leaves its target in a pair the
- * order forbids (applied) or that it cannot apply (an arrow without its
- * source or dot, left unapplied). */
-int64_t coop_couple(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
-                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi)
+/* Applies marks [lo, hi) of a log to s1, or of a coupled log to s1 and s2
+ * (s2 is NULL for one process).  Returns hi, or the index of the first mark
+ * it cannot apply, left unapplied: an arrow without its source or dot, or
+ * a difference-stream kind on one process.  With two processes it also
+ * stops at the first mark that leaves its target in a pair the order
+ * forbids (applied). */
+int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
+                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi,
+                    int equal_rate)
 {
     for (int64_t i = lo; i < hi; i++) {
+        int k = kind[i];
         int32_t x = target[i], y = source[i], z = dot[i];
-        int8_t k = kind[i];
-        if (k != CROSS && (y < 0 || ((k == DOT_ARROW || k == C_PLUS_DOT_ARROW) && z < 0)))
+        if ((k != CROSS && y < 0) || ((k == DOT_ARROW || k == C_PLUS_DOT_ARROW) && z < 0))
             return i;
-        switch (k) {
-        case CROSS:
-            s1[x] = EMPTY;
-            s2[x] = EMPTY;
-            break;
-        case ARROW:
-            if (s1[x] == EMPTY && s1[y] != EMPTY)
-                s1[x] = s1[y];
-            if (s2[x] == EMPTY && s2[y] != EMPTY)
-                s2[x] = s2[y];
-            break;
-        case D_ARROW:
-            if (s1[x] == EMPTY && s1[y] == DEFECTOR)
-                s1[x] = DEFECTOR;
-            if (s2[x] == EMPTY && s2[y] == DEFECTOR)
-                s2[x] = DEFECTOR;
-            break;
-        case DOT_ARROW:
-            if (s1[x] == EMPTY && s1[y] == COOPERATOR && s1[z] == COOPERATOR)
-                s1[x] = COOPERATOR;
-            if (s2[x] == EMPTY && s2[y] == COOPERATOR && s2[z] == COOPERATOR)
-                s2[x] = COOPERATOR;
-            break;
-        case C_PLUS_DOT_ARROW:
-            if (s1[x] == EMPTY && s1[y] == COOPERATOR && s1[z] == COOPERATOR)
-                s1[x] = COOPERATOR;
-            break;
-        case D_PLUS_ARROW:
-            if (s2[x] == EMPTY && s2[y] == DEFECTOR)
-                s2[x] = DEFECTOR;
-            break;
+        if (s2 == NULL) {
+            if (k > D_ARROW)
+                return i;
+            apply_mark(s1, k, x, y, z, equal_rate);
+            continue;
         }
+        apply_mark(s1, as_first[k], x, y, z, equal_rate);
+        apply_mark(s2, as_second[k], x, y, z, equal_rate);
         if (!allowed[s1[x]][s2[x]])
             return i;
     }

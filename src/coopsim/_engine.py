@@ -4,9 +4,9 @@
 ``lattice.RateTable`` and ``lattice.step`` written in C, operation for
 operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
-``coop_evolve`` / ``coop_couple`` are the mark loops of
-``graphical.evolve_from_log`` and ``graphical.coupled_evolve`` over an
-event log's columns.  :func:`load` builds the module with cffi in API
+``coop_replay`` is the mark loop of ``graphical.evolve_from_log`` and
+``graphical.coupled_evolve`` over an event log's columns, on one process
+or two.  :func:`load` builds the module with cffi in API
 mode, linked against numpy's ``libnpyrandom.a``, in a subprocess whose
 output is captured.  The module is kept in ``$XDG_CACHE_HOME/coopsim``
 (default ``~/.cache/coopsim``) under a name keyed by a hash of the C
@@ -53,10 +53,9 @@ typedef struct {
 void coop_init(coop_table *t);
 int32_t coop_select(coop_table *t, double target, int32_t *parent);
 double coop_step(coop_table *t, double t_limit, int32_t *ev);
-int64_t coop_evolve(int8_t *s, const int8_t *kind, const int32_t *target, const int32_t *source,
-                    const int32_t *dot, int64_t lo, int64_t hi, int equal_rate);
-int64_t coop_couple(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
-                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi);
+int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
+                    const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi,
+                    int equal_rate);
 """
 
 # run as ``python -c BUILD source name cdef`` in an empty directory
@@ -175,27 +174,18 @@ class Table:
         self.ev = ffi.new("int32_t[4]")
 
 
-def _columns(ffi, log) -> tuple:
-    return (ffi.from_buffer("int8_t[]", log.kind), ffi.from_buffer("int32_t[]", log.target),
-            ffi.from_buffer("int32_t[]", log.source), ffi.from_buffer("int32_t[]", log.dot))
+def replay(module, s1: list[int], s2: list[int] | None, log, lo: int, hi: int,
+           equal_rate: bool) -> int:
+    """``coop_replay`` over marks ``[lo, hi)`` of ``log``, updating the site lists in place.
 
-
-def evolve(module, sites: list[int], log, lo: int, hi: int, equal_rate: bool) -> int:
-    """``coop_evolve`` over marks ``[lo, hi)`` of ``log``, updating ``sites`` in place."""
+    ``s2`` is ``None`` for one process.
+    """
     ffi = module.ffi
-    s = bytearray(sites)
-    stop = module.lib.coop_evolve(ffi.from_buffer("int8_t[]", s), *_columns(ffi, log), lo, hi,
-                                  equal_rate)
-    sites[:] = s
-    return stop
-
-
-def couple(module, first: list[int], second: list[int], log, lo: int, hi: int) -> int:
-    """``coop_couple`` over marks ``[lo, hi)`` of ``log``, updating both site lists in place."""
-    ffi = module.ffi
-    s1, s2 = bytearray(first), bytearray(second)
-    stop = module.lib.coop_couple(ffi.from_buffer("int8_t[]", s1), ffi.from_buffer("int8_t[]", s2),
-                                  *_columns(ffi, log), lo, hi)
-    first[:] = s1
-    second[:] = s2
+    copies = [bytearray(s) for s in (s1, s2) if s is not None]
+    processes = [ffi.from_buffer("int8_t[]", b) for b in copies] + [ffi.NULL]
+    columns = (ffi.from_buffer("int8_t[]", log.kind), ffi.from_buffer("int32_t[]", log.target),
+               ffi.from_buffer("int32_t[]", log.source), ffi.from_buffer("int32_t[]", log.dot))
+    stop = module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, equal_rate)
+    for s, b in zip((s1, s2), copies):
+        s[:] = b
     return stop

@@ -474,7 +474,7 @@ def sample_event_log(
             continue
         slots = _SLOTS[kind]
         n_channels = n * two_d**slots
-        count = int(rng.poisson(rate * n_channels * duration))
+        count = int(lattice.poisson(rng, rate * n_channels * duration))
         times.append(rng.uniform(t_lo, t_max, size=count))
         channels = rng.integers(0, n_channels, size=count)
         # channel = (x * 2d + source slot) * 2d + dot slot, for the slots the kind
@@ -510,50 +510,108 @@ def sample_event_log(
 # ------------------------------------------------------------------ evolution
 
 
-def _check_geometry(c0: Torus, log: EventLog) -> None:
-    if (c0.side, c0.dim) != (log.side, log.dim):
-        raise DomainError(
-            f"configuration torus {(c0.side, c0.dim)} does not match "
-            f"log torus {(log.side, log.dim)}"
-        )
+# Pairs (first-process state, second-process state) preserved by every mark.
+ALLOWED_PAIRS = frozenset(
+    {
+        (COOPERATOR, COOPERATOR),
+        (DEFECTOR, DEFECTOR),
+        (EMPTY, EMPTY),
+        (COOPERATOR, DEFECTOR),
+        (COOPERATOR, EMPTY),
+        (EMPTY, DEFECTOR),
+    }
+)
 
 
-def _unapplied(log: EventLog, i: int) -> FlavorMismatch | DomainError:
-    kind = _KIND_NAMES[log.kind[i]]
-    if log.flavor != COUPLED and kind in (C_PLUS_DOT_ARROW, D_PLUS_ARROW):
-        # difference streams never appear outside coupled logs
-        return FlavorMismatch(f"mark kind {kind!r} in a {log.flavor!r} log")
-    return DomainError(f"{kind} mark at time {log.time.item(i)!r} has no source or dot")
+def _check_coupling_order(first: Torus, second: Torus) -> None:
+    for x, (a, b) in enumerate(zip(first.sites, second.sites)):
+        if (a, b) not in ALLOWED_PAIRS:
+            raise DomainError(
+                f"initial configurations violate the coupling order at site {x}: "
+                f"({lattice.STATE_CHARS[a]}, {lattice.STATE_CHARS[b]})"
+            )
 
 
-def _evolve_marks(sites: list[int], log: EventLog, lo: int, hi: int, equal_rate: bool) -> int:
-    """Apply marks [lo, hi) to ``sites``; ``coop_evolve`` of ``_engine.c`` in Python.
+# What each kind is to each coupled process: a difference stream acts on one
+# process only, as the excess rate of that process's own kind (-1: nothing).
+_AS_FIRST = (_CROSS, _ARROW, _DOT_ARROW, _D_ARROW, _DOT_ARROW, -1)
+_AS_SECOND = (_CROSS, _ARROW, _DOT_ARROW, _D_ARROW, -1, _D_ARROW)
 
-    Returns ``hi``, or the index of the first mark it cannot apply.
+
+def _apply_mark(s: list[int], k: int, x: int, y: int, z: int, equal_rate: bool) -> None:
+    """The mark rule on one process's sites; ``apply_mark`` of ``_engine.c`` in Python."""
+    if k == _CROSS:
+        s[x] = EMPTY
+    elif s[x] != EMPTY:
+        return
+    elif k == _ARROW:
+        s[x] = s[y]
+    elif k == _D_ARROW:
+        if s[y] == DEFECTOR:
+            s[x] = DEFECTOR
+    elif k == _DOT_ARROW:
+        if s[y] == COOPERATOR and s[z] == COOPERATOR:
+            s[x] = COOPERATOR
+        elif equal_rate and s[y] == DEFECTOR and z != x:
+            s[x] = DEFECTOR
+
+
+def _replay_marks(s1: list[int], s2: list[int] | None, log: EventLog, lo: int, hi: int,
+                  equal_rate: bool) -> int:
+    """Apply marks [lo, hi) to ``s1``, or to ``s1`` and ``s2`` for a coupled log;
+    ``coop_replay`` of ``_engine.c`` in Python.
+
+    Returns ``hi``, or the index of the first mark it cannot apply, or that
+    leaves its target in a pair outside :data:`ALLOWED_PAIRS`.
     """
     columns = (c[lo:hi].tolist() for c in log._columns()[1:])
     for i, (k, x, y, z) in enumerate(zip(*columns), lo):
-        if k == _CROSS:
-            sites[x] = EMPTY
-        elif y < 0:
+        if (k != _CROSS and y < 0) or (k in (_DOT_ARROW, _C_PLUS_DOT_ARROW) and z < 0):
             return i
-        elif k == _ARROW:
-            if sites[x] == EMPTY and sites[y] != EMPTY:
-                sites[x] = sites[y]
-        elif k == _D_ARROW:
-            if sites[x] == EMPTY and sites[y] == DEFECTOR:
-                sites[x] = DEFECTOR
-        elif k == _DOT_ARROW and z >= 0:
-            if sites[x] != EMPTY:
-                continue
-            src = sites[y]
-            if src == COOPERATOR and sites[z] == COOPERATOR:
-                sites[x] = COOPERATOR
-            elif equal_rate and src == DEFECTOR and z != x:
-                sites[x] = DEFECTOR
-        else:
+        if s2 is None:
+            if k > _D_ARROW:
+                return i
+            _apply_mark(s1, k, x, y, z, equal_rate)
+            continue
+        _apply_mark(s1, _AS_FIRST[k], x, y, z, equal_rate)
+        _apply_mark(s2, _AS_SECOND[k], x, y, z, equal_rate)
+        if (s1[x], s2[x]) not in ALLOWED_PAIRS:
             return i
     return hi
+
+
+def _replay(log: EventLog, starts: tuple[Torus, ...], t_from: float | None = None,
+            t_to: float | None = None) -> tuple[Torus, ...]:
+    """Apply the marks with t_from < time <= t_to to copies of one start, or of
+    two coupled ones, in ``_engine.c``'s loop when the compiled module loads,
+    else in the same loop in Python; a mark the loop stops at raises."""
+    for c0 in starts:
+        if (c0.side, c0.dim) != (log.side, log.dim):
+            raise DomainError(f"configuration torus {(c0.side, c0.dim)} does not match "
+                              f"log torus {(log.side, log.dim)}")
+    if len(starts) == 2:
+        _check_coupling_order(*starts)
+    states = [c0.copy() for c0 in starts]
+    s1, s2 = states[0].sites, states[1].sites if len(states) == 2 else None
+    window = log._window(t_from, t_to)
+    equal_rate = log.flavor == EQUAL_RATE
+    module = _engine.load()
+    if module is None:
+        stop = _replay_marks(s1, s2, log, window.start, window.stop, equal_rate)
+    else:
+        stop = _engine.replay(module, s1, s2, log, window.start, window.stop, equal_rate)
+    if stop < window.stop:
+        x, t, kind = log.target.item(stop), log.time.item(stop), _KIND_NAMES[log.kind[stop]]
+        if s2 is not None and (s1[x], s2[x]) not in ALLOWED_PAIRS:
+            raise InclusionViolation(
+                f"pair ({lattice.STATE_CHARS[s1[x]]}, {lattice.STATE_CHARS[s2[x]]}) "
+                f"at site {x}, time {t!r} after a {kind} mark"
+            )
+        if log.flavor != COUPLED and kind in (C_PLUS_DOT_ARROW, D_PLUS_ARROW):
+            # difference streams never appear outside coupled logs
+            raise FlavorMismatch(f"mark kind {kind!r} in a {log.flavor!r} log")
+        raise DomainError(f"{kind} mark at time {t!r} has no source or dot")
+    return tuple(states)
 
 
 def evolve_from_log(
@@ -568,79 +626,7 @@ def evolve_from_log(
     """
     if log.flavor not in (STANDARD, EQUAL_RATE):
         raise FlavorMismatch(f"cannot single-evolve a {log.flavor!r} log")
-    _check_geometry(c0, log)
-    state = c0.copy()
-    window = log._window(t_from, t_to)
-    equal_rate = log.flavor == EQUAL_RATE
-    module = _engine.load()
-    if module is None:
-        stop = _evolve_marks(state.sites, log, window.start, window.stop, equal_rate)
-    else:
-        stop = _engine.evolve(module, state.sites, log, window.start, window.stop, equal_rate)
-    if stop < window.stop:
-        raise _unapplied(log, stop)
-    return state
-
-
-# Pairs (first-process state, second-process state) preserved by every mark.
-ALLOWED_PAIRS = frozenset(
-    {
-        (COOPERATOR, COOPERATOR),
-        (DEFECTOR, DEFECTOR),
-        (EMPTY, EMPTY),
-        (COOPERATOR, DEFECTOR),
-        (COOPERATOR, EMPTY),
-        (EMPTY, DEFECTOR),
-    }
-)
-
-
-def _couple_marks(s1: list[int], s2: list[int], log: EventLog, lo: int, hi: int) -> int:
-    """Apply marks [lo, hi) to both processes; ``coop_couple`` of ``_engine.c`` in Python.
-
-    Returns ``hi``, or the index of the first mark that leaves its target
-    in a pair outside :data:`ALLOWED_PAIRS` or that it cannot apply.
-    """
-    columns = (c[lo:hi].tolist() for c in log._columns()[1:])
-    for i, (k, x, y, z) in enumerate(zip(*columns), lo):
-        if k != _CROSS and (y < 0 or (k in (_DOT_ARROW, _C_PLUS_DOT_ARROW) and z < 0)):
-            return i
-        if k == _CROSS:
-            s1[x] = EMPTY
-            s2[x] = EMPTY
-        elif k == _ARROW:
-            if s1[x] == EMPTY and s1[y] != EMPTY:
-                s1[x] = s1[y]
-            if s2[x] == EMPTY and s2[y] != EMPTY:
-                s2[x] = s2[y]
-        elif k == _D_ARROW:
-            if s1[x] == EMPTY and s1[y] == DEFECTOR:
-                s1[x] = DEFECTOR
-            if s2[x] == EMPTY and s2[y] == DEFECTOR:
-                s2[x] = DEFECTOR
-        elif k == _DOT_ARROW:
-            if s1[x] == EMPTY and s1[y] == COOPERATOR and s1[z] == COOPERATOR:
-                s1[x] = COOPERATOR
-            if s2[x] == EMPTY and s2[y] == COOPERATOR and s2[z] == COOPERATOR:
-                s2[x] = COOPERATOR
-        elif k == _C_PLUS_DOT_ARROW:
-            if s1[x] == EMPTY and s1[y] == COOPERATOR and s1[z] == COOPERATOR:
-                s1[x] = COOPERATOR
-        elif k == _D_PLUS_ARROW:
-            if s2[x] == EMPTY and s2[y] == DEFECTOR:
-                s2[x] = DEFECTOR
-        if (s1[x], s2[x]) not in ALLOWED_PAIRS:
-            return i
-    return hi
-
-
-def _check_coupling_order(first: Torus, second: Torus) -> None:
-    for x, (a, b) in enumerate(zip(first.sites, second.sites)):
-        if (a, b) not in ALLOWED_PAIRS:
-            raise DomainError(
-                f"initial configurations violate the coupling order at site {x}: "
-                f"({lattice.STATE_CHARS[a]}, {lattice.STATE_CHARS[b]})"
-            )
+    return _replay(log, (c0,), t_from, t_to)[0]
 
 
 def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[Torus, Torus]:
@@ -653,27 +639,7 @@ def coupled_evolve(c0_first: Torus, c0_second: Torus, log: EventLog) -> tuple[To
     """
     if log.flavor != COUPLED:
         raise FlavorMismatch(f"coupled_evolve needs a coupled log, got {log.flavor!r}")
-    _check_geometry(c0_first, log)
-    _check_geometry(c0_second, log)
-    _check_coupling_order(c0_first, c0_second)
-    first = c0_first.copy()
-    second = c0_second.copy()
-    s1, s2 = first.sites, second.sites
-    window = log._window(None, None)
-    module = _engine.load()
-    if module is None:
-        stop = _couple_marks(s1, s2, log, window.start, window.stop)
-    else:
-        stop = _engine.couple(module, s1, s2, log, window.start, window.stop)
-    if stop < window.stop:
-        x = log.target.item(stop)
-        if (s1[x], s2[x]) in ALLOWED_PAIRS:
-            raise _unapplied(log, stop)
-        raise InclusionViolation(
-            f"pair ({lattice.STATE_CHARS[s1[x]]}, {lattice.STATE_CHARS[s2[x]]}) "
-            f"at site {x}, time {log.time.item(stop)!r} after a {_KIND_NAMES[log.kind[stop]]} mark"
-        )
-    return first, second
+    return _replay(log, (c0_first, c0_second))
 
 
 # --------------------------------------------------------------- sterility

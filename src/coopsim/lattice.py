@@ -501,6 +501,14 @@ def binomial_estimate(hits: int, n: int) -> tuple[float, float]:
     return freq, math.sqrt(freq * (1.0 - freq) / n)
 
 
+def poisson(rng: np.random.Generator, lam: float, size=None):
+    """``rng.poisson(lam, size)``, raising :class:`DomainError` for a mean numpy cannot draw."""
+    try:
+        return rng.poisson(lam, size)
+    except ValueError as exc:  # numpy: "lam value too large"
+        raise DomainError(f"Poisson mean {lam!r} is out of range: {exc}") from None
+
+
 def replica_rng(master_seed: int, index: int) -> np.random.Generator:
     """The RNG stream owned by one replica: (master seed, replica index)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))

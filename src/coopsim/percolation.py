@@ -104,7 +104,7 @@ def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tu
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     _require_positive_finite(T=T)
-    counts = rng.poisson(T, size=(replicas, inner_box_sites(d)))
+    counts = lattice.poisson(rng, T, (replicas, inner_box_sites(d)))
     return lattice.binomial_estimate(int((counts > 0).all(axis=1).sum()), replicas)
 
 
@@ -144,7 +144,7 @@ def estimate_a2(
     window = 2.0 * T
     ok = 0
     for _ in range(replicas):
-        n = rng.poisson(rate * window)
+        n = lattice.poisson(rng, rate * window)
         if n < 2:
             ok += 1
             continue
@@ -196,7 +196,7 @@ def estimate_c_plus_absence(
         raise DomainError(f"need at least one replica, got {replicas}")
     c_plus_absence_prob(L, d, rho)  # argument validation
     lam = rho * (6 * L + 1) ** d * 2.0 * L**2
-    counts = rng.poisson(lam, size=replicas)
+    counts = lattice.poisson(rng, lam, replicas)
     return lattice.binomial_estimate(int((counts == 0).sum()), replicas)
 
 

@@ -123,6 +123,25 @@ def test_non_finite_input_exits_2(argv, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
+        "blocks a1 --T 1e300",
+        "blocks a2 --beta 2 --T 1e300",
+        "blocks cplus --rho 1e300",
+        "dual --beta 1e300 --side 4",
+        "sterile --beta 1e300 --side 8 --t-end 2",
+    ],
+)
+def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
+    # numpy refuses the draw ("lam value too large"); that is a domain error, not a crash
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert "Poisson mean" in err and "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         "blocks cplus --L 1 --dim 0",
         "blocks cplus --L 1 --dim -1",
         "blocks a3 --beta 1 --dim 0",

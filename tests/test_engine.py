@@ -10,8 +10,10 @@ import itertools
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
+import sysconfig
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -347,3 +349,13 @@ def test_import_does_not_load_cffi():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_engine_source_compiles_without_warnings():
+    cc = shutil.which("gcc")
+    if cc is None:
+        pytest.skip("no C compiler")
+    includes = [f"-I{np.get_include()}", f"-I{sysconfig.get_paths()['include']}"]
+    proc = subprocess.run([cc, "-fsyntax-only", "-Wall", "-Wextra", "-Werror", *includes,
+                           str(_engine.SOURCE)], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

@@ -1,6 +1,7 @@
 """Mark sampling, log evolution, couplings, sterility, and dual tracing."""
 
 import hashlib
+import itertools
 import math
 import random
 from collections import Counter
@@ -503,6 +504,42 @@ def test_columns_match_the_mark_reference(replay_engine, monkeypatch):
                 assert got == outcome(*old)
                 seen[got[0] if isinstance(got, tuple) else "states"] += 1
     assert seen["states"] and seen["InclusionViolation"] and seen["FlavorMismatch"], seen
+
+
+def test_every_single_mark_matches_the_mark_reference(replay_engine):
+    # one mark on the ring 0-1-2-3-4: target 2, source 1, and a dot at 0 or
+    # on the target; every state of sites 0, 1 and 2 (every allowed pair of
+    # states, coupled), sites 3 and 4 empty
+    def placements(kind):
+        if kind == g.CROSS:
+            return [(None, None)]
+        return [(1, 0), (1, 2)] if g._SLOTS[kind] == 2 else [(1, None)]
+
+    def ring(states):
+        return Torus(5, 1, [*states, EMPTY, EMPTY])
+
+    pairs = sorted(g.ALLOWED_PAIRS)
+    seen = Counter()
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        domain = pairs if flavor == g.COUPLED else (EMPTY, COOPERATOR, DEFECTOR)
+        for kind in g.KIND_ORDER:
+            for source, dot in placements(kind):
+                marks = [g.Mark(1.0, kind, 2, source, dot)]
+                log = hand_log(marks, flavor=flavor, side=5)
+                for states in itertools.product(domain, repeat=3):
+                    if flavor == g.COUPLED:
+                        c1, c2 = ring(s[0] for s in states), ring(s[1] for s in states)
+                        new = (g.coupled_evolve, c1, c2, log)
+                        old = (ref.coupled, c1, c2, marks, 0.0, 10.0)
+                    else:
+                        c0 = ring(states)
+                        new = (g.evolve_from_log, c0, log)
+                        old = (ref.evolve, c0, flavor, marks, 0.0, 10.0)
+                    got = outcome(*new)
+                    assert got == outcome(*old), (flavor, kind, source, dot, states)
+                    seen[got[0] if isinstance(got, tuple) else "states"] += 1
+    # 8 placements; the 3 of the difference kinds are refused outside coupled logs
+    assert seen == {"states": 2 * 5 * 27 + 8 * 216, "FlavorMismatch": 2 * 3 * 27}, seen
 
 
 def warmed_equal_rate_log(rng, side=30, window=20.0):

@@ -13,6 +13,8 @@ from coopsim.mean_field import (
     BISTABLE,
     BOUNDARY,
     DEFECTORS_WIN,
+    SIMPLEX_TOL,
+    _clamp_to_simplex,
     _coop_fixed_point_roots,
     classify_regime,
     derivative,
@@ -79,6 +81,24 @@ def test_integrate_rejects_bad_arguments():
         integrate((0.8, 0.8), p, t_end=1.0)
     with pytest.raises(SimplexEscape):
         integrate((-0.1, 0.3), p, t_end=1.0)
+
+
+def test_clamp_pulls_small_excursions_back_onto_the_simplex():
+    assert _clamp_to_simplex(-1e-10, 0.5) == (0.0, 0.5)
+    x, y = 0.6, 0.4 + 5e-10
+    total = x + y
+    assert total > 1.0
+    assert _clamp_to_simplex(x, y) == (x / total, y / total)
+    assert sum(_clamp_to_simplex(x, y)) <= 1.0
+    assert _clamp_to_simplex(0.3, 0.3) == (0.3, 0.3)
+    with pytest.raises(SimplexEscape, match="left the simplex by"):
+        _clamp_to_simplex(-2 * SIMPLEX_TOL, 0.5)
+
+
+def test_integrate_raises_when_a_step_leaves_the_simplex():
+    # the start is inside; an oversized step overshoots far past the tolerance
+    with pytest.raises(SimplexEscape, match="left the simplex by"):
+        integrate((0.5, 0.4), Params(2.0, 1.0, 0.5), t_end=20, dt=5.0)
 
 
 def test_integrate_step_count_and_time_grid():
