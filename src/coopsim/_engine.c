@@ -1,4 +1,5 @@
-/* The compiled loops of coopsim: one lattice event, and log replay.
+/* The compiled loops of coopsim, in three sets: one lattice event, log
+ * replay, and the mean-field RK4 loop.
  *
  * coop_init, coop_select and coop_step are coopsim.lattice's RateTable and
  * step written in C, operation for operation, so that both give the same
@@ -14,7 +15,14 @@
  * coupled_evolve over an event log's columns: one rule, apply_mark, on one
  * process's sites, run on one process or, through a kind map, on each of
  * two.  It draws nothing and does no arithmetic on times.
+ *
+ * coop_rk4 is the RK4 loop of coopsim.mean_field.integrate, with the same
+ * operations in the same order, the same convergence test and the same
+ * clamp, so both give the same trajectory bits.  Its tolerances are
+ * passed in from mean_field.py, and a state the clamp refuses is left as
+ * it is for Python to report.
  */
+#include <math.h>
 #include <stdint.h>
 #include "numpy/random/distributions.h"
 
@@ -249,4 +257,78 @@ int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *t
             return i;
     }
     return hi;
+}
+
+/* coop_rk4's status */
+#define RK4_RAN_OUT 0
+#define RK4_CONVERGED 1
+#define RK4_ESCAPED 2
+
+/* The mean-field field (dx, dy) at (x, y). */
+static inline void field(double beta, double bc, double bd, double x, double y,
+                         double *dx, double *dy)
+{
+    double e = 1.0 - x - y;
+    *dx = (beta + bc * x) * e * x - x;
+    *dy = (beta + bd) * e * y - y;
+}
+
+/* coopsim.mean_field._clamp_to_simplex: pulls a state that strays by at
+ * most tol back onto the simplex.  Returns 0, leaving the state as it is,
+ * when it is not finite or strays further. */
+static int clamp(double *x, double *y, double tol)
+{
+    double v = -*x;  /* max(-x, -y, x + y - 1.0), first of equals as in Python */
+    if (-*y > v)
+        v = -*y;
+    if (*x + *y - 1.0 > v)
+        v = *x + *y - 1.0;
+    if (!(isfinite(*x) && isfinite(*y)) || v > tol)
+        return 0;
+    if (0.0 > *x)
+        *x = 0.0;
+    if (0.0 > *y)
+        *y = 0.0;
+    double total = *x + *y;
+    if (total > 1.0) {
+        *x /= total;
+        *y /= total;
+    }
+    return 1;
+}
+
+/* Up to n_steps RK4 steps of size dt from (xs[0], ys[0]), writing state i
+ * to xs[i], ys[i].  Sets *last to the index of the last state written and
+ * returns RK4_RAN_OUT, RK4_CONVERGED (the field's L1 norm at *last fell
+ * below convergence_tol, tested only with until_converged), or RK4_ESCAPED
+ * (state *last, left unclamped, is not finite or strays by more than
+ * simplex_tol). */
+int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, double bd,
+             double dt, int until_converged, double simplex_tol, double convergence_tol,
+             int64_t *last)
+{
+    double x = xs[0], y = ys[0], half = dt / 2.0, sixth = dt / 6.0;
+    double k1x, k1y, k2x, k2y, k3x, k3y, k4x, k4y;
+    for (int64_t i = 1; i <= n_steps; i++) {
+        field(beta, bc, bd, x, y, &k1x, &k1y);
+        if (until_converged && fabs(k1x) + fabs(k1y) < convergence_tol) {
+            *last = i - 1;
+            return RK4_CONVERGED;
+        }
+        field(beta, bc, bd, x + half * k1x, y + half * k1y, &k2x, &k2y);
+        field(beta, bc, bd, x + half * k2x, y + half * k2y, &k3x, &k3y);
+        field(beta, bc, bd, x + dt * k3x, y + dt * k3y, &k4x, &k4y);
+        x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x);
+        y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y);
+        /* NaN fails every test of the guard */
+        int escaped = !(x >= 0.0 && y >= 0.0 && x + y <= 1.0) && !clamp(&x, &y, simplex_tol);
+        xs[i] = x;
+        ys[i] = y;
+        if (escaped) {
+            *last = i;
+            return RK4_ESCAPED;
+        }
+    }
+    *last = n_steps;
+    return RK4_RAN_OUT;
 }

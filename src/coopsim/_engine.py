@@ -1,20 +1,21 @@
 """The compiled loops of coopsim: built on first use, cached, optional.
 
-``_engine.c`` holds two sets of loops.  ``coop_init`` / ``coop_step`` are
+``_engine.c`` holds three sets of loops.  ``coop_init`` / ``coop_step`` are
 ``lattice.RateTable`` and ``lattice.step`` written in C, operation for
 operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
 ``coop_replay`` is the mark loop of ``graphical.evolve_from_log`` and
 ``graphical.coupled_evolve`` over an event log's columns, on one process
-or two.  :func:`load` builds the module with cffi in API
+or two.  ``coop_rk4`` is the RK4 loop of ``mean_field.integrate``, with
+the same bits.  :func:`load` builds the module with cffi in API
 mode, linked against numpy's ``libnpyrandom.a``, in a subprocess whose
 output is captured.  The module is kept in ``$XDG_CACHE_HOME/coopsim``
 (default ``~/.cache/coopsim``) under a name keyed by a hash of the C
 source, the numpy version and the Python ABI, and moved into place with
 ``os.replace``, so that processes building at once do not race.  When it
 cannot be built or loaded, one line on stderr says so and :func:`load`
-returns ``None``: ``lattice.run`` and the replay routines then run their
-Python loops.
+returns ``None``: ``lattice.run``, the replay routines and
+``mean_field.integrate`` then run their Python loops.
 
 Nothing here imports cffi until :func:`load` is called.
 """
@@ -56,6 +57,9 @@ double coop_step(coop_table *t, double t_limit, int32_t *ev);
 int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
                     const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi,
                     int equal_rate);
+int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, double bd,
+             double dt, int until_converged, double simplex_tol, double convergence_tol,
+             int64_t *last);
 """
 
 # run as ``python -c BUILD source name cdef`` in an empty directory
@@ -189,3 +193,21 @@ def replay(module, s1: list[int], s2: list[int] | None, log, lo: int, hi: int,
     for s, b in zip((s1, s2), copies):
         s[:] = b
     return stop
+
+
+# coop_rk4's status when it stops before its last step
+RK4_CONVERGED, RK4_ESCAPED = 1, 2
+
+
+def rk4(module, xs: np.ndarray, ys: np.ndarray, p, dt: float, until_converged: bool,
+        simplex_tol: float, convergence_tol: float) -> tuple[int, int]:
+    """``coop_rk4`` from ``(xs[0], ys[0])``, filling the float64 arrays ``xs`` and ``ys``.
+
+    Returns the index of the last state written and the status.
+    """
+    ffi = module.ffi
+    last = ffi.new("int64_t *")
+    status = module.lib.coop_rk4(ffi.from_buffer("double[]", xs), ffi.from_buffer("double[]", ys),
+                                 len(xs) - 1, p.beta, p.beta_c, p.beta_d, dt, until_converged,
+                                 simplex_tol, convergence_tol, last)
+    return last[0], status

@@ -475,7 +475,7 @@ def sample_event_log(
         slots = _SLOTS[kind]
         n_channels = n * two_d**slots
         count = int(lattice.poisson(rng, rate * n_channels * duration))
-        times.append(rng.uniform(t_lo, t_max, size=count))
+        times.append(lattice.allocate(count, "mark times", rng.uniform, t_lo, t_max, size=count))
         channels = rng.integers(0, n_channels, size=count)
         # channel = (x * 2d + source slot) * 2d + dot slot, for the slots the kind
         # has, and neighbors[x * 2d + slot] is site x's neighbor in that slot

@@ -509,6 +509,15 @@ def poisson(rng: np.random.Generator, lam: float, size=None):
         raise DomainError(f"Poisson mean {lam!r} is out of range: {exc}") from None
 
 
+def allocate(count: int, what: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, the first array that ``count`` sizes, raising
+    :class:`DomainError` when numpy cannot allocate it."""
+    try:
+        return make(*args, **kwargs)
+    except (MemoryError, ValueError) as exc:  # numpy: "Unable to allocate", "array is too big"
+        raise DomainError(f"{count} {what} cannot be stored: {exc}") from None
+
+
 def replica_rng(master_seed: int, index: int) -> np.random.Generator:
     """The RNG stream owned by one replica: (master seed, replica index)."""
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))

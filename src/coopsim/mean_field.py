@@ -21,6 +21,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import _engine, lattice
 from .errors import BoundaryError, DomainError, SimplexEscape
 from .params import Params
 
@@ -110,28 +111,53 @@ def integrate(
     Returns a trajectory of ``ceil(t_end / dt) + 1`` states (fewer when
     ``until_converged`` is set and the field's L1 norm drops below
     ``CONVERGENCE_TOL`` early).  States are clamped back onto the simplex
-    when they stray by at most ``SIMPLEX_TOL``; larger excursions raise
-    :class:`SimplexEscape`.
+    when they stray by at most ``SIMPLEX_TOL``; larger excursions, and
+    states that are not finite, raise :class:`SimplexEscape`.  A step
+    count too large to store raises :class:`DomainError`.  The loop runs
+    in ``_engine.c`` when the compiled module loads, else in Python, with
+    the same bits.
     """
     if not (0 < t_end < math.inf and 0 < dt < math.inf):
         raise DomainError(f"t_end and dt must be positive and finite, got {t_end}, {dt}")
     x, y = float(state0[0]), float(state0[1])
     _check_in_simplex(x, y)
-    n_steps = math.ceil(t_end / dt)
-    beta, bc, bd = p.beta, p.beta_c, p.beta_d
+    steps = t_end / dt
+    if not steps < 2.0**63:
+        raise DomainError(f"t_end / dt = {steps:.3g} steps cannot be stored: more than an int64 holds")
+    n_steps = math.ceil(steps)
+    xs, ys = lattice.allocate(n_steps + 1, "trajectory states", np.empty, (2, n_steps + 1))
+    xs[0], ys[0] = x, y
+    module = _engine.load()
+    if module is None:
+        last, converged = _rk4(xs, ys, p, dt, until_converged)
+    else:
+        last, status = _engine.rk4(module, xs, ys, p, dt, until_converged,
+                                   SIMPLEX_TOL, CONVERGENCE_TOL)
+        if status == _engine.RK4_ESCAPED:
+            _clamp_to_simplex(xs.item(last), ys.item(last))  # raises, as the Python loop does
+            raise AssertionError("coop_rk4 reported an escape that the clamp accepts")
+        converged = status == _engine.RK4_CONVERGED
+    if last < n_steps:  # keep the states taken, not the whole buffer
+        xs, ys = xs[:last + 1].copy(), ys[:last + 1].copy()
+    t = np.arange(last + 1, dtype=np.float64) * dt
+    return Trajectory(t=t, x=xs, y=ys, converged=converged)
 
-    xs = [x]
-    ys = [y]
-    converged = False
+
+def _rk4(xs: np.ndarray, ys: np.ndarray, p: Params, dt: float,
+         until_converged: bool) -> tuple[int, bool]:
+    """RK4 steps from ``(xs[0], ys[0])``, each state written into ``xs`` and
+    ``ys``; ``coop_rk4`` of ``_engine.c`` in Python.  Returns the index of
+    the last state and whether the field fell below ``CONVERGENCE_TOL``."""
+    x, y = xs.item(0), ys.item(0)
+    beta, bc, bd = p.beta, p.beta_c, p.beta_d
     half = dt / 2.0
     sixth = dt / 6.0
-    for _ in range(n_steps):
+    for i in range(1, len(xs)):
         e0 = 1.0 - x - y
         k1x = (beta + bc * x) * e0 * x - x
         k1y = (beta + bd) * e0 * y - y
         if until_converged and abs(k1x) + abs(k1y) < CONVERGENCE_TOL:
-            converged = True
-            break
+            return i - 1, True
         ax, ay = x + half * k1x, y + half * k1y
         e1 = 1.0 - ax - ay
         k2x = (beta + bc * ax) * e1 * ax - ax
@@ -146,13 +172,11 @@ def integrate(
         k4y = (beta + bd) * e3 * cy - cy
         x = x + sixth * (k1x + 2.0 * (k2x + k3x) + k4x)
         y = y + sixth * (k1y + 2.0 * (k2y + k3y) + k4y)
-        if x < 0.0 or y < 0.0 or x + y > 1.0:
+        if not (x >= 0.0 and y >= 0.0 and x + y <= 1.0):  # NaN fails every test
             x, y = _clamp_to_simplex(x, y)
-        xs.append(x)
-        ys.append(y)
-
-    t = np.arange(len(xs), dtype=np.float64) * dt
-    return Trajectory(t=t, x=np.asarray(xs), y=np.asarray(ys), converged=converged)
+        xs[i] = x
+        ys[i] = y
+    return len(xs) - 1, False
 
 
 def _check_in_simplex(x: float, y: float) -> None:
@@ -161,6 +185,8 @@ def _check_in_simplex(x: float, y: float) -> None:
 
 
 def _clamp_to_simplex(x: float, y: float) -> tuple[float, float]:
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise SimplexEscape(f"state ({x}, {y}) left the simplex: a density is not finite")
     violation = max(-x, -y, x + y - 1.0)
     if violation > SIMPLEX_TOL:
         raise SimplexEscape(

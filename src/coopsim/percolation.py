@@ -148,7 +148,7 @@ def estimate_a2(
         if n < 2:
             ok += 1
             continue
-        times = np.sort(rng.uniform(0.0, window, size=n))
+        times = np.sort(lattice.allocate(n, "mark times", rng.uniform, 0.0, window, size=n))
         if float(np.diff(times).min()) > 2.0 * delta:
             ok += 1
     return lattice.binomial_estimate(ok, replicas)

@@ -42,3 +42,16 @@ def serial_pool(monkeypatch):
     monkeypatch.setattr(lattice, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: set(range(4)))
     return sizes
+
+
+@pytest.fixture(params=["python", "compiled"])
+def engine(request, monkeypatch):
+    """Run the test on the Python engine, then on the compiled one (skipped
+    when the compiled module cannot be built)."""
+    from coopsim import _engine
+
+    if request.param == "python":
+        monkeypatch.setattr(_engine, "load", lambda: None)
+    elif _engine.load() is None:
+        pytest.skip("compiled engine unavailable")
+    return request.param

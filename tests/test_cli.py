@@ -56,6 +56,27 @@ def test_meanfield_defector_takeover(tmp_path):
     assert text.splitlines()[-1].startswith("500,")
 
 
+MEANFIELD_ARGS = ["meanfield", "--beta", "2", "--beta-c", "1", "--beta-d", "0.7"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        # the benchmark's desk command at seed 1's start
+        (MEANFIELD_ARGS + ["--t-end", "300", "--x0", "0.253546487410077", "--y0", "0.3851391088977807"],
+         "97c7dcd379f0c355d2ae86dbfe5691aab66d749d76debed1c98e89bd6322c0cb"),
+        # the README example
+        (MEANFIELD_ARGS + ["--x0", "0.3", "--y0", "0.3", "--t-end", "500"],
+         "fa23230ca3367de1dd0530e5591e7f23d3376b65d0157c0bcd7424dc95bd15f9"),
+    ],
+    ids=["desk-seed1", "readme"],
+)
+def test_meanfield_pinned_bytes(argv, digest, engine, capsys):
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_meanfield_phi_curve_monotone(capsys):
     code, out = run_main(
         ["meanfield", "--phi-curve", "--beta", "2", "--beta-c-max", "10", "--points", "100"],
@@ -137,6 +158,28 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert "Poisson mean" in err and "out of range" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        # a drawn Poisson count sizes arrays that cannot be allocated
+        ("blocks a2 --beta 2 --T 1e16", "cannot be stored"),
+        ("dual --beta 1e17 --side 4", "cannot be stored"),
+        # a step count too large to store
+        ("meanfield --beta 2 --t-end 1e12", "cannot be stored"),
+        ("meanfield --beta 2 --dt 1e-300 --t-end 1", "cannot be stored"),
+        # the field overflows and the state turns to NaN
+        ("meanfield --beta 1e200 --beta-c 1e200 --beta-d 1 --t-end 1", "left the simplex"),
+        ("meanfield --beta 1e308 --beta-c 1e308 --beta-d 1e308 --t-end 1", "left the simplex"),
+    ],
+)
+def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 @pytest.mark.parametrize(

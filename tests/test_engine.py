@@ -23,7 +23,7 @@ import pytest
 from scipy.linalg import expm
 from scipy.stats import chisquare
 
-from coopsim import _engine, graphical, lattice
+from coopsim import _engine, graphical, lattice, mean_field
 from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import RateTable, Torus, product_measure, run
 from coopsim.params import Params
@@ -36,15 +36,6 @@ def compiled_module():
     if module is None:
         pytest.skip("compiled engine unavailable")
     return module
-
-
-@pytest.fixture(params=["python", "compiled"])
-def engine(request, monkeypatch):
-    if request.param == "python":
-        monkeypatch.setattr(_engine, "load", lambda: None)
-    else:
-        compiled_module()
-    return request.param
 
 
 def fresh_loader(monkeypatch, tmp_path):
@@ -313,11 +304,19 @@ def replay_bytes(seed):
     return states
 
 
+def trajectory_bytes():
+    """A mean-field trajectory that converges early, as bytes."""
+    traj = mean_field.integrate((0.05, 0.4), Params(2.0, 0.0, 0.7), 5000.0, dt=1e-2,
+                                until_converged=True)
+    return traj.t.tobytes(), traj.x.tobytes(), traj.y.tobytes(), traj.converged
+
+
 def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, capfd):
     compiled_module()
     case = (20, 1, Params(3.0, 2.0, 0.5, 1), 77, 10.0, 0.25)
     compiled = run_bytes(*case)
     compiled_replays = replay_bytes(5)
+    compiled_trajectory = trajectory_bytes()
     fresh_loader(monkeypatch, tmp_path)
     broken = tmp_path / "broken.c"
     broken.write_text("this is not C\n")
@@ -326,6 +325,7 @@ def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, cap
     assert _engine.load() is None
     assert run_bytes(*case) == compiled
     assert replay_bytes(5) == compiled_replays
+    assert trajectory_bytes() == compiled_trajectory
     assert _engine.load() is None
     out, err = capfd.readouterr()
     assert out == ""

@@ -1,6 +1,7 @@
 """Unit tests for the well-mixed density dynamics."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from coopsim import _engine, mean_field
 from coopsim.errors import BoundaryError, DomainError, SimplexEscape
 from coopsim.mean_field import (
     BISTABLE,
@@ -99,6 +101,26 @@ def test_integrate_raises_when_a_step_leaves_the_simplex():
     # the start is inside; an oversized step overshoots far past the tolerance
     with pytest.raises(SimplexEscape, match="left the simplex by"):
         integrate((0.5, 0.4), Params(2.0, 1.0, 0.5), t_end=20, dt=5.0)
+
+
+def test_clamp_refuses_a_state_that_is_not_finite():
+    for x, y in [(math.nan, 0.5), (0.5, math.nan), (math.inf, 0.0), (0.0, -math.inf),
+                 (math.nan, math.nan)]:
+        with pytest.raises(SimplexEscape, match="left the simplex"):
+            _clamp_to_simplex(x, y)
+
+
+@pytest.mark.parametrize("rates", [(1e200, 1e200, 1.0), (1e308, 1e308, 1e308)])
+def test_integrate_refuses_an_overflowing_trajectory(engine, rates):
+    # the field overflows to inf and then to nan; no state that is not finite is kept
+    with pytest.raises(SimplexEscape, match="left the simplex"):
+        integrate((0.2, 0.2), Params(*rates), t_end=1.0)
+
+
+@pytest.mark.parametrize("t_end, dt", [(1e12, 1e-3), (1.0, 1e-300), (1e300, 1e-300)])
+def test_integrate_refuses_a_step_count_too_large_to_store(engine, t_end, dt):
+    with pytest.raises(DomainError, match="cannot be stored|int64"):
+        integrate((0.2, 0.2), Params(2.0), t_end=t_end, dt=dt)
 
 
 def test_integrate_step_count_and_time_grid():
@@ -403,3 +425,85 @@ def test_bistable_basins_split_by_start():
     assert math.hypot(coop.x - PHI_BC1_BETA2, coop.y) < 1e-6
     defe = integrate((0.01, 0.5), p, t_end=500.0, dt=1e-3, until_converged=True).final
     assert math.hypot(defe.x, defe.y - 0.6) < 1e-6
+
+
+# --------------------------------------------------------- engine agreement
+
+
+def outcome(*args, **kwargs):
+    """Everything ``integrate`` returns or raises, as comparable bytes and text."""
+    try:
+        traj = integrate(*args, **kwargs)
+    except (SimplexEscape, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return traj.t.tobytes(), traj.x.tobytes(), traj.y.tobytes(), traj.converged
+
+
+def outcome_in_python(monkeypatch, *args, **kwargs):
+    with monkeypatch.context() as m:
+        m.setattr(_engine, "load", lambda: None)
+        return outcome(*args, **kwargs)
+
+
+# Starts and steps whose trajectory reaches the clamp mid-way and stays on
+# the simplex: one density a hair from zero with a long step, and a start
+# just inside the top edge with beta = 1e9, where an RK4 step of about
+# 3 / beta overshoots the edge by less than SIMPLEX_TOL.
+CLAMPED = [
+    ((6.6e-10, 0.4), Params(1.1, 1.95, 0.32), 5.0),
+    ((0.9, 3.5e-14), Params(1.94, 0.99, 0.13), 2.0),
+    ((4.6e-10, 0.48), Params(1.04, 2.52, 0.78), 5.0),
+    ((0.6, 1.5e-10), Params(1.28, 1.37, 1.86), 5.0),
+    ((1e-12, 0.99999999917), Params(1e9, 1.0, 0.0), 2.93e-09),
+    ((0.0, 0.9999999992), Params(1e9, 1.0, 0.0), 3.13e-09),
+    ((1e-12, 0.9999999974), Params(1e8, 1.0, 0.0), 2.83e-08),
+]
+
+
+def test_frozen_cases_reach_the_clamp_mid_trajectory(monkeypatch):
+    monkeypatch.setattr(_engine, "load", lambda: None)
+    for start, p, dt in CLAMPED:
+        clamped = []
+
+        def spy(x, y):
+            result = _clamp_to_simplex(x, y)
+            clamped.append(result)
+            return result
+
+        with monkeypatch.context() as m:
+            m.setattr(mean_field, "_clamp_to_simplex", spy)
+            traj = integrate(start, p, t_end=10 * dt, dt=dt)
+        assert clamped, (start, p, dt)
+        states = list(zip(traj.x.tolist(), traj.y.tolist()))
+        assert 0 < states.index(clamped[0]) < len(traj) - 1, (start, p, dt)
+        assert clamped[0] != (float(start[0]), float(start[1]))
+
+
+def battery(n, seed):
+    r = random.Random(seed)
+    for _ in range(n):
+        p = Params(r.uniform(0.3, 6.0), r.choice([0.0, r.uniform(0.0, 10.0)]),
+                   r.choice([0.0, r.uniform(0.0, 5.0)]))
+        x = r.choice([0.0, r.uniform(0.0, 1.0)])
+        y = r.choice([0.0, (1.0 - x) * r.random()])
+        dt = r.choice([1e-3, 1e-2, 0.05, 0.3, 1.0, 5.0])
+        t_end = dt * r.randint(1, 8000) * r.uniform(0.9, 1.0)
+        yield (x, y), p, t_end, dt, r.random() < 0.5
+
+
+def test_engines_integrate_to_the_same_bytes(monkeypatch):
+    if _engine.load() is None:
+        pytest.skip("compiled engine unavailable")
+    seen = set()
+    cases = [(start, p, 10 * dt, dt, False) for start, p, dt in CLAMPED]
+    cases += [((0.5, 0.4), Params(2.0, 1.0, 0.5), 20.0, 5.0, False),  # escapes
+              ((0.2, 0.2), Params(1e200, 1e200, 1.0), 1.0, 1e-3, False),  # overflows
+              ((0.2, 0.2), Params(2.0), 1e12, 1e-3, False)]  # too many steps
+    cases += list(battery(200, 17))
+    for start, p, t_end, dt, until_converged in cases:
+        args = (start, p, t_end, dt, until_converged)
+        expected = outcome_in_python(monkeypatch, *args)
+        assert outcome(*args) == expected, args
+        seen.add(expected[0] if isinstance(expected[0], str) else expected[3])
+    # the battery covers both stopping rules and both errors
+    assert seen == {False, True, "SimplexEscape", "DomainError"}
