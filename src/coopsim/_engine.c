@@ -1,5 +1,5 @@
-/* The compiled loops of coopsim, in three sets: one lattice event, log
- * replay, and the mean-field RK4 loop.
+/* The compiled loops of coopsim, in four sets: one lattice event, log
+ * replay, the mean-field RK4 loop, and event-log text.
  *
  * coop_init, coop_select and coop_step are coopsim.lattice's RateTable and
  * step written in C, operation for operation, so that both give the same
@@ -21,9 +21,21 @@
  * clamp, so both give the same trajectory bits.  Its tolerances are
  * passed in from mean_field.py, and a state the clamp refuses is left as
  * it is for Python to report.
+ *
+ * coop_format and coop_parse write and read the mark lines of
+ * coopsim.graphical.EventLog.to_text and from_text.  coop_format formats
+ * each time with PyOS_double_to_string, the routine float.__repr__ calls,
+ * so the bytes are repr's; that routine allocates with PyMem_Malloc,
+ * which needs the GIL, and cffi releases the GIL around a call, so
+ * coop_format takes it back for its loop.  coop_parse takes only lines
+ * as to_text writes them and refuses the text at any other; Python then
+ * reads it all with its own loop, which writes every error message.
  */
+#include <Python.h>  /* first, as Python asks: PyOS_double_to_string for coop_format */
 #include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include "numpy/random/distributions.h"
 
 #define EMPTY 0
@@ -331,4 +343,173 @@ int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, do
     }
     *last = n_steps;
     return RK4_RAN_OUT;
+}
+
+/* A site as decimal digits, or "-" for none (a negative site), written
+ * at p; returns the end. */
+static char *put_site(char *p, int32_t v)
+{
+    if (v < 0) {
+        *p++ = '-';
+        return p;
+    }
+    char digits[10];
+    int n = 0;
+    do {
+        digits[n++] = (char)('0' + v % 10);
+        v /= 10;
+    } while (v > 0);
+    while (n > 0)
+        *p++ = digits[--n];
+    return p;
+}
+
+/* The mark lines of coopsim.graphical.EventLog.to_text for marks [0, n):
+ * "TIME KIND TARGET SOURCE DOT\n", the time as repr writes it, the kind
+ * as names[kind] (n_names of them) and a site of -1 as "-".  Writes at
+ * most cap bytes to out and returns the number written, or -1 when a line
+ * does not fit, a kind has no name or a time cannot be formatted.  The
+ * loop holds the GIL, which PyOS_double_to_string needs. */
+int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
+                    const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
+                    const char *const *names, int n_names)
+{
+    int64_t written = -1;
+    char *p = out, *end = out + cap;
+    PyGILState_STATE gil = PyGILState_Ensure();
+    for (int64_t i = 0; i < n; i++) {
+        if (kind[i] < 0 || kind[i] >= n_names)
+            goto done;
+        char sites[3 * 11], *q = sites;
+        q = put_site(q, target[i]);
+        *q++ = ' ';
+        q = put_site(q, source[i]);
+        *q++ = ' ';
+        q = put_site(q, dot[i]);
+        char *t = PyOS_double_to_string(time[i], 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
+        if (t == NULL) {
+            PyErr_Clear();
+            goto done;
+        }
+        size_t t_len = strlen(t), k_len = strlen(names[kind[i]]);
+        if ((size_t)(end - p) < t_len + k_len + (size_t)(q - sites) + 3) {
+            PyMem_Free(t);
+            goto done;
+        }
+        memcpy(p, t, t_len);
+        PyMem_Free(t);
+        p += t_len;
+        *p++ = ' ';
+        memcpy(p, names[kind[i]], k_len);
+        p += k_len;
+        *p++ = ' ';
+        memcpy(p, sites, q - sites);
+        p += q - sites;
+        *p++ = '\n';
+    }
+    written = p - out;
+done:
+    PyGILState_Release(gil);
+    return written;
+}
+
+/* Skips [0-9]+ at *p (before end); returns 0 when there is no digit. */
+static int skip_digits(const char **p, const char *end)
+{
+    const char *start = *p;
+    while (*p < end && **p >= '0' && **p <= '9')
+        (*p)++;
+    return *p > start;
+}
+
+/* The index of the name of the k_len bytes at k0 among n_names names, or -1. */
+static int kind_code(const char *k0, size_t k_len, const char *const *names, int n_names)
+{
+    for (int k = 0; k < n_names; k++)
+        if (strlen(names[k]) == k_len && !memcmp(names[k], k0, k_len))
+            return k;
+    return -1;
+}
+
+/* Reads a site [0-9]+ below n_sites at *p, or "-" (as -1) when dash is
+ * set, followed by the byte sep; returns -2 when there is none. */
+static int64_t read_site(const char **p, const char *end, int64_t n_sites, int dash, char sep)
+{
+    const char *q = *p;
+    int64_t v = 0;
+    if (dash && q < end && *q == '-') {
+        v = -1;
+        q++;
+    } else {
+        if (!(q < end && *q >= '0' && *q <= '9'))
+            return -2;
+        for (; q < end && *q >= '0' && *q <= '9'; q++)
+            if ((v = 10 * v + (*q - '0')) >= n_sites)
+                return -2;
+    }
+    if (!(q < end && *q == sep))
+        return -2;
+    *p = q + 1;
+    return v;
+}
+
+/* The mark lines of coopsim.graphical.EventLog.from_text, read from the
+ * len bytes at text into the columns, which hold cap marks.  Takes only
+ * canonical lines, "TIME KIND TARGET SOURCE DOT\n" with single spaces:
+ * TIME matching -?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?, read whole by strtod
+ * and in [t_lo, t_hi]; KIND one of the n_names names; TARGET, SOURCE and
+ * DOT [0-9]+ below n_sites, SOURCE and DOT also "-".  Returns the number
+ * of marks read, or -1 at the first line it does not take, which leaves
+ * the text to the Python loop.  strtod and float() both round correctly;
+ * where strtod's decimal point is not '.', it stops short and the line
+ * is refused. */
+int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
+                   double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
+                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap)
+{
+    const char *p = text, *end = text + len;
+    int64_t i = 0;
+    for (; p < end; i++) {
+        if (i == cap)
+            return -1;
+        const char *t0 = p;
+        if (*p == '-')
+            p++;
+        if (!skip_digits(&p, end))
+            return -1;
+        if (p < end && *p == '.' && (p++, !skip_digits(&p, end)))
+            return -1;
+        if (p < end && *p == 'e') {
+            p++;
+            if (p < end && (*p == '+' || *p == '-'))
+                p++;
+            if (!skip_digits(&p, end))
+                return -1;
+        }
+        if (!(p < end && *p == ' '))
+            return -1;
+        char *stop;
+        double t = strtod(t0, &stop);
+        if (stop != p || !(t_lo <= t && t <= t_hi))
+            return -1;
+        const char *k0 = ++p;
+        while (p < end && *p != ' ')
+            p++;
+        if (p == end)
+            return -1;
+        int k = kind_code(k0, p++ - k0, names, n_names);
+        if (k < 0)
+            return -1;
+        int64_t x = read_site(&p, end, n_sites, 0, ' ');
+        int64_t y = x < 0 ? -2 : read_site(&p, end, n_sites, 1, ' ');
+        int64_t z = y < -1 ? -2 : read_site(&p, end, n_sites, 1, '\n');
+        if (z < -1)
+            return -1;
+        time[i] = t;
+        kind[i] = (int8_t)k;
+        target[i] = (int32_t)x;
+        source[i] = (int32_t)y;
+        dot[i] = (int32_t)z;
+    }
+    return i;
 }

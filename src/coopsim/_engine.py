@@ -1,21 +1,29 @@
 """The compiled loops of coopsim: built on first use, cached, optional.
 
-``_engine.c`` holds three sets of loops.  ``coop_init`` / ``coop_step`` are
+``_engine.c`` holds four sets of loops.  ``coop_init`` / ``coop_step`` are
 ``lattice.RateTable`` and ``lattice.step`` written in C, operation for
 operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
 ``coop_replay`` is the mark loop of ``graphical.evolve_from_log`` and
 ``graphical.coupled_evolve`` over an event log's columns, on one process
 or two.  ``coop_rk4`` is the RK4 loop of ``mean_field.integrate``, with
-the same bits.  :func:`load` builds the module with cffi in API
+the same bits.  ``coop_format`` and ``coop_parse`` write and read the
+mark lines of ``graphical.EventLog.to_text`` and ``from_text``.
+``coop_format`` writes each time with ``PyOS_double_to_string``, the
+routine ``float.__repr__`` calls.  That routine allocates through
+Python and so needs the GIL, which cffi releases around a call, so
+``coop_format`` takes the GIL back for its loop.  ``coop_parse`` refuses
+any line that ``to_text`` would not write, and the Python loop then
+reads the whole text.  :func:`load` builds the module with cffi in API
 mode, linked against numpy's ``libnpyrandom.a``, in a subprocess whose
 output is captured.  The module is kept in ``$XDG_CACHE_HOME/coopsim``
 (default ``~/.cache/coopsim``) under a name keyed by a hash of the C
 source, the numpy version and the Python ABI, and moved into place with
 ``os.replace``, so that processes building at once do not race.  When it
 cannot be built or loaded, one line on stderr says so and :func:`load`
-returns ``None``: ``lattice.run``, the replay routines and
-``mean_field.integrate`` then run their Python loops.
+returns ``None``: ``lattice.run``, the replay routines,
+``mean_field.integrate`` and the log text routines then run their Python
+loops.
 
 Nothing here imports cffi until :func:`load` is called.
 """
@@ -60,6 +68,12 @@ int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *t
 int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, double bd,
              double dt, int until_converged, double simplex_tol, double convergence_tol,
              int64_t *last);
+int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
+                    const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
+                    const char *const *names, int n_names);
+int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
+                   double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
+                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap);
 """
 
 # run as ``python -c BUILD source name cdef`` in an empty directory
@@ -187,8 +201,7 @@ def replay(module, s1: list[int], s2: list[int] | None, log, lo: int, hi: int,
     ffi = module.ffi
     copies = [bytearray(s) for s in (s1, s2) if s is not None]
     processes = [ffi.from_buffer("int8_t[]", b) for b in copies] + [ffi.NULL]
-    columns = (ffi.from_buffer("int8_t[]", log.kind), ffi.from_buffer("int32_t[]", log.target),
-               ffi.from_buffer("int32_t[]", log.source), ffi.from_buffer("int32_t[]", log.dot))
+    columns = _column_buffers(ffi, log._columns())[1:]
     stop = module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, equal_rate)
     for s, b in zip((s1, s2), copies):
         s[:] = b
@@ -211,3 +224,44 @@ def rk4(module, xs: np.ndarray, ys: np.ndarray, p, dt: float, until_converged: b
                                  len(xs) - 1, p.beta, p.beta_c, p.beta_d, dt, until_converged,
                                  simplex_tol, convergence_tol, last)
     return last[0], status
+
+
+def _column_buffers(ffi, columns) -> tuple:
+    """C views of a log's columns (time, kind, target, source, dot)."""
+    time, kind, *sites = columns
+    return (ffi.from_buffer("double[]", time), ffi.from_buffer("int8_t[]", kind),
+            *(ffi.from_buffer("int32_t[]", c) for c in sites))
+
+
+def _c_names(ffi, names: tuple[str, ...]):
+    """The names as a C array of strings, and the buffers it points into."""
+    buffers = [ffi.new("char[]", name.encode("ascii")) for name in names]
+    return ffi.new("char *[]", buffers), buffers
+
+
+def format_marks(module, columns, names: tuple[str, ...], n_sites: int) -> str | None:
+    """``coop_format``: the mark lines of a log's columns as text, or ``None`` when it
+    refuses them.  ``names[k]`` names kind code k; every site is below ``n_sites``."""
+    ffi = module.ffi
+    n = len(columns[0])
+    # repr writes a time in at most 24 bytes ("-2.2250738585072014e-308"),
+    # and a line has four spaces and a newline
+    out = np.empty(n * (24 + max(map(len, names)) + 3 * len(str(n_sites - 1)) + 5), np.uint8)
+    c_names, _buffers = _c_names(ffi, names)
+    written = module.lib.coop_format(ffi.from_buffer("char[]", out), len(out),
+                                     *_column_buffers(ffi, columns), n, c_names, len(names))
+    return None if written < 0 else str(out[:written], "ascii")
+
+
+def parse_marks(module, text: bytes, names: tuple[str, ...], t_lo: float, t_hi: float,
+                n_sites: int) -> tuple[np.ndarray, ...] | None:
+    """``coop_parse``: the columns (time, kind, target, source, dot) of the mark lines
+    in ``text``, or ``None`` when it refuses a line."""
+    ffi = module.ffi
+    n = text.count(b"\n")  # one mark a line, each line ending in a newline
+    columns = (np.empty(n, np.float64), np.empty(n, np.int8),
+               *(np.empty(n, np.int32) for _ in range(3)))
+    c_names, _buffers = _c_names(ffi, names)
+    read = module.lib.coop_parse(text, len(text), c_names, len(names), t_lo, t_hi, n_sites,
+                                 *_column_buffers(ffi, columns), n)
+    return None if read < 0 else tuple(c[:read] for c in columns)

@@ -290,7 +290,10 @@ def _cmd_meanfield(v: dict, cfg: RunConfig) -> str:
     )
     lines.append("# fixed_points=" + json.dumps(reports, sort_keys=True))
     lines.append("t,x,y")
-    step = max(1, round(v["sample_interval"] / v["dt"]))
+    ratio = v["sample_interval"] / v["dt"]
+    if ratio == math.inf:
+        raise DomainError(f"sample_interval / dt overflows: {v['sample_interval']} / {v['dt']}")
+    step = max(1, round(ratio))
     idx = list(range(0, len(traj), step))
     if idx[-1] != len(traj) - 1:
         idx.append(len(traj) - 1)

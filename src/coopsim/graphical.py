@@ -239,7 +239,10 @@ class EventLog:
             columns = _checked_columns(marks, self.t_start - self.history, self.t_end, side**dim)
         time = columns.time
         if not (time[:-1] < time[1:]).all():  # text written by to_text is already in order
-            order = np.lexsort(columns[::-1])
+            # distinct times order the marks alone; ties need the other keys
+            order = np.argsort(time, kind="stable")
+            if not (time[order[:-1]] < time[order[1:]]).all():
+                order = np.lexsort(columns[::-1])
             columns = [c[order] for c in columns]
         for name, column in zip(_Columns._fields, _Columns.of(*columns)):
             column.flags.writeable = False
@@ -322,6 +325,12 @@ class EventLog:
     # ------------------------------------------------------- serialization
 
     def to_text(self) -> str:
+        """The log as text: header lines, then one line per mark.
+
+        The mark lines come from ``_engine.c``'s formatter when the compiled
+        module loads, else from the same format in Python; the bytes are
+        the same.
+        """
         lines = [
             "# coopsim event log v1",
             f"flavor={self.flavor}",
@@ -332,79 +341,153 @@ class EventLog:
         ]
         for kind in sorted(self.intensities):
             lines.append(f"intensity {kind}={self.intensities[kind]!r}")
-        names = [str(x) for x in range(self.side**self.dim)] + ["-"]  # names[-1]: no site
-        lines.extend(
-            f"{t!r} {_KIND_NAMES[k]} {names[x]} {names[y]} {names[z]}"
-            for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))
-        )
-        return "\n".join(lines) + "\n"
+        module = _engine.load()
+        marks = None if module is None else _engine.format_marks(
+            module, self._columns(), _KIND_NAMES, _site_bound(self.side, self.dim))
+        if marks is None:
+            names = [str(x) for x in range(self.side**self.dim)] + ["-"]  # names[-1]: no site
+            marks = "".join(
+                f"{t!r} {_KIND_NAMES[k]} {names[x]} {names[y]} {names[z]}\n"
+                for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))
+            )
+        return "\n".join(lines) + "\n" + marks
 
     @classmethod
     def from_text(cls, text: str) -> "EventLog":
-        """Read :meth:`to_text` output; malformed text raises :class:`DomainError` naming its line."""
-        header: dict[str, object] = {}
-        intensities: dict[str, float] = {}
-        # line number and text of each mark line, in two lists: a tuple per
-        # line would make the garbage collector scan them all
-        row_no: list[int] = []
-        row_text: list[str] = []
-        for no, line in enumerate(text.splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                if line.startswith("intensity "):
-                    key, value = line[len("intensity "):].split("=", 1)
-                    intensities[key] = float(value)
-                elif "=" in line and (key := line.split("=", 1)[0]) in _HEADER:
-                    header[key] = _HEADER[key](line.split("=", 1)[1])
-                else:
-                    row_no.append(no)
-                    row_text.append(line)
-            except ValueError as exc:
-                raise DomainError(f"event log line {no} {line!r}: {exc}") from None
-        missing = _HEADER.keys() - header.keys()
-        if missing:
-            raise DomainError(f"event log has no {min(missing)}= line")
+        """Read :meth:`to_text` output; malformed text raises :class:`DomainError` naming its line.
+
+        When the compiled module loads, the mark lines after the leading
+        header go through ``_engine.c``'s parser, which takes only lines as
+        :meth:`to_text` writes them.  Any other text, and all text without
+        the module, goes through the Python loop, which also reads lenient
+        lines and names the line of each error.
+        """
+        module = _engine.load()
+        read = None if module is None else _read_text_compiled(module, text)
+        header, intensities, columns = read or _read_text(text)
         (t_start, t_end), (side, dim) = header["window"], header["torus"]
-        _check_header(t_start, t_end, header["history"], header["flavor"], side, dim)
-
-        @functools.cache  # each distinct site token is parsed and checked once
-        def site(token: str) -> int:
-            value = int(token)
-            if not 0 <= value < side**dim:
-                raise ValueError(f"site {value} is off the {side**dim}-site torus")
-            return value
-
-        # replay bisects the marks by time, so a NaN time would misplace others
-        t_lo = t_start - header["history"]
-        time, kind, target, source, dot = [], [], [], [], []
-        for no, line in zip(row_no, row_text):
-            try:
-                t_str, k, x, y, z = line.split()
-                t = float(t_str)
-                if not t_lo <= t <= t_end:
-                    raise ValueError(f"time {t!r} is outside the log's span [{t_lo!r}, {t_end!r}]")
-                kind.append(KIND_ORDER[k])
-                target.append(site(x))
-                source.append(-1 if y == "-" else site(y))
-                dot.append(-1 if z == "-" else site(z))
-                time.append(t)
-            except KeyError:
-                raise DomainError(f"event log line {no} {line!r}: unknown mark kind") from None
-            except ValueError as exc:
-                raise DomainError(f"event log line {no} {line!r}: {exc}") from None
         return cls(
             t_start=t_start,
             t_end=t_end,
             history=header["history"],
             flavor=header["flavor"],
-            marks=_Columns.of(time, kind, target, source, dot),
+            marks=columns,
             intensities=intensities,
             side=side,
             dim=dim,
             seed=header["seed"],
         )
+
+
+def _site_bound(side: int, dim: int) -> int:
+    """``min(side**dim, 2**31)``, no int32 site reaching 2**31; as side >= 2,
+    no power beyond side**31 is computed."""
+    return min(side ** min(dim, 31), 2**31)
+
+
+def _read_header_line(no: int, line: str, header: dict, intensities: dict) -> bool:
+    """Reads stripped line ``no`` of a log's text into ``header`` or ``intensities``.
+
+    Returns False, reading nothing, for a mark line, and True for a blank,
+    comment or header line.
+    """
+    if not line or line.startswith("#"):
+        return True
+    try:
+        if line.startswith("intensity "):
+            key, value = line[len("intensity "):].split("=", 1)
+            intensities[key] = float(value)
+        elif "=" in line and (key := line.split("=", 1)[0]) in _HEADER:
+            header[key] = _HEADER[key](line.split("=", 1)[1])
+        else:
+            return False
+    except ValueError as exc:
+        raise DomainError(f"event log line {no} {line!r}: {exc}") from None
+    return True
+
+
+def _text_span(header: dict) -> tuple[float, float]:
+    """The span ``[t_start - history, t_end]`` of a header read from text, once it is checked."""
+    missing = _HEADER.keys() - header.keys()
+    if missing:
+        raise DomainError(f"event log has no {min(missing)}= line")
+    (t_start, t_end), (side, dim) = header["window"], header["torus"]
+    _check_header(t_start, t_end, header["history"], header["flavor"], side, dim)
+    return t_start - header["history"], t_end
+
+
+def _read_text(text: str) -> tuple[dict, dict, _Columns]:
+    """The header, intensities and mark columns of a log's text, line by line in Python."""
+    header: dict[str, object] = {}
+    intensities: dict[str, float] = {}
+    # line number and text of each mark line, in two lists: a tuple per
+    # line would make the garbage collector scan them all
+    row_no: list[int] = []
+    row_text: list[str] = []
+    for no, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not _read_header_line(no, line, header, intensities):
+            row_no.append(no)
+            row_text.append(line)
+    # replay bisects the marks by time, so a NaN time would misplace others
+    t_lo, t_end = _text_span(header)
+    side, dim = header["torus"]
+
+    @functools.cache  # each distinct site token is parsed and checked once
+    def site(token: str) -> int:
+        value = int(token)
+        if not 0 <= value < side**dim:
+            raise ValueError(f"site {value} is off the {side**dim}-site torus")
+        return value
+
+    time, kind, target, source, dot = [], [], [], [], []
+    for no, line in zip(row_no, row_text):
+        try:
+            t_str, k, x, y, z = line.split()
+            t = float(t_str)
+            if not t_lo <= t <= t_end:
+                raise ValueError(f"time {t!r} is outside the log's span [{t_lo!r}, {t_end!r}]")
+            kind.append(KIND_ORDER[k])
+            target.append(site(x))
+            source.append(-1 if y == "-" else site(y))
+            dot.append(-1 if z == "-" else site(z))
+            time.append(t)
+        except KeyError:
+            raise DomainError(f"event log line {no} {line!r}: unknown mark kind") from None
+        except ValueError as exc:
+            raise DomainError(f"event log line {no} {line!r}: {exc}") from None
+    return header, intensities, _Columns.of(time, kind, target, source, dot)
+
+
+def _read_text_compiled(module, text: str) -> tuple[dict, dict, _Columns] | None:
+    """:func:`_read_text` with the mark lines read by ``_engine.c``'s parser.
+
+    Reads the leading lines up to the first mark line in Python, then the
+    rest in C.  Returns ``None`` when the rest is not all canonical mark
+    lines, or when the leading header cannot be read as the Python loop
+    would read the whole text: the caller then runs that loop.
+    """
+    header: dict[str, object] = {}
+    intensities: dict[str, float] = {}
+    pos = no = 0
+    while pos < len(text):
+        end = text.find("\n", pos)
+        end = len(text) if end < 0 else end
+        line = text[pos:end]
+        if len((line + "\n").splitlines()) > 1:  # a line break that splitlines sees first
+            return None
+        no += 1
+        if not _read_header_line(no, line.strip(), header, intensities):
+            break
+        pos = end + 1
+    try:
+        t_lo, t_end = _text_span(header)
+        marks = text[pos:].encode("ascii")
+    except (DomainError, UnicodeEncodeError):  # a later header line may complete the header
+        return None
+    columns = _engine.parse_marks(module, marks, _KIND_NAMES, t_lo, t_end,
+                                  _site_bound(*header["torus"]))
+    return None if columns is None else (header, intensities, _Columns(*columns))
 
 
 def _stream_intensities(p: Params, flavor: str, p2: Params | None) -> dict[str, float]:

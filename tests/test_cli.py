@@ -169,6 +169,8 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         # a step count too large to store
         ("meanfield --beta 2 --t-end 1e12", "cannot be stored"),
         ("meanfield --beta 2 --dt 1e-300 --t-end 1", "cannot be stored"),
+        # a sample interval whose ratio to dt overflows
+        ("meanfield --beta 2 --t-end 1 --sample-interval 1e308", "sample_interval / dt"),
         # the field overflows and the state turns to NaN
         ("meanfield --beta 1e200 --beta-c 1e200 --beta-d 1 --t-end 1", "left the simplex"),
         ("meanfield --beta 1e308 --beta-c 1e308 --beta-d 1e308 --t-end 1", "left the simplex"),

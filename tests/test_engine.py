@@ -7,6 +7,7 @@ compiler); the Python engine then runs everywhere.
 """
 
 import itertools
+import locale
 import math
 import os
 import random
@@ -26,7 +27,7 @@ from scipy.stats import chisquare
 from coopsim import _engine, graphical, lattice, mean_field
 from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import RateTable, Torus, product_measure, run
-from coopsim.params import Params
+from coopsim.params import Params, equal_rate_benefit
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -304,11 +305,71 @@ def replay_bytes(seed):
     return states
 
 
+def text_round_trips(seed):
+    """Each flavor's log sampled from ``seed`` as text, and its columns read back, as bytes."""
+    rng = np.random.default_rng(seed)
+    torus = Torus(12, 2)
+    p, favored = Params(2.0, 1.0, 1.0, 2), Params(2.0, 2.5, 0.5, 2)
+    equal = Params(2.0, equal_rate_benefit(1.0, 2), 1.0, 2)
+    logs = [graphical.sample_event_log(p, torus, 3.0, rng),
+            graphical.sample_event_log(equal, torus, 3.0, rng, flavor=graphical.EQUAL_RATE),
+            graphical.sample_event_log(favored, torus, 3.0, rng, flavor=graphical.COUPLED, p2=p)]
+    trips = []
+    for log in logs:
+        text = log.to_text()
+        back = graphical.EventLog.from_text(text)
+        trips.append((text, [c.tobytes() for c in back._columns()]))
+    return trips
+
+
 def trajectory_bytes():
     """A mean-field trajectory that converges early, as bytes."""
     traj = mean_field.integrate((0.05, 0.4), Params(2.0, 0.0, 0.7), 5000.0, dt=1e-2,
                                 until_converged=True)
     return traj.t.tobytes(), traj.x.tobytes(), traj.y.tobytes(), traj.converged
+
+
+def test_compiled_text_loops_take_what_to_text_writes(monkeypatch):
+    module = compiled_module()
+    trips = text_round_trips(6)
+
+    def python_loop(text):
+        raise AssertionError("canonical text reached the Python loop")
+
+    monkeypatch.setattr(graphical, "_read_text", python_loop)
+    for text, columns in trips:
+        log = graphical.EventLog.from_text(text)
+        assert [c.tobytes() for c in log._columns()] == columns
+        marks = text.split("\n", 6 + len(log.intensities))[-1]  # the lines after the header
+        assert _engine.format_marks(module, log._columns(), graphical._KIND_NAMES,
+                                    log.side**log.dim) == marks
+
+
+def test_a_comma_decimal_point_leaves_the_text_to_the_python_loop():
+    # strtod follows LC_NUMERIC: where the decimal point is a comma it stops
+    # at the '.', and the line must be refused, not read as a shorter number
+    module = compiled_module()
+    trips = text_round_trips(7)
+    text = trips[0][0]
+    log = graphical.EventLog.from_text(text)
+    marks = text.split("\n", 6 + len(log.intensities))[-1].encode()
+    old = locale.setlocale(locale.LC_NUMERIC)
+    for name in ("de_DE.UTF-8", "de_DE.utf8", "fr_FR.UTF-8", "fr_FR.utf8"):
+        try:
+            locale.setlocale(locale.LC_NUMERIC, name)
+            break
+        except locale.Error:
+            continue
+    else:
+        pytest.skip("no locale with a comma decimal point")
+    try:
+        assert locale.localeconv()["decimal_point"] == ","
+        assert _engine.parse_marks(module, marks, graphical._KIND_NAMES, log.t_start - log.history,
+                                   log.t_end, log.side**log.dim) is None
+        assert [[c.tobytes() for c in graphical.EventLog.from_text(t)._columns()]
+                for t, _ in trips] == [c for _, c in trips]
+    finally:
+        locale.setlocale(locale.LC_NUMERIC, old)
 
 
 def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, capfd):
@@ -317,6 +378,7 @@ def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, cap
     compiled = run_bytes(*case)
     compiled_replays = replay_bytes(5)
     compiled_trajectory = trajectory_bytes()
+    compiled_texts = text_round_trips(5)
     fresh_loader(monkeypatch, tmp_path)
     broken = tmp_path / "broken.c"
     broken.write_text("this is not C\n")
@@ -326,6 +388,7 @@ def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, cap
     assert run_bytes(*case) == compiled
     assert replay_bytes(5) == compiled_replays
     assert trajectory_bytes() == compiled_trajectory
+    assert text_round_trips(5) == compiled_texts
     assert _engine.load() is None
     out, err = capfd.readouterr()
     assert out == ""

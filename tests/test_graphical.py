@@ -248,6 +248,149 @@ def test_from_text_rejects_malformed_text_naming_the_line(old, new, named):
         g.EventLog.from_text(LOG_TEXT.replace(old, new))
 
 
+def column_bytes(log):
+    """A log's columns as bytes: unlike comparing marks, this tells -0.0 from 0.0."""
+    return tuple(c.tobytes() for c in log._columns())
+
+
+def text_cases():
+    """Logs over the three flavors, d = 1..3 and sides 2 to 10^4."""
+    r = random.Random(18)
+    for flavor, dim, side in [
+        (g.STANDARD, 1, 2), (g.EQUAL_RATE, 1, 9), (g.COUPLED, 1, 10), (g.STANDARD, 1, 10**4),
+        (g.EQUAL_RATE, 2, 3), (g.COUPLED, 2, 11), (g.STANDARD, 2, 100),
+        (g.COUPLED, 3, 2), (g.EQUAL_RATE, 3, 5), (g.STANDARD, 3, 21),
+    ]:
+        beta, beta_d = r.uniform(0.3, 3.0), r.uniform(0.0, 2.0)
+        p2 = None
+        if flavor == g.EQUAL_RATE:
+            p = Params(beta, equal_rate_benefit(beta_d, dim), beta_d, dim)
+        else:
+            p = Params(beta, r.uniform(0.0, 3.0), beta_d, dim)
+        if flavor == g.COUPLED:
+            p2 = Params(beta, p.beta_c / 2, beta_d + 0.5, dim)
+        # about 4000 marks on the largest tori
+        t_max = min(2.0, 400.0 / side**dim)
+        rng = np.random.default_rng(r.randrange(10**6))
+        yield g.sample_event_log(p, Torus(side, dim), t_max, rng, flavor=flavor, p2=p2,
+                                 history=t_max / 2)
+    # times repr writes in either notation, at both ends of the span
+    edge = [-1.0, -0.0, 0.0, 5e-324, -5e-324, 1e-05, 0.1, 1 / 3, 2.0**53, 1e16, 2e16]
+    yield g.EventLog(0.0, 2e16, 1.0, g.STANDARD,
+                     [g.Mark(t, g.CROSS, i % 7) for i, t in enumerate(edge)], {}, 7, 1, seed=3)
+    yield g.EventLog(-3.5, 0.25, 0.125, g.STANDARD,
+                     [g.Mark(-3.625, g.ARROW, 10**4 - 1, 0), g.Mark(0.25, g.CROSS, 0)],
+                     {"cross": 1.0}, 10**4, 1)
+
+
+def test_text_round_trip_matches_the_reference_formatter(engine):
+    for log in text_cases():
+        text = log.to_text()
+        assert text == ref.to_text(log, log.marks)
+        back = g.EventLog.from_text(text)
+        assert column_bytes(back) == column_bytes(log)
+        assert back.to_text() == text
+
+
+LENIENT_TEXT = """# coopsim event log v1
+flavor=standard
+window=0.0 1.0
+history=0.5
+torus=12 1
+seed=-
+intensity cross=1.0
+-0.5 cross 2 - -
+0.001 arrow 10 11 -
+0.5 dot_arrow 3 4 5
+1.0 d_arrow 11 10 -
+"""
+LENIENT_MARKS = (
+    g.Mark(-0.5, g.CROSS, 2),
+    g.Mark(0.001, g.ARROW, 10, 11),
+    g.Mark(0.5, g.DOT_ARROW, 3, 4, 5),
+    g.Mark(1.0, g.D_ARROW, 11, 10),
+)
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("\n", "\r\n"),
+        ("0.5 dot_arrow 3 4 5", "0.5\tdot_arrow\t3 4\t5"),
+        ("0.5 dot_arrow 3 4 5", "  0.5   dot_arrow 3  4 5 "),
+        ("0.001 arrow 10 11 -\n", "0.001 arrow 10 11 -\n\n# a comment\n   \n"),
+        ("seed=-\n", ""),
+        ("0.001 arrow 10 11 -", "+0.001 arrow +10 1_1 -"),
+        ("0.5 dot_arrow 3 4 5", "0.5 dot_arrow 003 04 5"),
+        ("0.5 dot_arrow", ".5 dot_arrow"),
+        ("0.001 arrow", "1e-3 arrow"),
+        ("0.001 arrow", "1E-3 arrow"),
+        ("-0.5 cross 2", "-.5e0 cross ٢"),
+        ("1.0 d_arrow 11 10", "١.٠ d_arrow ١١ 1٠"),
+        ("1.0 d_arrow 11 10 -\n", "1.0 d_arrow 11 10 -"),
+    ],
+    ids=["crlf", "tabs", "runs-of-spaces", "blank-and-comment-lines", "header-after-marks",
+         "plus-and-underscore", "leading-zeros", "no-leading-digit", "exponent",
+         "capital-exponent", "non-ascii-site", "non-ascii-digits", "no-final-newline"],
+)
+def test_from_text_reads_lenient_text_on_both_engines(engine, old, new):
+    assert old in LENIENT_TEXT
+    text = LENIENT_TEXT.replace(old, new)
+    if new == "":  # the header line moves after the marks
+        text += old
+    log = g.EventLog.from_text(text)
+    assert log.marks == LENIENT_MARKS
+    assert column_bytes(log) == column_bytes(g.EventLog.from_text(LENIENT_TEXT))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("0.5 dot_arrow", "0x1p-1 dot_arrow",
+         "line 10 '0x1p-1 dot_arrow 3 4 5': could not convert string to float: '0x1p-1'"),
+        ("0.5 dot_arrow", "0.5,dot_arrow",
+         "line 10 '0.5,dot_arrow 3 4 5': not enough values to unpack (expected 5, got 4)"),
+        ("0.5 dot_arrow", "nan dot_arrow",
+         "line 10 'nan dot_arrow 3 4 5': time nan is outside the log's span [-0.5, 1.0]"),
+        ("0.5 dot_arrow", "inf dot_arrow",
+         "line 10 'inf dot_arrow 3 4 5': time inf is outside the log's span [-0.5, 1.0]"),
+        ("0.5 dot_arrow", "1e400 dot_arrow",
+         "line 10 '1e400 dot_arrow 3 4 5': time inf is outside the log's span [-0.5, 1.0]"),
+        ("0.5 dot_arrow", "-0.5000000000000001 dot_arrow",
+         "line 10 '-0.5000000000000001 dot_arrow 3 4 5': time -0.5000000000000001 is outside"),
+        ("0.5 dot_arrow 3 4 5", "0.5 dot_arrow 3 12 5",
+         "line 10 '0.5 dot_arrow 3 12 5': site 12 is off the 12-site torus"),
+        ("1.0 d_arrow 11 10 -", "1.0 d_arrow 11 10 99999999999",
+         "line 11 '1.0 d_arrow 11 10 99999999999': site 99999999999 is off the 12-site torus"),
+        ("1.0 d_arrow 11 10 -", "1.0 d_arrow - 10 -",
+         "line 11 '1.0 d_arrow - 10 -': invalid literal for int() with base 10: '-'"),
+        ("1.0 d_arrow", "1.0 D_arrow", "line 11 '1.0 D_arrow 11 10 -': unknown mark kind"),
+        ("seed=-\n", "seed=-\n0.25 cross 1 - -\nseed=x\n",
+         "line 8 'seed=x': invalid literal for int() with base 10: 'x'"),
+        # a form feed ends a line too, so the bad intensity is on line 8
+        ("seed=-\n", "seed=-\x0c\nintensity cross=fast\n",
+         "line 8 'intensity cross=fast': could not convert string to float: 'fast'"),
+    ],
+    ids=["hex-float", "comma-after-time", "nan", "inf", "overflow", "below-history", "site-off-torus",
+         "huge-site", "no-target", "capital-kind", "bad-header-after-a-mark",
+         "form-feed-in-the-header"],
+)
+def test_from_text_refuses_the_same_text_on_both_engines(engine, old, new, message):
+    assert old in LENIENT_TEXT
+    with pytest.raises(DomainError) as caught:
+        g.EventLog.from_text(LENIENT_TEXT.replace(old, new))
+    assert str(caught.value).startswith("event log " + message)
+
+
+def test_tied_times_keep_the_kind_order():
+    # a cross and an arrow at one site and time: the time alone cannot order them
+    marks = [g.Mark(1.0, g.ARROW, 2, 1), g.Mark(0.5, g.CROSS, 4), g.Mark(1.0, g.CROSS, 2)]
+    assert hand_log(marks).marks == (marks[1], marks[2], marks[0])
+    # distinct times are ordered by the time alone
+    marks = [g.Mark(1.0, g.ARROW, 2, 1), g.Mark(0.5, g.D_ARROW, 4, 3), g.Mark(0.75, g.CROSS, 6)]
+    assert hand_log(marks).marks == (marks[1], marks[2], marks[0])
+
+
 def test_event_log_validation():
     for (t_start, t_end, history, flavor, side, dim), named in [
         ((0.0, -1.0, 0.0, g.STANDARD, 4, 1), "window must be"),
