@@ -112,6 +112,7 @@ def _check_header(t_start, t_end, history, flavor, side, dim) -> None:
         raise DomainError(f"event log history must be nonnegative and finite, got {history}")
     if side < 2 or dim < 1:
         raise DomainError(f"event log torus needs side >= 2 and dim >= 1, got {side} {dim}")
+    lattice.site_count(side, dim)
 
 
 class Mark(NamedTuple):
@@ -343,7 +344,7 @@ class EventLog:
             lines.append(f"intensity {kind}={self.intensities[kind]!r}")
         module = _engine.load()
         marks = None if module is None else _engine.format_marks(
-            module, self._columns(), _KIND_NAMES, _site_bound(self.side, self.dim))
+            module, self._columns(), _KIND_NAMES, self.side**self.dim)
         if marks is None:
             names = [str(x) for x in range(self.side**self.dim)] + ["-"]  # names[-1]: no site
             marks = "".join(
@@ -377,12 +378,6 @@ class EventLog:
             dim=dim,
             seed=header["seed"],
         )
-
-
-def _site_bound(side: int, dim: int) -> int:
-    """``min(side**dim, 2**31)``, no int32 site reaching 2**31; as side >= 2,
-    no power beyond side**31 is computed."""
-    return min(side ** min(dim, 31), 2**31)
 
 
 def _read_header_line(no: int, line: str, header: dict, intensities: dict) -> bool:
@@ -485,8 +480,8 @@ def _read_text_compiled(module, text: str) -> tuple[dict, dict, _Columns] | None
         marks = text[pos:].encode("ascii")
     except (DomainError, UnicodeEncodeError):  # a later header line may complete the header
         return None
-    columns = _engine.parse_marks(module, marks, _KIND_NAMES, t_lo, t_end,
-                                  _site_bound(*header["torus"]))
+    side, dim = header["torus"]
+    columns = _engine.parse_marks(module, marks, _KIND_NAMES, t_lo, t_end, side**dim)
     return None if columns is None else (header, intensities, _Columns(*columns))
 
 

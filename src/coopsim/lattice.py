@@ -34,7 +34,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, chain
+from itertools import accumulate, islice
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
@@ -62,13 +62,9 @@ class Torus(object):
     __slots__ = ("dim", "side", "n_sites", "sites", "neighbors", "near2")
 
     def __init__(self, side: int, dim: int = 1, sites: Sequence[int] | None = None):
-        if side < 2:
-            raise DomainError(f"torus side must be at least 2, got {side}")
-        if dim < 1:
-            raise DomainError(f"torus dim must be at least 1, got {dim}")
+        self.n_sites = site_count(side, dim)
         self.dim = dim
         self.side = side
-        self.n_sites = side**dim
         if sites is None:
             self.sites = [EMPTY] * self.n_sites
         else:
@@ -131,12 +127,29 @@ class Torus(object):
 # (side, dim) pairs whose neighbor and distance-two tables are kept
 GEOMETRY_CACHE_SIZE = 8
 
+# Most sites a torus may have: sites, neighbor tables and mark sites are int32.
+MAX_SITES = 2**31 - 1
+
+
+def site_count(side: int, dim: int) -> int:
+    """``side**dim``, raising :class:`DomainError` for ``side < 2``, ``dim < 1``
+    or more than :data:`MAX_SITES` sites; no power beyond ``side**31`` is computed."""
+    if side < 2:
+        raise DomainError(f"torus side must be at least 2, got {side}")
+    if dim < 1:
+        raise DomainError(f"torus dim must be at least 1, got {dim}")
+    n = side ** min(dim, 31)
+    if dim > 31 or n > MAX_SITES:
+        raise DomainError(f"a side-{side} dim-{dim} torus has more than {MAX_SITES} sites")
+    return n
+
 
 class _Geometry(NamedTuple):
-    """A torus's neighbor and distance-two tables, shared by every torus
-    of its (side, dim), with the flat int32 arrays the compiled step reads:
-    ``nbr`` (``2 * dim`` neighbors per site) and ``near2_flat`` sliced by
-    the offsets ``near2_ptr``."""
+    """A torus's flat int32 arrays, which the compiled step and the mark
+    sampler read: ``nbr`` (``2 * dim`` neighbors per site) and
+    ``near2_flat`` (the sites within distance two, ascending) sliced by the
+    offsets ``near2_ptr``; and the same tables as tuples for the Python
+    engine.  Every torus of one (side, dim) shares them."""
 
     neighbors: tuple[tuple[int, ...], ...]
     near2: tuple[tuple[int, ...], ...]
@@ -147,49 +160,32 @@ class _Geometry(NamedTuple):
 
 @lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
 def _geometry(side: int, dim: int) -> _Geometry:
-    # tuples and read-only arrays: every torus of this shape shares them
-    neighbors = tuple(_neighbor_table(side, dim))
-    near2 = tuple(_near2_table(neighbors))
-    near2_ptr = np.zeros(len(near2) + 1, dtype=np.int32)
-    np.cumsum([len(z) for z in near2], out=near2_ptr[1:])
-    flat = (
-        np.array(neighbors, dtype=np.int32).ravel(),
-        near2_ptr,
-        np.fromiter(chain.from_iterable(near2), dtype=np.int32, count=int(near2_ptr[-1])),
-    )
-    for array in flat:
+    n = site_count(side, dim)
+    sites = np.arange(n, dtype=np.int32)
+    steps = []  # the neighbor across each face, axis by axis, (-e_j, +e_j)
+    for j in range(dim):
+        stride = side**j
+        coord = sites // stride % side
+        steps += [sites + ((coord + delta) % side - coord) * stride for delta in (-1, 1)]
+    nbr = np.stack(steps, axis=1)
+    # each site, its neighbors and theirs, sorted; keep the first of repeats
+    near = np.concatenate([sites[:, None], nbr, nbr[nbr].reshape(n, -1)], axis=1)
+    near.sort(axis=1)
+    keep = np.ones(near.shape, dtype=bool)
+    keep[:, 1:] = near[:, 1:] != near[:, :-1]
+    sizes = keep.sum(axis=1)
+    near2_ptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(sizes, out=near2_ptr[1:])
+    nbr, near2_flat = nbr.ravel(), near[keep]
+    del near, keep  # freed before the tuples are built
+    for array in (nbr, near2_ptr, near2_flat):
         array.flags.writeable = False
-    return _Geometry(neighbors, near2, *flat)
-
-
-def _neighbor_table(side: int, dim: int) -> list[tuple[int, ...]]:
-    n = side**dim
-    strides = [side**j for j in range(dim)]
-    table = []
-    for i in range(n):
-        coords = []
-        rem = i
-        for _ in range(dim):
-            coords.append(rem % side)
-            rem //= side
-        nbrs = []
-        for j in range(dim):
-            for delta in (-1, 1):
-                c = (coords[j] + delta) % side
-                nbrs.append(i + (c - coords[j]) * strides[j])
-        table.append(tuple(nbrs))
-    return table
-
-
-def _near2_table(neighbors: Sequence[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    table = []
-    for i, nbrs in enumerate(neighbors):
-        seen = {i}
-        seen.update(nbrs)
-        for y in nbrs:
-            seen.update(neighbors[y])
-        table.append(tuple(sorted(seen)))
-    return table
+    # the Python engine's tuples, read off the arrays, share one int object per site
+    ids = np.arange(n).astype(object)
+    neighbors = tuple(zip(*[iter(ids[nbr].tolist())] * (2 * dim)))  # 2d at a time
+    near2_sites = iter(ids[near2_flat].tolist())
+    near2 = tuple(tuple(islice(near2_sites, k)) for k in sizes.tolist())
+    return _Geometry(neighbors, near2, nbr, near2_ptr, near2_flat)
 
 
 def product_measure(
@@ -202,7 +198,7 @@ def product_measure(
     """Independent per-site states with P(c) = rho_c, P(d) = rho_d."""
     if not (rho_c >= 0 and rho_d >= 0 and rho_c + rho_d <= 1):
         raise DomainError(f"densities ({rho_c}, {rho_d}) not a sub-probability")
-    u = rng.random(side**dim)
+    u = rng.random(site_count(side, dim))
     sites = [
         COOPERATOR if v < rho_c else (DEFECTOR if v < rho_c + rho_d else EMPTY)
         for v in u
@@ -397,12 +393,14 @@ def _compiled_step(
 
 @dataclass(frozen=True, slots=True)
 class TimeSeries:
-    """Counts sampled on a fixed grid; constant after absorption."""
+    """Counts sampled on a fixed grid; constant after absorption.
+    ``events`` is the number of events the run applied."""
 
     t: np.ndarray
     n_c: np.ndarray
     n_d: np.ndarray
     n_e: np.ndarray
+    events: int
 
 
 def run(
@@ -428,7 +426,7 @@ def run(
     n_c, n_d, n_e = torus.counts()
     counts = [n_e, n_c, n_d]  # indexed by site state
     samples = []
-    k = 0
+    k = events = 0
     t = 0.0
     if t_end > 0:
         table = _rate_table(torus, p, rng)
@@ -443,11 +441,12 @@ def run(
                     k += 1
                 counts[event.prev] -= 1
                 counts[event.state] += 1
+                events += 1
         except Absorbed:
             pass
     samples += [tuple(counts)] * (len(sample_times) - k)
     out_e, out_c, out_d = np.array(samples, dtype=np.int64).T.copy()
-    return TimeSeries(t=sample_times, n_c=out_c, n_d=out_d, n_e=out_e)
+    return TimeSeries(t=sample_times, n_c=out_c, n_d=out_d, n_e=out_e, events=events)
 
 
 @dataclass(frozen=True, slots=True)

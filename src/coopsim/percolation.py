@@ -57,27 +57,22 @@ def outer_box_sites(d: int) -> int:
 class BlockSpec:
     """Scales of one space-time block.
 
-    ``T`` is the block's time span, ``delta`` the sub-interval length,
-    ``epsilon`` the closure probability handed to the percolation
-    comparison, and ``L`` the spatial half-width of the large boxes
-    (side 2L+1) whose sub-boxes have side max(1, round(L**0.1)).
+    ``T`` is the block's time span, the horizon ``block_spread_estimate``
+    runs to, and ``L`` the spatial half-width of the large boxes (side
+    2L+1) whose sub-boxes have side max(1, round(L**0.1)).
     """
 
     T: float
-    delta: float
-    epsilon: float
     L: int
 
     def __post_init__(self) -> None:
-        if not (self.T > 0 and self.delta > 0 and self.L > 0):
-            raise DomainError("T, delta and L must be positive")
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise DomainError(f"epsilon must be a probability, got {self.epsilon}")
+        if not (self.T > 0 and self.L > 0):
+            raise DomainError("T and L must be positive")
 
     @classmethod
-    def for_scale(cls, L: int, delta: float = 1.0, epsilon: float = 0.05) -> "BlockSpec":
+    def for_scale(cls, L: int) -> "BlockSpec":
         """Large-box convention: the time span is the squared spatial scale."""
-        return cls(T=float(L) ** 2, delta=delta, epsilon=epsilon, L=L)
+        return cls(T=float(L) ** 2, L=L)
 
     @property
     def sub_box_side(self) -> int:
@@ -394,9 +389,9 @@ def block_spread_estimate(
     Starting from the minimal configuration of the center event — one
     defector placed uniformly in each sub-box of the center box, no
     cooperators anywhere — the equal-rate process runs for the block time
-    span; success means both horizontally adjacent boxes end cooperator
-    free (here automatic) with at least one defector in each of their
-    sub-boxes.  d=1 only: the pilot-validated supercriticality threshold
+    span ``spec.T``; success means both horizontally adjacent boxes end
+    cooperator free (here automatic) with at least one defector in each of
+    their sub-boxes.  d=1 only: the pilot-validated supercriticality threshold
     and the box bookkeeping are calibrated for one dimension.
     """
     if p.dim != 1:
@@ -420,7 +415,7 @@ def block_spread_estimate(
     center_boxes = _sub_box_slices(-L, L, sub)
     left_boxes = _sub_box_slices(-2 * L, 0, sub)
     right_boxes = _sub_box_slices(0, 2 * L, sub)
-    horizon = float(L) ** 2
+    horizon = spec.T
 
     hits = 0
     for _ in range(replicas):

@@ -5,14 +5,21 @@ replicas from one start, and the three occupancy-count laws at a probe
 time are compared by two-sample chi-square tests.  The replicas draw in
 sequence from the caller's generator, so a frozen seed gives the same
 p-values on every run.
+
+It also holds the exact law on a small ring, which every engine and mark
+flavor is checked against: the process's generator over all
+configurations, its matrix exponential, and a chi-square test of
+replica counts against it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import expm
 
 from coopsim import lattice
 from coopsim.errors import DomainError
@@ -112,3 +119,53 @@ def distributional_equivalence_check(
         dofs=tuple(dofs),
         passed=all(pv >= level for pv in ps),
     )
+
+
+def ring_generator(ring: int, p: Params) -> tuple[np.ndarray, dict]:
+    """Generator of the process on a d=1 ring of ``ring`` >= 3 sites, over
+    all 3**ring configurations, written straight from the paper's rates:
+    an occupied site dies at rate 1; an empty site gains a cooperator at
+    rate beta/2 + beta_c/4 * (cooperator neighbors of y) through each
+    cooperator neighbor y, and a defector at rate (beta + beta_d)/2
+    through each defector neighbor."""
+    states = list(itertools.product((lattice.EMPTY, lattice.COOPERATOR, lattice.DEFECTOR), repeat=ring))
+    index = {s: i for i, s in enumerate(states)}
+    q = np.zeros((len(states), len(states)))
+    for s in states:
+        for x in range(ring):
+            t = list(s)
+            if s[x] != lattice.EMPTY:
+                t[x] = lattice.EMPTY
+                q[index[s], index[tuple(t)]] += 1.0
+                continue
+            for y in ((x - 1) % ring, (x + 1) % ring):
+                if s[y] == lattice.COOPERATOR:
+                    k = (s[(y - 1) % ring] == lattice.COOPERATOR) + (s[(y + 1) % ring] == lattice.COOPERATOR)
+                    rate = p.beta / 2 + p.beta_c / 4 * k
+                elif s[y] == lattice.DEFECTOR:
+                    rate = (p.beta + p.beta_d) / 2
+                else:
+                    continue
+                t[x] = s[y]
+                q[index[s], index[tuple(t)]] += rate
+    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
+    return q, index
+
+
+def ring_law(start: Torus, p: Params, t: float) -> tuple[np.ndarray, dict]:
+    """The law at time ``t`` of the process from the d=1 ring ``start``, as
+    probabilities over configurations, with the configurations' index."""
+    q, index = ring_generator(start.n_sites, p)
+    return expm(t * q)[index[tuple(start.sites)]], index
+
+
+def exact_law_pvalue(counts: np.ndarray, law: np.ndarray) -> tuple[float, int]:
+    """Chi-square p-value of replica ``counts`` per configuration against
+    ``law``, and the number of bins; bins expecting fewer than 5 replicas
+    are pooled into one, which must itself expect at least 5."""
+    expected = counts.sum() * law / law.sum()
+    sparse = expected < 5.0
+    observed = np.append(counts[~sparse], counts[sparse].sum())
+    expected = np.append(expected[~sparse], expected[sparse].sum())
+    assert expected[-1] >= 5.0
+    return float(stats.chisquare(observed, expected).pvalue), len(observed)

@@ -174,6 +174,11 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         # the field overflows and the state turns to NaN
         ("meanfield --beta 1e200 --beta-c 1e200 --beta-d 1 --t-end 1", "left the simplex"),
         ("meanfield --beta 1e308 --beta-c 1e308 --beta-d 1e308 --t-end 1", "left the simplex"),
+        # a torus beyond the int32 site limit
+        ("simulate --beta 2 --side 2 --dim 64 --replicas 1 --t-end 1", "more than 2147483647 sites"),
+        ("couple --beta 2 --delta-c 1 --side 2 --dim 64 --replicas 1 --t-end 1",
+         "more than 2147483647 sites"),
+        ("dual --beta 2 --side 2 --dim 64", "more than 2147483647 sites"),
     ],
 )
 def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):

@@ -6,7 +6,6 @@ compiled tests skip when the module cannot be built (no cffi or no C
 compiler); the Python engine then runs everywhere.
 """
 
-import itertools
 import locale
 import math
 import os
@@ -21,13 +20,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
-from scipy.stats import chisquare
 
 from coopsim import _engine, graphical, lattice, mean_field
 from coopsim.errors import Absorbed, DomainError
 from coopsim.lattice import RateTable, Torus, product_measure, run
 from coopsim.params import Params, equal_rate_benefit
+
+from engine_agreement import exact_law_pvalue, ring_law
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -136,6 +135,41 @@ def test_compiled_run_calls_step_once_per_event(monkeypatch):
     assert reference.sites == torus.sites and len(events) > 100
 
 
+def test_run_reports_the_events_it_applied(engine, monkeypatch):
+    steps = []
+    real = lattice.step
+
+    def counting(table, rng, t_limit=None):
+        event, elapsed = real(table, rng, t_limit)
+        steps.append(event)
+        return event, elapsed
+
+    monkeypatch.setattr(lattice, "step", counting)
+    rng = np.random.default_rng(5)
+    series = run(product_measure(40, 1, 0.3, 0.3, rng), Params(3.0, 1.0, 0.5, 1), 6.0, rng)
+    assert series.events == sum(event is not None for event in steps) > 100
+    # a run that ends absorbed counts the events before absorption
+    steps.clear()
+    series = run(Torus.from_state_string("ceeee"), Params(0.5), 50.0, rng)
+    assert series.n_c[-1] == 0 and series.events == len(steps) > 0
+    assert run(product_measure(40, 1, 0.3, 0.3, rng), Params(3.0), 0.0, rng).events == 0
+    assert run(Torus.from_state_string("eeeee"), Params(3.0), 5.0, rng).events == 0
+
+
+def test_engines_report_the_same_event_counts(monkeypatch):
+    compiled_module()
+    for side, dim, p, seed, t_end, interval in battery(50, 19):
+        counts = []
+        for python in (False, True):
+            with monkeypatch.context() as m:
+                if python:
+                    m.setattr(_engine, "load", lambda: None)
+                rng = np.random.default_rng(seed)
+                torus = product_measure(side, dim, 0.3, 0.3, rng)
+                counts.append(run(torus, p, t_end, rng, sample_interval=interval).events)
+        assert counts[0] == counts[1], (side, dim, p, seed, t_end)
+
+
 def test_compiled_step_matches_python_step_event_by_event():
     module = compiled_module()
     p = Params(4.0, 6.0, 1.0, 2)
@@ -178,58 +212,21 @@ def test_compiled_step_absorbed_on_empty_torus():
 # ---------------------------------------------------------------- exact law
 
 
-def ring_generator(ring: int, p: Params) -> tuple[np.ndarray, dict]:
-    """Generator of the process on a d=1 ring of ``ring`` >= 3 sites, over
-    all 3**ring configurations, written straight from the paper's rates:
-    an occupied site dies at rate 1; an empty site gains a cooperator at
-    rate beta/2 + beta_c/4 * (cooperator neighbors of y) through each
-    cooperator neighbor y, and a defector at rate (beta + beta_d)/2
-    through each defector neighbor."""
-    states = list(itertools.product((lattice.EMPTY, lattice.COOPERATOR, lattice.DEFECTOR), repeat=ring))
-    index = {s: i for i, s in enumerate(states)}
-    q = np.zeros((len(states), len(states)))
-    for s in states:
-        for x in range(ring):
-            t = list(s)
-            if s[x] != lattice.EMPTY:
-                t[x] = lattice.EMPTY
-                q[index[s], index[tuple(t)]] += 1.0
-                continue
-            for y in ((x - 1) % ring, (x + 1) % ring):
-                if s[y] == lattice.COOPERATOR:
-                    k = (s[(y - 1) % ring] == lattice.COOPERATOR) + (s[(y + 1) % ring] == lattice.COOPERATOR)
-                    rate = p.beta / 2 + p.beta_c / 4 * k
-                elif s[y] == lattice.DEFECTOR:
-                    rate = (p.beta + p.beta_d) / 2
-                else:
-                    continue
-                t[x] = s[y]
-                q[index[s], index[tuple(t)]] += rate
-    np.fill_diagonal(q, q.diagonal() - q.sum(axis=1))
-    return q, index
-
-
 @pytest.mark.slow
 def test_run_matches_the_exact_law_on_a_five_site_ring(engine):
     # the joint law of all five sites at t = 2, not only the counts; bins
     # expecting fewer than 5 replicas are pooled into one
     p = Params(2.0, 4.0, 1.0, 1)
     start = Torus.from_state_string("cdcde")
-    q, index = ring_generator(start.n_sites, p)
-    exact = expm(2.0 * q)[index[tuple(start.sites)]]
-    n = 20_000
+    law, index = ring_law(start, p, 2.0)
     counts = np.zeros(len(index))
     rng = np.random.default_rng(61)
-    for _ in range(n):
+    for _ in range(20_000):
         torus = start.copy()
         run(torus, p, 2.0, rng, sample_interval=2.0)
         counts[index[tuple(torus.sites)]] += 1
-    expected = n * exact / exact.sum()
-    sparse = expected < 5.0
-    observed = np.append(counts[~sparse], counts[sparse].sum())
-    expected = np.append(expected[~sparse], expected[sparse].sum())
-    assert expected[-1] >= 5.0 and len(observed) > 100
-    assert chisquare(observed, expected).pvalue > 0.001
+    pvalue, bins = exact_law_pvalue(counts, law)
+    assert bins > 100 and pvalue > 0.001
 
 
 # ---------------------------------------------------- selection, through C

@@ -25,7 +25,7 @@ from coopsim.lattice import COOPERATOR, DEFECTOR, EMPTY, Torus, product_measure
 from coopsim.params import Params, equal_rate_benefit
 
 import mark_reference as ref
-from engine_agreement import distributional_equivalence_check
+from engine_agreement import distributional_equivalence_check, exact_law_pvalue, ring_law
 from mark_edits import sterile_births_blocked, without_self_dotted
 
 # closed-form sterile probabilities, evaluated at 30-digit precision
@@ -405,6 +405,20 @@ def test_event_log_validation():
     ]:
         with pytest.raises(DomainError, match=named):
             g.EventLog(t_start, t_end, history, flavor, [], {}, side, dim)
+
+
+def test_event_log_refuses_a_torus_beyond_the_int32_site_limit():
+    # a 10**10-site torus once stored target 3000000000 as -1294967296, and
+    # to_text then wrote text that from_text could not read back
+    named = "more than 2147483647 sites"
+    with pytest.raises(DomainError, match=named):
+        g.EventLog(0.0, 1.0, 0.0, g.STANDARD, [g.Mark(0.5, g.CROSS, 3000000000)], {}, 100000, 2)
+    text = "\n".join(["# coopsim event log v1", "flavor=standard", "window=0.0 1.0",
+                      "history=0.0", "torus=100000 2", "seed=-", "0.5 cross 3000000000 - -", ""])
+    with pytest.raises(DomainError, match=named):
+        g.EventLog.from_text(text)
+    with pytest.raises(DomainError, match=named):
+        g.EventLog(0.0, 1.0, 0.0, g.STANDARD, [], {}, 2, 64)
 
 
 # ---------------------------------------------------------------- evolution
@@ -793,6 +807,47 @@ def test_coupled_evolve_validation():
     standard = g.sample_event_log(p, c0, 1.0, rng)
     with pytest.raises(FlavorMismatch):
         g.coupled_evolve(c0, c0, standard)
+
+
+# ---------------------------------------------------------------- exact law
+# Replays of sampled logs on the ring cdcde at t = 2 against the exact law,
+# expm of the process's generator; the per-mark battery above already shows
+# that the two replay engines agree, so these run on the default one.
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("flavor, p", [
+    (g.STANDARD, Params(2.0, 4.0, 1.0, 1)),
+    (g.EQUAL_RATE, Params(2.0, equal_rate_benefit(1.0, 1), 1.0, 1)),
+])
+def test_mark_replay_matches_the_exact_law_on_a_five_site_ring(flavor, p):
+    start = Torus.from_state_string("cdcde")
+    law, index = ring_law(start, p, 2.0)
+    counts = np.zeros(len(index))
+    rng = np.random.default_rng(61)
+    for _ in range(20_000):
+        log = g.sample_event_log(p, start, 2.0, rng, flavor=flavor, history=0.0)
+        counts[index[tuple(g.evolve_from_log(start, log).sites)]] += 1
+    pvalue, bins = exact_law_pvalue(counts, law)
+    assert bins > 100 and pvalue > 0.001
+
+
+@pytest.mark.slow
+def test_coupled_marginals_match_their_exact_laws_on_a_five_site_ring():
+    # each process of the coupling is the process with its own parameters
+    p1, p2 = Params(2.0, 4.0, 0.5, 1), Params(2.0, 2.0, 1.0, 1)
+    start = Torus.from_state_string("cdcde")
+    (law1, index), (law2, _) = ring_law(start, p1, 2.0), ring_law(start, p2, 2.0)
+    counts1, counts2 = np.zeros(len(index)), np.zeros(len(index))
+    rng = np.random.default_rng(61)
+    for _ in range(20_000):
+        log = g.sample_event_log(p1, start, 2.0, rng, flavor=g.COUPLED, p2=p2, history=0.0)
+        first, second = g.coupled_evolve(start, start, log)
+        counts1[index[tuple(first.sites)]] += 1
+        counts2[index[tuple(second.sites)]] += 1
+    for counts, law in ((counts1, law1), (counts2, law2)):
+        pvalue, bins = exact_law_pvalue(counts, law)
+        assert bins > 100 and pvalue > 0.001
 
 
 # --------------------------------------------------------------- sterility

@@ -1,5 +1,7 @@
 """Unit tests for the torus simulation engine."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -52,6 +54,58 @@ def test_torus_side_two_repeats_neighbor():
     t = Torus(2, dim=1)
     assert t.neighbors[0] == (1, 1)
     assert t.neighbors[1] == (0, 0)
+
+
+# every shape with side 2-8, d = 1-4 and at most 5,000 sites, and six more
+GEOMETRY_SHAPES = [(side, dim) for side in range(2, 9) for dim in range(1, 5) if side**dim <= 5000]
+GEOMETRY_SHAPES += [(100, 2), (10**4, 1), (20, 3), (1000, 1), (37, 1), (60, 1)]
+
+
+@pytest.mark.parametrize("side, dim", GEOMETRY_SHAPES)
+def test_geometry_matches_its_definition(side, dim):
+    # neighbors are the sites one unit step away, axis by axis as (-e_j, +e_j);
+    # near2 holds the sites at most two unit steps away, ascending
+    t = Torus(side, dim)
+    geometry = lattice._geometry(side, dim)
+    units = [tuple(s * (j == k) for k in range(dim)) for j in range(dim) for s in (-1, 1)]
+    neighbors, near2 = [], []
+    for i in range(t.n_sites):
+        c = [i // side**j % side for j in range(dim)]
+        assert t.index(c) == i
+        one = [[a + b for a, b in zip(c, u)] for u in units]
+        two = [[a + b for a, b in zip(x, u)] for x in one for u in units]
+        neighbors.append(tuple(t.index(x) for x in one))
+        near2.append(tuple(sorted({t.index(x) for x in [c, *one, *two]})))
+    assert t.neighbors == geometry.neighbors == tuple(neighbors)
+    assert t.near2 == geometry.near2 == tuple(near2)
+    assert geometry.nbr.tolist() == [y for row in neighbors for y in row]
+    assert geometry.near2_flat.tolist() == [z for row in near2 for z in row]
+    assert geometry.near2_ptr.tolist() == [0, *itertools.accumulate(map(len, near2))]
+    for array in (geometry.nbr, geometry.near2_ptr, geometry.near2_flat):
+        assert array.dtype == np.int32 and array.ndim == 1 and not array.flags.writeable
+
+
+def test_site_count_refuses_shapes_beyond_the_int32_limit():
+    assert lattice.MAX_SITES == 2**31 - 1
+    assert lattice.site_count(2, 30) == 2**30
+    assert lattice.site_count(46340, 2) == 46340**2 < lattice.MAX_SITES < 46341**2
+    for side, dim in [(2, 31), (46341, 2), (2, 64), (2, 10**9), (10**6, 31)]:
+        with pytest.raises(DomainError, match="more than 2147483647 sites"):
+            lattice.site_count(side, dim)
+    with pytest.raises(DomainError, match="side must be at least 2"):
+        lattice.site_count(1, 10**9)
+    with pytest.raises(DomainError, match="dim must be at least 1"):
+        lattice.site_count(2, 0)
+
+
+def test_too_large_torus_is_refused_before_anything_is_drawn():
+    with pytest.raises(DomainError, match="more than 2147483647 sites"):
+        Torus(2, dim=64)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DomainError, match="more than 2147483647 sites"):
+        product_measure(2, 64, 0.3, 0.3, rng)
+    assert rng.bit_generator.state == state
 
 
 def test_torus_state_string_round_trip():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from coopsim import lattice
 from coopsim.errors import DomainError, FlavorMismatch, OutOfBounds
 from coopsim.params import Params, equal_rate_benefit
 from coopsim.percolation import (
@@ -297,27 +298,21 @@ def test_joint_block_events_dominate_union_bound():
 def test_block_spec_for_scale():
     spec = BlockSpec.for_scale(10)
     assert spec.T == 100.0
-    assert spec.delta == 1.0
-    assert spec.epsilon == 0.05
     assert spec.L == 10
 
 
 def test_block_spec_sub_box_side():
     assert BlockSpec.for_scale(4).sub_box_side == 1
     assert BlockSpec.for_scale(57).sub_box_side == 1
-    assert BlockSpec(T=1.0, delta=0.5, epsilon=0.1, L=1000).sub_box_side == 2
-    assert BlockSpec(T=1.0, delta=0.5, epsilon=0.1, L=3**10).sub_box_side == 3
+    assert BlockSpec(T=1.0, L=1000).sub_box_side == 2
+    assert BlockSpec(T=1.0, L=3**10).sub_box_side == 3
 
 
 def test_block_spec_validation():
     with pytest.raises(DomainError):
-        BlockSpec(T=0.0, delta=1.0, epsilon=0.05, L=4)
+        BlockSpec(T=0.0, L=4)
     with pytest.raises(DomainError):
-        BlockSpec(T=1.0, delta=-1.0, epsilon=0.05, L=4)
-    with pytest.raises(DomainError):
-        BlockSpec(T=1.0, delta=1.0, epsilon=1.5, L=4)
-    with pytest.raises(DomainError):
-        BlockSpec(T=1.0, delta=1.0, epsilon=0.05, L=0)
+        BlockSpec(T=1.0, L=0)
 
 
 # ------------------------------------------------------------ oriented grid
@@ -496,6 +491,19 @@ def test_block_spread_reproducible():
     assert a == b
     assert a.replicas == 6
     assert 0.0 <= a.frequency <= 1.0
+
+
+def test_block_spread_runs_to_the_spec_time_span(monkeypatch):
+    horizons = []
+    real = lattice.run
+
+    def spy(torus, p, t_end, rng, sample_interval=1.0):
+        horizons.append(t_end)
+        return real(torus, p, t_end, rng, sample_interval)
+
+    monkeypatch.setattr(lattice, "run", spy)
+    block_spread_estimate(_spread_params(), BlockSpec(T=2.0, L=4), 3, np.random.default_rng(0))
+    assert horizons == [2.0] * 3
 
 
 @pytest.mark.slow
