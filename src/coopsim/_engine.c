@@ -23,20 +23,21 @@
  * it is for Python to report.
  *
  * coop_format and coop_parse write and read the mark lines of
- * coopsim.graphical.EventLog.to_text and from_text.  coop_format formats
- * each time with PyOS_double_to_string, the routine float.__repr__ calls,
- * so the bytes are repr's; that routine allocates with PyMem_Malloc,
- * which needs the GIL, and cffi releases the GIL around a call, so
- * coop_format takes it back for its loop.  coop_parse takes only lines
- * as to_text writes them and refuses the text at any other; Python then
+ * coopsim.graphical.EventLog.to_text and from_text.  coop_format writes
+ * each time as repr does: the shortest digits that read back as the same
+ * double, the closest of them to it and the even one of two as close, by
+ * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
+ * laid out as CPython's format_float_short lays out repr.  Its 128-bit
+ * powers of ten are computed from their definition with Python integers
+ * in coopsim._engine and passed in.  coop_parse takes only lines as
+ * to_text writes them and refuses the text at any other; Python then
  * reads it all with its own loop, which writes every error message.
  */
-#include <Python.h>  /* first, as Python asks: PyOS_double_to_string for coop_format */
+#include "numpy/random/distributions.h"  /* first: it includes Python.h, which must lead */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
-#include "numpy/random/distributions.h"
 
 #define EMPTY 0
 #define COOPERATOR 1
@@ -364,53 +365,173 @@ static char *put_site(char *p, int32_t v)
     return p;
 }
 
+/* The powers of ten 10^K that shortest() multiplies by, K in
+ * [POW10_MIN, 324]: row K - POW10_MIN of the table passed to
+ * coop_format holds g = floor(10^K / 2^r) + 1, with r = floor(log2 10^K)
+ * - 127 so that 2^127 < g <= 2^128, as its high and low 64-bit words. */
+#define POW10_MIN (-292)
+
+typedef unsigned __int128 u128;
+
+/* The round-to-odd of y = cp 10^K / 2^(r + 128), g being the table's row
+ * for 10^K: floor(y), with its last bit set when y is not whole.  g
+ * exceeds 10^K / 2^r by at most 1, so g cp / 2^128 exceeds y by less than
+ * 2^-64 (cp < 2^60), and a y that is not whole lies farther than that
+ * from every whole number (Giulietti's proof), so the whole part and the
+ * top 64 fraction bits of g cp / 2^128 decide both. */
+static uint64_t round_to_odd(const uint64_t *g, uint64_t cp)
+{
+    u128 z = (u128)g[0] * cp + (uint64_t)((u128)g[1] * cp >> 64);  /* floor(g * cp / 2^64) */
+    return (uint64_t)(z >> 64) | ((uint64_t)z != 0);
+}
+
+/* Schubfach on a positive finite double v = c 2^q: sets *digits and
+ * returns e such that *digits 10^e is the shortest decimal that reads
+ * back as v, the closest to v of those, and of two as close the one with
+ * an even last digit.  *digits may end in zeros.  The shifts of negative
+ * numbers are arithmetic, as in every compiler that builds this. */
+static int shortest(double v, const uint64_t *pow10, uint64_t *digits)
+{
+    uint64_t bits, c;
+    memcpy(&bits, &v, sizeof bits);
+    uint64_t fraction = bits & ((UINT64_C(1) << 52) - 1);
+    int biased = (int)(bits >> 52), q;
+    if (biased == 0) {
+        c = fraction;
+        q = -1074;
+    } else {
+        c = fraction | UINT64_C(1) << 52;
+        q = biased - 1075;
+        if (-52 <= q && q <= 0 && (c & ((UINT64_C(1) << -q) - 1)) == 0) {
+            *digits = c >> -q;  /* a whole number below 2^53 is its own shortest */
+            return 0;
+        }
+    }
+    /* the gap below v is half the gap above it at a power of two */
+    int closer = fraction == 0 && biased > 1;
+    /* k = floor(log10 of the gap above v, or 3/4 of it when closer) */
+    int k = (q * 1262611 - (closer ? 524031 : 0)) >> 22;
+    int h = q + ((-k * 1741647) >> 19) + 1;  /* q + floor(log2 10^-k) + 1, in [1, 4] */
+    const uint64_t *g = pow10 + 2 * (-k - POW10_MIN);
+    /* v, and the bounds of the doubles that round to it, in units of 10^k / 4 */
+    uint64_t vb = round_to_odd(g, c << 2 << h);
+    uint64_t vbl = round_to_odd(g, ((c << 2) - 2 + closer) << h);
+    uint64_t vbr = round_to_odd(g, ((c << 2) + 2) << h);
+    int even = (c & 1) == 0;  /* round-half-even reading takes the bounds themselves */
+    uint64_t lower = vbl + !even, upper = vbr - !even, s = vb >> 2;
+    if (s >= 10) {  /* one digit fewer: of the two next to v, at most one lies within */
+        uint64_t sp = s / 10;
+        int u_in = lower <= 40 * sp, w_in = 40 * sp + 40 <= upper;
+        if (u_in != w_in) {
+            *digits = sp + w_in;
+            return k + 1;
+        }
+    }
+    int u_in = lower <= 4 * s, w_in = 4 * s + 4 <= upper;
+    if (u_in != w_in) {
+        *digits = s + w_in;
+        return k;
+    }
+    /* both within: the closer, or the even one at a tie */
+    *digits = s + (vb > 4 * s + 2 || (vb == 4 * s + 2 && (s & 1)));
+    return k;
+}
+
+/* A finite double as repr writes it, at p; returns the end, at most 24
+ * bytes on.  The layout is CPython's format_float_short for repr: the
+ * exponent form when the decimal point would sit 4 or more places before
+ * the first digit or more than 16 after it, with a sign and at least two
+ * digits ("1e-05", "1e+16"); else the fixed form, with ".0" after a whole
+ * number. */
+static char *put_time(char *p, double v, const uint64_t *pow10)
+{
+    if (signbit(v)) {
+        *p++ = '-';
+        v = -v;
+    }
+    if (v == 0.0) {
+        memcpy(p, "0.0", 3);
+        return p + 3;
+    }
+    uint64_t m;
+    int e = shortest(v, pow10, &m);
+    /* the digits at [d, z), written as two 32-bit halves of at most 9
+     * and 8 digits, the trailing zeros then dropped */
+    char buf[20], *z = buf + sizeof buf, *d = z;
+    uint32_t x = (uint32_t)(m % 100000000), y = (uint32_t)(m / 100000000);
+    if (y > 0) {
+        for (int j = 0; j < 8; j++, x /= 10)
+            *--d = (char)('0' + x % 10);
+        x = y;
+    }
+    for (; x > 0; x /= 10)
+        *--d = (char)('0' + x % 10);
+    for (; z[-1] == '0'; z--)
+        e++;
+    int n = (int)(z - d), point = n + e;  /* v = 0.DIGITS 10^point */
+    if (point <= -4 || point > 16) {
+        *p++ = d[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, d + 1, n - 1);
+            p += n - 1;
+        }
+        int exponent = abs(point - 1);
+        *p++ = 'e';
+        *p++ = point - 1 < 0 ? '-' : '+';
+        if (exponent >= 100)
+            *p++ = (char)('0' + exponent / 100);
+        *p++ = (char)('0' + exponent / 10 % 10);
+        *p++ = (char)('0' + exponent % 10);
+    } else if (point <= 0) {
+        memcpy(p, "0.000", 2 - point);
+        memcpy(p + 2 - point, d, n);
+        p += 2 - point + n;
+    } else if (point < n) {
+        memcpy(p, d, point);
+        p[point] = '.';
+        memcpy(p + point + 1, d + point, n - point);
+        p += n + 1;
+    } else {
+        memcpy(p, d, n);
+        memset(p + n, '0', point - n);
+        memcpy(p + point, ".0", 2);
+        p += point + 2;
+    }
+    return p;
+}
+
 /* The mark lines of coopsim.graphical.EventLog.to_text for marks [0, n):
  * "TIME KIND TARGET SOURCE DOT\n", the time as repr writes it, the kind
- * as names[kind] (n_names of them) and a site of -1 as "-".  Writes at
- * most cap bytes to out and returns the number written, or -1 when a line
- * does not fit, a kind has no name or a time cannot be formatted.  The
- * loop holds the GIL, which PyOS_double_to_string needs. */
+ * as names[kind] (n_names of them) and a site of -1 as "-"; pow10 is the
+ * table above.  Writes at most cap bytes to out and returns the number
+ * written, or -1 when a kind has no name, a time is not finite or fewer
+ * bytes are left than the longest line of its kind could take: a time
+ * of 24, three sites of 10, four spaces and a newline. */
 int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
                     const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
-                    const char *const *names, int n_names)
+                    const char *const *names, int n_names, const uint64_t *pow10)
 {
-    int64_t written = -1;
     char *p = out, *end = out + cap;
-    PyGILState_STATE gil = PyGILState_Ensure();
     for (int64_t i = 0; i < n; i++) {
-        if (kind[i] < 0 || kind[i] >= n_names)
-            goto done;
-        char sites[3 * 11], *q = sites;
-        q = put_site(q, target[i]);
-        *q++ = ' ';
-        q = put_site(q, source[i]);
-        *q++ = ' ';
-        q = put_site(q, dot[i]);
-        char *t = PyOS_double_to_string(time[i], 'r', 0, Py_DTSF_ADD_DOT_0, NULL);
-        if (t == NULL) {
-            PyErr_Clear();
-            goto done;
-        }
-        size_t t_len = strlen(t), k_len = strlen(names[kind[i]]);
-        if ((size_t)(end - p) < t_len + k_len + (size_t)(q - sites) + 3) {
-            PyMem_Free(t);
-            goto done;
-        }
-        memcpy(p, t, t_len);
-        PyMem_Free(t);
-        p += t_len;
+        if (kind[i] < 0 || kind[i] >= n_names || !isfinite(time[i]))
+            return -1;
+        size_t k_len = strlen(names[kind[i]]);
+        if ((size_t)(end - p) < 24 + k_len + 3 * 10 + 5)
+            return -1;
+        p = put_time(p, time[i], pow10);
         *p++ = ' ';
         memcpy(p, names[kind[i]], k_len);
         p += k_len;
         *p++ = ' ';
-        memcpy(p, sites, q - sites);
-        p += q - sites;
+        p = put_site(p, target[i]);
+        *p++ = ' ';
+        p = put_site(p, source[i]);
+        *p++ = ' ';
+        p = put_site(p, dot[i]);
         *p++ = '\n';
     }
-    written = p - out;
-done:
-    PyGILState_Release(gil);
-    return written;
+    return p - out;
 }
 
 /* Skips [0-9]+ at *p (before end); returns 0 when there is no digit. */

@@ -9,21 +9,21 @@ operation, drawing through numpy's own routines on the caller's
 or two.  ``coop_rk4`` is the RK4 loop of ``mean_field.integrate``, with
 the same bits.  ``coop_format`` and ``coop_parse`` write and read the
 mark lines of ``graphical.EventLog.to_text`` and ``from_text``.
-``coop_format`` writes each time with ``PyOS_double_to_string``, the
-routine ``float.__repr__`` calls.  That routine allocates through
-Python and so needs the GIL, which cffi releases around a call, so
-``coop_format`` takes the GIL back for its loop.  ``coop_parse`` refuses
-any line that ``to_text`` would not write, and the Python loop then
-reads the whole text.  :func:`load` builds the module with cffi in API
-mode, linked against numpy's ``libnpyrandom.a``, in a subprocess whose
-output is captured.  The module is kept in ``$XDG_CACHE_HOME/coopsim``
-(default ``~/.cache/coopsim``) under a name keyed by a hash of the C
-source, the numpy version and the Python ABI, and moved into place with
-``os.replace``, so that processes building at once do not race.  When it
-cannot be built or loaded, one line on stderr says so and :func:`load`
-returns ``None``: ``lattice.run``, the replay routines,
-``mean_field.integrate`` and the log text routines then run their Python
-loops.
+``coop_format`` writes each time as ``repr`` does, byte for byte: the
+shortest round-trip digits, found by Schubfach (Giulietti, 2020), laid
+out as CPython lays out ``repr``, with the powers of ten of
+:func:`pow10_table`, which are computed here from their definition.
+``coop_parse`` refuses any line that ``to_text`` would not write, and
+the Python loop then reads the whole text.  :func:`load` builds the
+module with cffi in API mode, linked against numpy's ``libnpyrandom.a``,
+in a subprocess whose output is captured.  The module is kept in
+``$XDG_CACHE_HOME/coopsim`` (default ``~/.cache/coopsim``) under a name
+keyed by a hash of the C source, the numpy version and the Python ABI,
+and moved into place with ``os.replace``, so that processes building at
+once do not race.  When it cannot be built or loaded, one line on stderr
+says so and :func:`load` returns ``None``: ``lattice.run``, the replay
+routines, ``mean_field.integrate`` and the log text routines then run
+their Python loops.
 
 Nothing here imports cffi until :func:`load` is called.
 """
@@ -31,6 +31,7 @@ Nothing here imports cffi until :func:`load` is called.
 from __future__ import annotations
 
 import ctypes
+import functools
 import hashlib
 import importlib.util
 import math
@@ -70,7 +71,7 @@ int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, do
              int64_t *last);
 int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
                     const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
-                    const char *const *names, int n_names);
+                    const char *const *names, int n_names, const uint64_t *pow10);
 int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
                    double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
                    int32_t *target, int32_t *source, int32_t *dot, int64_t cap);
@@ -239,17 +240,44 @@ def _c_names(ffi, names: tuple[str, ...]):
     return ffi.new("char *[]", buffers), buffers
 
 
+# the powers of ten 10^K, K in [POW10_MIN, POW10_MAX], that coop_format's
+# shortest-digit search multiplies by, the range of _engine.c's table
+POW10_MIN, POW10_MAX = -292, 324
+
+
+@functools.cache
+def pow10_table() -> np.ndarray:
+    """``coop_format``'s powers of ten: row ``K - POW10_MIN`` holds the high and low
+    64-bit words of ``g = floor(10**K / 2**r) + 1``, where ``r = floor(log2 10**K) - 127``,
+    so that ``2**127 < g <= 2**128``."""
+    rows = []
+    for k in range(POW10_MIN, POW10_MAX + 1):
+        if k >= 0:
+            r = (10**k).bit_length() - 128
+            g = (10**k >> r if r >= 0 else 10**k << -r) + 1
+        else:  # floor(log2 10**k) = -ceil(log2 10**-k), and 10**-k is no power of two
+            r = -(10**-k - 1).bit_length() - 127
+            g = (1 << -r) // 10**-k + 1
+        rows.append((g >> 64, g & (1 << 64) - 1))
+    table = np.array(rows, dtype=np.uint64)
+    table.flags.writeable = False  # one array for every caller
+    return table
+
+
 def format_marks(module, columns, names: tuple[str, ...], n_sites: int) -> str | None:
     """``coop_format``: the mark lines of a log's columns as text, or ``None`` when it
     refuses them.  ``names[k]`` names kind code k; every site is below ``n_sites``."""
     ffi = module.ffi
     n = len(columns[0])
     # repr writes a time in at most 24 bytes ("-2.2250738585072014e-308"),
-    # and a line has four spaces and a newline
-    out = np.empty(n * (24 + max(map(len, names)) + 3 * len(str(n_sites - 1)) + 5), np.uint8)
+    # and a line has four spaces and a newline; coop_format asks for room
+    # for sites of 10 digits before each line, which the last line needs
+    digits = len(str(n_sites - 1))
+    out = np.empty(n * (24 + max(map(len, names)) + 3 * digits + 5) + 3 * (10 - digits), np.uint8)
     c_names, _buffers = _c_names(ffi, names)
     written = module.lib.coop_format(ffi.from_buffer("char[]", out), len(out),
-                                     *_column_buffers(ffi, columns), n, c_names, len(names))
+                                     *_column_buffers(ffi, columns), n, c_names, len(names),
+                                     ffi.from_buffer("uint64_t[]", pow10_table()))
     return None if written < 0 else str(out[:written], "ascii")
 
 

@@ -346,7 +346,9 @@ class EventLog:
         marks = None if module is None else _engine.format_marks(
             module, self._columns(), _KIND_NAMES, self.side**self.dim)
         if marks is None:
-            names = [str(x) for x in range(self.side**self.dim)] + ["-"]  # names[-1]: no site
+            # the sites the marks name, and -1 for none: not every site of the torus
+            sites = np.unique(np.concatenate((self.target, self.source, self.dot))).tolist()
+            names = dict(zip(sites, map(str, sites))) | {-1: "-"}
             marks = "".join(
                 f"{t!r} {_KIND_NAMES[k]} {names[x]} {names[y]} {names[z]}\n"
                 for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))

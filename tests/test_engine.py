@@ -14,6 +14,8 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import tracemalloc
+from fractions import Fraction
 from functools import reduce
 from operator import add
 from pathlib import Path
@@ -367,6 +369,83 @@ def test_a_comma_decimal_point_leaves_the_text_to_the_python_loop():
                 for t, _ in trips] == [c for _, c in trips]
     finally:
         locale.setlocale(locale.LC_NUMERIC, old)
+
+
+def repr_battery() -> np.ndarray:
+    """Finite doubles on which a shortest-digit formatter can go wrong: 1M random
+    bit patterns, every power of two and every power of ten with their two
+    neighbors, the neighbors of repr's fixed/exponent boundaries, whole
+    numbers up to 2**53, and the extremes; each also negated."""
+    rng = np.random.default_rng(20260)
+    draws = rng.integers(0, 2**64, size=1_001_000, dtype=np.uint64).view(np.float64)
+    random_doubles = draws[np.isfinite(draws)][:1_000_000]
+    assert len(random_doubles) == 1_000_000
+
+    def around(x):
+        x = np.asarray(x, dtype=np.float64)
+        return np.concatenate((np.nextafter(x, -np.inf), x, np.nextafter(x, np.inf)))
+
+    fmax, fmin = sys.float_info.max, sys.float_info.min
+    structured = np.concatenate((
+        around(np.ldexp(1.0, np.arange(-1074, 1024))),
+        around([float(f"1e{k}") for k in range(-323, 309)]),  # the double nearest each 10**k
+        around([1e-4, 1e-5, 1e16]), [9999999999999998.0],
+        np.arange(100_001.0), rng.integers(0, 2**53, size=100_000, endpoint=True).astype(float),
+        2.0**53 - np.arange(100.0),
+        [0.0, 5e-324, fmin, fmax],
+    ))
+    values = np.concatenate((random_doubles, structured, -structured))
+    return values[np.isfinite(values)]
+
+
+@pytest.mark.slow
+def test_to_text_writes_every_time_as_repr_does(engine):
+    # a window over every finite double, so that each is a legal mark time
+    fmax = sys.float_info.max
+    time = repr_battery()
+    n = len(time)
+    marks = graphical._Columns.of(time, np.zeros(n), np.zeros(n), np.full(n, -1), np.full(n, -1))
+    log = graphical.EventLog(-fmax, fmax, 0.0, graphical.STANDARD, marks, {}, 2, 1)
+    text = log.to_text()
+    lines = text.splitlines()[6:]  # after the six header lines
+    assert len(lines) == n
+    wrong = [(line, t) for line, t in zip(lines, log.time.tolist())
+             if line != f"{t!r} cross 0 - -"]
+    assert wrong[:5] == []
+    back = graphical.EventLog.from_text(text)
+    assert [c.tobytes() for c in back._columns()] == [c.tobytes() for c in log._columns()]
+    assert np.signbit(back.time).sum() == np.signbit(log.time).sum()  # -0.0 is not 0.0
+
+
+def test_pow10_table_matches_its_definition():
+    # row K - POW10_MIN holds g = floor(10**K / 2**r) + 1, 2**127 <= 10**K / 2**r < 2**128
+    table = _engine.pow10_table()
+    ks = range(_engine.POW10_MIN, _engine.POW10_MAX + 1)
+    assert table.shape == (len(ks), 2) and table.dtype == np.uint64
+    for (high, low), k in zip(table.tolist(), ks):
+        power = Fraction(10)**k
+        r = math.floor(k * math.log2(10)) - 127
+        while power / Fraction(2)**r >= 2**128:
+            r += 1
+        while power / Fraction(2)**r < 2**127:
+            r -= 1
+        assert (high << 64) + low == math.floor(power / Fraction(2)**r) + 1, k
+
+
+def test_python_to_text_costs_the_marks_not_the_sites(engine):
+    # two marks on a million-site torus: the Python loop once named every site
+    marks = [graphical.Mark(0.25, graphical.CROSS, 999_999),
+             graphical.Mark(1e-05, graphical.ARROW, 7, 1_000)]
+    log = graphical.EventLog(0.0, 1.0, 0.0, graphical.STANDARD, marks, {}, 1000, 2)
+    log.to_text()  # loads the module and its table outside the measurement
+    tracemalloc.start()
+    try:
+        text = log.to_text()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text.split("seed=-\n")[1] == "1e-05 arrow 7 1000 -\n0.25 cross 999999 - -\n"
+    assert peak < 2**20
 
 
 def test_failed_build_falls_back_with_one_stderr_line(monkeypatch, tmp_path, capfd):
