@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError
 from .graphical import COUPLED, coupled_evolve, sample_event_log
-from .lattice import (COOPERATOR, DEFECTOR, SurvivalResult, product_measure, survival_estimate,
-                      survival_replicas)
+from .lattice import (COOPERATOR, DEFECTOR, ReplicaOutcome, SurvivalResult, product_measure,
+                      survival_estimate, survival_replicas)
 from .mean_field import classify_regime
 from .params import Params, equal_rate_benefit
 
@@ -227,21 +227,18 @@ def monotonicity_check(
     c_nested = True
     d_nested = True
     identical = True
-    c_alive_f = c_alive_b = d_alive_f = d_alive_b = 0
-    for _ in range(replicas):
+    outcomes_f, outcomes_b = [], []
+    for i in range(replicas):
         start = product_measure(side, base.dim, rho_c, rho_d, rng)
         log = sample_event_log(favored, start, horizon, rng, flavor=COUPLED, p2=base)
         first, second = coupled_evolve(start, start.copy(), log)
-        nc1, nd1, _ = first.counts()
-        nc2, nd2, _ = second.counts()
-        c_alive_f += nc1 > 0
-        c_alive_b += nc2 > 0
-        d_alive_f += nd1 > 0
-        d_alive_b += nd2 > 0
+        outcomes_f.append(ReplicaOutcome(i, *first.counts()))
+        outcomes_b.append(ReplicaOutcome(i, *second.counts()))
         pairs = list(zip(first.sites, second.sites))
         c_nested &= all(a == COOPERATOR for a, b in pairs if b == COOPERATOR)
         d_nested &= all(b == DEFECTOR for a, b in pairs if a == DEFECTOR)
         identical &= first.sites == second.sites
+    fav, bas = SurvivalResult(tuple(outcomes_f)), SurvivalResult(tuple(outcomes_b))
     return MonotonicityReport(
         base=base,
         favored=favored,
@@ -250,10 +247,10 @@ def monotonicity_check(
         c_sets_nested_at_horizon=c_nested,
         d_sets_nested_at_horizon=d_nested,
         identical_trajectories=identical,
-        freq_c_alive_favored=c_alive_f / replicas,
-        freq_c_alive_base=c_alive_b / replicas,
-        freq_d_alive_favored=d_alive_f / replicas,
-        freq_d_alive_base=d_alive_b / replicas,
+        freq_c_alive_favored=fav.freq_c_alive,
+        freq_c_alive_base=bas.freq_c_alive,
+        freq_d_alive_favored=fav.freq_d_alive,
+        freq_d_alive_base=bas.freq_d_alive,
     )
 
 

@@ -501,11 +501,15 @@ def binomial_estimate(hits: int, n: int) -> tuple[float, float]:
 
 
 def poisson(rng: np.random.Generator, lam: float, size=None):
-    """``rng.poisson(lam, size)``, raising :class:`DomainError` for a mean numpy cannot draw."""
+    """``rng.poisson(lam, size)``, raising :class:`DomainError` for a mean numpy
+    cannot draw or for more counts than can be stored."""
     try:
-        return rng.poisson(lam, size)
+        if size is None:
+            return rng.poisson(lam)
+        rng.poisson(lam, 0)  # numpy checks the mean before the size; this draws nothing
     except ValueError as exc:  # numpy: "lam value too large"
         raise DomainError(f"Poisson mean {lam!r} is out of range: {exc}") from None
+    return allocate(np.prod(size, dtype=object), "Poisson counts", rng.poisson, lam, size)
 
 
 def allocate(count: int, what: str, make, *args, **kwargs):

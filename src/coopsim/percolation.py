@@ -41,6 +41,14 @@ def _require_dim(d: int) -> None:
         raise DomainError(f"dimension must be >= 1, got {d}")
 
 
+def _as_float(sites: int, d: int) -> float:
+    """A box's site count as a float, which the closed forms multiply by."""
+    try:
+        return float(sites)
+    except OverflowError:
+        raise DomainError(f"dimension {d} gives a box of more sites than a float can hold") from None
+
+
 def inner_box_sites(d: int) -> int:
     """Sites in the union of the 2d face-adjacent side-3 sub-boxes."""
     _require_dim(d)
@@ -91,7 +99,7 @@ def _require_positive_finite(**values: float) -> None:
 def prob_a1(T: float, d: int) -> float:
     """Chance every inner-box site dies at least once within a T-window."""
     _require_positive_finite(T=T)
-    return (1.0 - math.exp(-T)) ** inner_box_sites(d)
+    return (1.0 - math.exp(-T)) ** _as_float(inner_box_sites(d), d)
 
 
 def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tuple[float, float]:
@@ -105,7 +113,7 @@ def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tu
 
 def _mark_rate(p: Params, d: int) -> float:
     """Total rate of crosses plus incoming birth arrows over the outer box."""
-    return outer_box_sites(d) * (p.beta + p.beta_d + 1.0)
+    return _as_float(outer_box_sites(d), d) * (p.beta + p.beta_d + 1.0)
 
 
 def bound_a2(T: float, delta: float, d: int, p: Params) -> float:
@@ -160,7 +168,7 @@ def prob_a3_bound(beta: float, beta_c: float, T: float, delta: float, d: int) ->
     if not 0 <= beta_c < math.inf:
         raise DomainError(f"beta_c must be nonnegative and finite, got {beta_c}")
     per_site = (beta + beta_c / (2 * d)) / (2 * d)
-    exponent = 2.0 * outer_box_sites(d) * T / delta
+    exponent = 2.0 * _as_float(outer_box_sites(d), d) * T / delta
     return (1.0 - math.exp(-delta * per_site)) ** exponent
 
 
@@ -175,7 +183,7 @@ def c_plus_absence_prob(L: int, d: int, rho: float) -> float:
         raise DomainError(f"L must be a positive integer, got {L}")
     if not 0 <= rho < math.inf:
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    return math.exp(-2.0 * L**2 * (6 * L + 1) ** d * rho)
+    return math.exp(-2.0 * L**2 * _as_float((6 * L + 1) ** d, d) * rho)
 
 
 def estimate_c_plus_absence(
@@ -213,9 +221,6 @@ class PercolationField:
     open_: np.ndarray
     wet: np.ndarray
 
-    def z_index(self, z: int) -> int:
-        return z + self.width
-
     def in_bounds(self, z: int, n: int) -> bool:
         return 0 <= n <= self.levels and abs(z) <= self.width
 
@@ -227,21 +232,14 @@ class PercolationField:
 
         ``w`` wet, ``o`` open but dry, ``x`` closed.
         """
+        codes = np.where(self.wet, 2, self.open_)  # wet wins, even over a closed cell
         lines = []
-        for n in range(self.levels + 1):
-            symbols = []
-            for z in range(-self.width, self.width + 1):
-                if (z + n) % 2 != 0:
-                    continue
-                j = self.z_index(z)
-                symbols.append("w" if self.wet[n, j] else "o" if self.open_[n, j] else "x")
-            runs = []
-            for s in symbols:
-                if runs and runs[-1][1] == s:
-                    runs[-1][0] += 1
-                else:
-                    runs.append([1, s])
-            lines.append(f"{n}: " + "".join(f"{c}{s}" for c, s in runs))
+        for n, row in enumerate(codes):
+            row = row[(n + self.width) % 2 :: 2]  # the parity cells z + n even
+            starts = np.flatnonzero(np.diff(row, prepend=-1))
+            counts = np.diff(starts, append=len(row))
+            runs = "".join(f"{c}{'xow'[k]}" for c, k in zip(counts.tolist(), row[starts].tolist()))
+            lines.append(f"{n}: {runs}")
         return "\n".join(lines) + "\n"
 
 
@@ -268,7 +266,8 @@ def percolate(
     if uniforms is None:
         if rng is None:
             raise DomainError("either rng or uniforms must be provided")
-        uniforms = rng.random((levels + 1, span))
+        uniforms = lattice.allocate((levels + 1) * span, "percolation uniforms", rng.random,
+                                    (levels + 1, span))
     elif uniforms.shape != (levels + 1, span):
         raise DomainError(
             f"uniforms shape {uniforms.shape} != {(levels + 1, span)}"
@@ -279,7 +278,7 @@ def percolate(
     if isinstance(sources, str):
         if sources != "all":
             raise DomainError(f"unknown source designation {sources!r}")
-        source_list = [int(j) - width for j in np.flatnonzero(parity[0])]
+        source_list = (np.flatnonzero(parity[0]) - width).tolist()
     else:
         source_list = sorted(int(z) for z in sources)
         for z in source_list:
@@ -289,8 +288,8 @@ def percolate(
                 raise DomainError(f"source {z} is not on the parity sublattice")
 
     wet = np.zeros_like(open_)
-    for z in source_list:
-        wet[0, z + width] = open_[0, z + width]
+    launch = np.asarray(source_list, dtype=np.intp) + width
+    wet[0, launch] = open_[0, launch]
     for n in range(levels):
         wet[n + 1] = open_[n + 1] & _either_side(wet[n], 1)
     return PercolationField(
@@ -424,14 +423,9 @@ def block_spread_estimate(
             z = int(rng.integers(box.start, box.stop))
             torus.sites[z + offset] = DEFECTOR
         lattice.run(torus, p, horizon, rng, sample_interval=horizon)
-        ok = True
-        for boxes in (left_boxes, right_boxes):
-            for box in boxes:
-                if not any(torus.sites[z + offset] == DEFECTOR for z in box):
-                    ok = False
-                    break
-            if not ok:
-                break
-        hits += ok
+        hits += all(
+            DEFECTOR in torus.sites[box.start + offset : box.stop + offset]
+            for box in left_boxes + right_boxes
+        )
     freq, stderr = lattice.binomial_estimate(hits, replicas)
     return BlockSpreadResult(frequency=freq, stderr=stderr, replicas=replicas, spec=spec)

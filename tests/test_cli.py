@@ -149,6 +149,8 @@ def test_non_finite_input_exits_2(argv, capsys):
         "blocks cplus --rho 1e300",
         "dual --beta 1e300 --side 4",
         "sterile --beta 1e300 --side 8 --t-end 2",
+        # a mean out of range is named as such, even with counts too many to store
+        "blocks a1 --T 1e300 --replicas 100000000000000000000000",
     ],
 )
 def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
@@ -179,6 +181,18 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         ("couple --beta 2 --delta-c 1 --side 2 --dim 64 --replicas 1 --t-end 1",
          "more than 2147483647 sites"),
         ("dual --beta 2 --side 2 --dim 64", "more than 2147483647 sites"),
+        # block arrays of 100 TiB or more; numpy checks a Poisson mean before the size
+        ("blocks perc --levels 100000 --width 100000000 --seed 1", "percolation uniforms cannot be stored"),
+        ("blocks perc --levels 4 --width 3000000000000000000000 --seed 1",
+         "percolation uniforms cannot be stored"),
+        ("blocks a1 --replicas 100000000000000 --seed 1", "Poisson counts cannot be stored"),
+        ("blocks cplus --replicas 100000000000000 --seed 1", "Poisson counts cannot be stored"),
+        ("blocks a1 --replicas 100000000000000000000000 --seed 1", "Poisson counts cannot be stored"),
+        # a box whose site count is beyond a float
+        ("blocks a2 --beta 1 --dim 700 --replicas 10 --seed 1", "dimension 700 gives a box"),
+        ("blocks a3 --beta 1 --dim 700", "dimension 700 gives a box"),
+        ("blocks cplus --L 2 --dim 700 --replicas 10 --seed 1", "dimension 700 gives a box"),
+        ("blocks cplus --L 2 --dim 300 --rho 1e-300 --replicas 10 --seed 1", "dimension 300 gives a box"),
     ],
 )
 def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
@@ -544,6 +558,27 @@ def test_blocks_spread_runs_small(capsys):
     doc = payload(capsys)
     assert 0.0 <= float(doc["result"]["frequency"]) <= 1.0
     assert doc["result"]["replicas"] == 5
+
+
+PERC_ARGS = ["blocks", "perc", "--epsilon", "0.05", "--levels", "400", "--width", "600", "--seed"]
+SPREAD_ARGS = ["blocks", "spread", "--beta", "4", "--beta-d", "1", "--L", "6", "--replicas", "20",
+               "--seed"]
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (PERC_ARGS + ["1"], "616ecfc58ce2e3ab80ae1a25c15354ab37fe68c21df9b9dd69ac5e9342b32a0e"),
+        (PERC_ARGS + ["41"], "3fe24ab42c962af955c60918e233005eeb2f8fd87d1face94c8557c6e26e9317"),
+        (SPREAD_ARGS + ["1"], "033b9a269b0018b3e6933120c205d872a973a4aad1c0af75d21b17915dca7442"),
+        (SPREAD_ARGS + ["41"], "ea77be51e5984e20bffaeca781c962b124de43e9ae3cac1720d9add87e665e8a"),
+    ],
+    ids=["perc-seed1", "perc-seed41", "spread-seed1", "spread-seed41"],
+)
+def test_blocks_pinned_bytes(argv, digest, capsys):
+    code, out = run_main(argv, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # ------------------------------------------------------------------ sterile

@@ -11,6 +11,7 @@ from coopsim.params import Params, equal_rate_benefit
 from coopsim.percolation import (
     BETA_STAR_D1,
     BlockSpec,
+    PercolationField,
     block_spread_estimate,
     bound_a2,
     c_plus_absence_prob,
@@ -245,6 +246,18 @@ def test_estimate_c_plus_absence_matches_closed_form():
     assert again == estimate_c_plus_absence(2, 1, 0.001, 500, np.random.default_rng(1))
 
 
+def test_sized_poisson_draws_are_numpys_own():
+    # the mean check before a sized draw takes nothing from the stream
+    mine, ref = np.random.default_rng(7), np.random.default_rng(7)
+    counts = ref.poisson(0.7, (50, inner_box_sites(2)))
+    assert estimate_a1(0.7, 2, 50, mine) == lattice.binomial_estimate(
+        int((counts > 0).all(axis=1).sum()), 50)
+    counts = ref.poisson(0.05 * 19**2 * 2.0 * 3**2, 40)
+    assert estimate_c_plus_absence(3, 2, 0.05, 40, mine) == lattice.binomial_estimate(
+        int((counts == 0).sum()), 40)
+    assert mine.random() == ref.random()
+
+
 # ----------------------------------------------------- joint lower bound
 
 
@@ -451,6 +464,63 @@ def test_field_rle_dump_format():
         assert total == parity_cells
 
 
+@pytest.mark.parametrize(
+    "field, text",
+    [
+        # odd width, explicit sources
+        (percolate(0.3, 5, 7, sources=(-4, 0, 6), rng=np.random.default_rng(3)),
+         "0: 1x1w1o2x1o1w\n1: 1o1w1x3o2w\n2: 1x1w2o1x2w\n3: 1o1x1w3x1w1x\n"
+         "4: 1o1w2x1o2w\n5: 1o1x1w1x1o2w1x\n"),
+        # no sources: nothing is wet
+        (percolate(0.2, 3, 4, sources=(), rng=np.random.default_rng(5)),
+         "0: 2o1x1o1x\n1: 4o\n2: 5o\n3: 4o\n"),
+        # a hand-built field whose wet cell at (0, 0) is closed: wet wins
+        (PercolationField(0.5, 1, 2, (0,),
+                          open_=np.array([[0, 0, 0, 0, 1], [0, 1, 0, 0, 0]], dtype=bool),
+                          wet=np.array([[0, 0, 1, 0, 0], [0, 0, 0, 0, 0]], dtype=bool)),
+         "0: 1x1w1o\n1: 1o1x\n"),
+    ],
+    ids=["odd-width-sources", "no-sources", "wet-but-closed"],
+)
+def test_field_rle_dump_pinned_text(field, text):
+    assert field.dump_rle() == text
+
+
+def _reference_rle(field: PercolationField) -> str:
+    """The dump cell by cell: the parity cells of each level, left to right."""
+    lines = []
+    for n in range(field.levels + 1):
+        runs = []
+        for z in range(-field.width, field.width + 1):
+            if (z + n) % 2 != 0:
+                continue
+            j = z + field.width
+            s = "w" if field.wet[n, j] else "o" if field.open_[n, j] else "x"
+            if runs and runs[-1][1] == s:
+                runs[-1][0] += 1
+            else:
+                runs.append([1, s])
+        lines.append(f"{n}: " + "".join(f"{c}{s}" for c, s in runs))
+    return "\n".join(lines) + "\n"
+
+
+def test_field_rle_dump_matches_cell_by_cell_reference():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        levels, width = int(rng.integers(0, 12)), int(rng.integers(1, 15))
+        choice = int(rng.integers(3))
+        if choice == 0:
+            sources = "all"
+        elif choice == 1:
+            sources = ()
+        else:
+            even = np.arange(-width + width % 2, width + 1, 2)
+            sources = tuple(int(z) for z in rng.choice(even, size=rng.integers(1, len(even) + 1),
+                                                        replace=False))
+        field = percolate(float(rng.uniform(0, 0.6)), levels, width, sources=sources, rng=rng)
+        assert field.dump_rle() == _reference_rle(field)
+
+
 def _rle_counts(body: str):
     num = ""
     for ch in body:
@@ -491,6 +561,16 @@ def test_block_spread_reproducible():
     assert a == b
     assert a.replicas == 6
     assert 0.0 <= a.frequency <= 1.0
+
+
+@pytest.mark.parametrize(
+    "beta_d, L, seed, hits",
+    [(1.0, 1, 1, 4), (1.0, 2, 41, 5), (2.0, 2, 1, 2), (2.0, 3, 1, 4), (2.0, 3, 41, 0)],
+)
+def test_block_spread_pinned_hits(beta_d, L, seed, hits):
+    p = Params(4.0, equal_rate_benefit(beta_d, 1), beta_d, 1)
+    result = block_spread_estimate(p, BlockSpec.for_scale(L), 20, np.random.default_rng(seed))
+    assert result.frequency == hits / 20
 
 
 def test_block_spread_runs_to_the_spec_time_span(monkeypatch):
