@@ -168,27 +168,28 @@ int32_t coop_select(coop_table *t, double target, int32_t *parent)
 
 /* One event.  Returns the holding time and, after applying the event,
  * fills ev = (site, parent, state, prev); when the holding time exceeds
- * t_limit nothing is applied and ev[0] = -1.  Returns -1 when the total
- * rate is zero (nothing drawn) and -2 when the selected empty site has no
- * occupied neighbor, which only a stale table allows. */
+ * t_limit nothing is applied and ev[0] = -1.  A zero total rate is a
+ * holding time of INFINITY, returned without a draw.  Returns -2, with
+ * ev[0] the site, when the selected empty site has no occupied neighbor,
+ * which only a stale table allows. */
 double coop_step(coop_table *t, double t_limit, int32_t *ev)
 {
     bitgen_t *bitgen = t->bitgen;
     double total = block_prefix(t);
-    if (total <= 0.0)
-        return -1.0;
-    double elapsed = random_standard_exponential(bitgen) / total;
     ev[0] = -1;
+    if (total <= 0.0)
+        return INFINITY;
+    double elapsed = random_standard_exponential(bitgen) / total;
     if (elapsed > t_limit)
         return elapsed;
     double target = bitgen->next_double(bitgen->state) * total;
     int32_t parent, i = select_site(t, target, &parent);
     int8_t prev = t->sites[i];
+    ev[0] = i;
     if (prev == EMPTY && parent < 0)
         return -2.0;
     int8_t state = prev == EMPTY ? t->sites[parent] : EMPTY;
     t->sites[i] = state;
-    ev[0] = i;
     ev[1] = parent;
     ev[2] = state;
     ev[3] = prev;

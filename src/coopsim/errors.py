@@ -23,10 +23,6 @@ class BoundaryError(CoopSimError):
     """A quantity was requested on the simplex boundary where it is undefined."""
 
 
-class Absorbed(CoopSimError):
-    """The lattice process has reached the all-empty (zero total rate) state."""
-
-
 class FlavorMismatch(CoopSimError):
     """Event-log flavor and parameters disagree (e.g. equal-rate identity broken)."""
 

@@ -810,7 +810,8 @@ def estimate_sterile(
     p = Params(beta, beta_c, 0.0, 1)
     torus = Torus(side, 1)
     probe_sites = np.arange(0, side - 4, 5)  # pairwise torus distance >= 5
-    probe_times = np.arange(0.5, window, 3.0)  # pairwise gap 3 > 2
+    probe_times = lattice.allocate(math.ceil((window - 0.5) / 3.0), "probe times",
+                                   np.arange, 0.5, window, 3.0)  # pairwise gap 3 > 2
     # dot at z, source z+1, target z+2: never an arrow into any probe site
     dots = np.repeat(probe_sites, len(probe_times))
     probes = _Columns.of(np.tile(probe_times, len(probe_sites)), np.full(len(dots), _DOT_ARROW),

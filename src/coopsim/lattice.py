@@ -41,7 +41,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from . import _engine
-from .errors import Absorbed, DomainError
+from .errors import DomainError
 from .params import Params
 
 EMPTY, COOPERATOR, DEFECTOR = 0, 1, 2
@@ -315,14 +315,16 @@ def _pick(cum: list[float], weights: Sequence[float], x: float) -> int:
 def step(
     table: RateTable,
     rng: np.random.Generator,
-    t_limit: float | None = None,
+    t_limit: float = math.inf,
 ) -> tuple[Event | None, float]:
     """Advance ``table.torus`` by one event; returns (event, elapsed).
 
-    Raises :class:`Absorbed` when the total rate is zero.  When ``t_limit``
-    is given and the exponential holding time exceeds it, no event is
+    When the exponential holding time exceeds ``t_limit``, no event is
     selected or applied and ``(None, elapsed)`` is returned, which is the
-    exact way to stop a continuous-time chain at a horizon.
+    exact way to stop a continuous-time chain at a horizon.  A zero total
+    rate is a holding time of ``math.inf``, returned without a draw, so an
+    absorbed chain stops by the same rule.  A selected empty site without
+    an occupied neighbor means a stale table and raises ``AssertionError``.
 
     ``table`` may also be the compiled engine's table, which takes the
     same steps in C from the generator it was built with.
@@ -332,9 +334,9 @@ def step(
     cum_blocks = list(accumulate(table.block_sums))
     total = cum_blocks[-1]
     if total <= 0.0:
-        raise Absorbed("all sites empty: total event rate is zero")
+        return None, math.inf
     elapsed = rng.standard_exponential() / total
-    if t_limit is not None and elapsed > t_limit:
+    if elapsed > t_limit:
         return None, elapsed
     target = rng.random() * total
     b = _pick(cum_blocks, table.block_sums, target)
@@ -358,8 +360,8 @@ def step(
                 residual -= table.pair_rate(y)
                 if residual < 0.0:
                     break
-        if chosen is None:  # cannot happen unless the rate table was stale
-            raise Absorbed(f"no occupied neighbor at selected empty site {i}")
+        if chosen is None:
+            raise AssertionError(f"stale rate table: selected empty site {i} has no occupied neighbor")
         event = Event("birth", i, chosen, sites[chosen], prev)
 
     sites[event.site] = event.state
@@ -373,15 +375,14 @@ _new_tuple = tuple.__new__
 def _compiled_step(
     table: _engine.Table,
     rng: np.random.Generator,
-    t_limit: float | None,
+    t_limit: float,
 ) -> tuple[Event | None, float]:
     if rng is not table.rng:
         raise DomainError("a compiled table draws only from the generator it was built with")
-    elapsed = table.c_step(table.c, math.inf if t_limit is None else t_limit, table.ev)
-    if elapsed < 0.0:
-        raise Absorbed("all sites empty: total event rate is zero" if elapsed == -1.0
-                       else "no occupied neighbor at the selected empty site")
+    elapsed = table.c_step(table.c, t_limit, table.ev)
     site, parent, state, prev = table.ev
+    if elapsed < 0.0:
+        raise AssertionError(f"stale rate table: selected empty site {site} has no occupied neighbor")
     if site < 0:
         return None, elapsed
     table.torus.sites[site] = state
@@ -430,20 +431,17 @@ def run(
     t = 0.0
     if t_end > 0:
         table = _rate_table(torus, p, rng)
-        try:
-            while True:
-                event, elapsed = step(table, rng, t_limit=t_end - t)
-                if event is None:
-                    break
-                t += elapsed
-                while times[k] < t:
-                    samples.append(tuple(counts))
-                    k += 1
-                counts[event.prev] -= 1
-                counts[event.state] += 1
-                events += 1
-        except Absorbed:
-            pass
+        while True:
+            event, elapsed = step(table, rng, t_limit=t_end - t)
+            if event is None:
+                break
+            t += elapsed
+            while times[k] < t:
+                samples.append(tuple(counts))
+                k += 1
+            counts[event.prev] -= 1
+            counts[event.state] += 1
+            events += 1
     samples += [tuple(counts)] * (len(sample_times) - k)
     out_e, out_c, out_d = np.array(samples, dtype=np.int64).T.copy()
     return TimeSeries(t=sample_times, n_c=out_c, n_d=out_d, n_e=out_e, events=events)

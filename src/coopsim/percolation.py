@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -41,12 +42,19 @@ def _require_dim(d: int) -> None:
         raise DomainError(f"dimension must be >= 1, got {d}")
 
 
-def _as_float(sites: int, d: int) -> float:
-    """A box's site count as a float, which the closed forms multiply by."""
-    try:
-        return float(sites)
-    except OverflowError:
-        raise DomainError(f"dimension {d} gives a box of more sites than a float can hold") from None
+# From this dimension on 3**(d-1) alone, and so every box, exceeds the largest double.
+FLOAT_BOX_DIM_LIMIT = 648
+
+
+def _as_float(box: Callable[[int], int], d: int) -> float:
+    """``box(d)``, a box's site count, as a float, which the closed forms
+    multiply by; from :data:`FLOAT_BOX_DIM_LIMIT` on no power is built."""
+    if d < FLOAT_BOX_DIM_LIMIT:
+        try:
+            return float(box(d))
+        except OverflowError:
+            pass
+    raise DomainError(f"dimension {d} gives a box of more sites than a float can hold")
 
 
 def inner_box_sites(d: int) -> int:
@@ -99,21 +107,21 @@ def _require_positive_finite(**values: float) -> None:
 def prob_a1(T: float, d: int) -> float:
     """Chance every inner-box site dies at least once within a T-window."""
     _require_positive_finite(T=T)
-    return (1.0 - math.exp(-T)) ** _as_float(inner_box_sites(d), d)
+    return (1.0 - math.exp(-T)) ** _as_float(inner_box_sites, d)
 
 
 def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tuple[float, float]:
     """Sample unit-rate death marks per inner-box site over [T, 2T]."""
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
-    _require_positive_finite(T=T)
+    prob_a1(T, d)  # argument validation
     counts = lattice.poisson(rng, T, (replicas, inner_box_sites(d)))
     return lattice.binomial_estimate(int((counts > 0).all(axis=1).sum()), replicas)
 
 
 def _mark_rate(p: Params, d: int) -> float:
     """Total rate of crosses plus incoming birth arrows over the outer box."""
-    return _as_float(outer_box_sites(d), d) * (p.beta + p.beta_d + 1.0)
+    return _as_float(outer_box_sites, d) * (p.beta + p.beta_d + 1.0)
 
 
 def bound_a2(T: float, delta: float, d: int, p: Params) -> float:
@@ -168,7 +176,7 @@ def prob_a3_bound(beta: float, beta_c: float, T: float, delta: float, d: int) ->
     if not 0 <= beta_c < math.inf:
         raise DomainError(f"beta_c must be nonnegative and finite, got {beta_c}")
     per_site = (beta + beta_c / (2 * d)) / (2 * d)
-    exponent = 2.0 * _as_float(outer_box_sites(d), d) * T / delta
+    exponent = 2.0 * _as_float(outer_box_sites, d) * T / delta
     return (1.0 - math.exp(-delta * per_site)) ** exponent
 
 
@@ -183,7 +191,7 @@ def c_plus_absence_prob(L: int, d: int, rho: float) -> float:
         raise DomainError(f"L must be a positive integer, got {L}")
     if not 0 <= rho < math.inf:
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    return math.exp(-2.0 * L**2 * _as_float((6 * L + 1) ** d, d) * rho)
+    return math.exp(-2.0 * L**2 * _as_float(lambda d: (6 * L + 1) ** d, d) * rho)
 
 
 def estimate_c_plus_absence(

@@ -188,11 +188,14 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         ("blocks a1 --replicas 100000000000000 --seed 1", "Poisson counts cannot be stored"),
         ("blocks cplus --replicas 100000000000000 --seed 1", "Poisson counts cannot be stored"),
         ("blocks a1 --replicas 100000000000000000000000 --seed 1", "Poisson counts cannot be stored"),
+        ("sterile --beta 1 --t-end 1e15 --replicas 10 --seed 1", "probe times cannot be stored"),
         # a box whose site count is beyond a float
         ("blocks a2 --beta 1 --dim 700 --replicas 10 --seed 1", "dimension 700 gives a box"),
         ("blocks a3 --beta 1 --dim 700", "dimension 700 gives a box"),
         ("blocks cplus --L 2 --dim 700 --replicas 10 --seed 1", "dimension 700 gives a box"),
         ("blocks cplus --L 2 --dim 300 --rho 1e-300 --replicas 10 --seed 1", "dimension 300 gives a box"),
+        ("blocks a1 --dim 5000 --replicas 2 --seed 1", "dimension 5000 gives a box"),
+        ("blocks a1 --dim 10000000 --replicas 2 --seed 1", "dimension 10000000 gives a box"),
     ],
 )
 def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
@@ -201,6 +204,24 @@ def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "blocks a1 --dim 1000000000 --replicas 2 --seed 1",
+        "blocks a2 --beta 1 --dim 1000000000 --replicas 2 --seed 1",
+        "blocks a3 --beta 1 --dim 1000000000",
+        "blocks cplus --dim 1000000000 --replicas 2 --seed 1",
+    ],
+)
+def test_blocks_dimension_beyond_a_float_exits_2_without_building_the_box(argv):
+    # in a child process, so that building 3**(d - 1) fails the test by its
+    # timeout instead of hanging the suite
+    proc = python_in_src("-m", "coopsim.cli", *argv.split(), timeout=60)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("coopsim: error: dimension 1000000000 gives a box")
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -489,9 +510,9 @@ print(json.dumps(codes))
 """
 
 
-def python_in_src(*args: str) -> subprocess.CompletedProcess:
+def python_in_src(*args: str, timeout: float = 600) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=600)
+                          env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=timeout)
 
 
 def test_small_args_cover_every_command():

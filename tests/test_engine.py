@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from coopsim import _engine, graphical, lattice, mean_field
-from coopsim.errors import Absorbed, DomainError
+from coopsim.errors import DomainError
 from coopsim.lattice import RateTable, Torus, product_measure, run
 from coopsim.params import Params, equal_rate_benefit
 
@@ -150,12 +150,45 @@ def test_run_reports_the_events_it_applied(engine, monkeypatch):
     rng = np.random.default_rng(5)
     series = run(product_measure(40, 1, 0.3, 0.3, rng), Params(3.0, 1.0, 0.5, 1), 6.0, rng)
     assert series.events == sum(event is not None for event in steps) > 100
-    # a run that ends absorbed counts the events before absorption
+    # a run that ends absorbed counts the events before absorption; the
+    # call that finds the zero total rate applies none
     steps.clear()
     series = run(Torus.from_state_string("ceeee"), Params(0.5), 50.0, rng)
-    assert series.n_c[-1] == 0 and series.events == len(steps) > 0
+    assert series.n_c[-1] == 0 and steps[-1] is None
+    assert series.events == len(steps) - 1 > 0
     assert run(product_measure(40, 1, 0.3, 0.3, rng), Params(3.0), 0.0, rng).events == 0
     assert run(Torus.from_state_string("eeeee"), Params(3.0), 5.0, rng).events == 0
+
+
+def test_step_at_zero_total_rate_is_an_infinite_holding_time(engine):
+    rng = np.random.default_rng(0)
+    table = lattice._rate_table(Torus.from_state_string("eeeee"), Params(2.0), rng)
+    state = rng.bit_generator.state
+    assert lattice.step(table, rng) == (None, math.inf)
+    assert rng.bit_generator.state == state  # nothing drawn
+
+
+def test_run_raises_on_a_stale_rate_table(engine, monkeypatch):
+    # Site 15 of cc + 18 e is empty with no occupied neighbor; a table that
+    # gives it a rate can select it, and the run must fail, not stop.
+    real = lattice._rate_table
+
+    def stale(torus, p, rng):
+        table = real(torus, p, rng)
+        b = 15 // math.isqrt(torus.n_sites)
+        if engine == "python":
+            table.rates[15] = 5.0
+            table.block_sums[b] = table.block_sum(b)
+        else:
+            c = table.c
+            c.rates[15] = 5.0
+            c.block_sums[b] = reduce(add, (c.rates[i] for i in range(b * c.block, (b + 1) * c.block)))
+        return table
+
+    monkeypatch.setattr(lattice, "_rate_table", stale)
+    torus = Torus.from_state_string("cc" + "e" * 18)
+    with pytest.raises(AssertionError, match="stale rate table: selected empty site 15"):
+        run(torus, Params(3.0), 50.0, np.random.default_rng(3))
 
 
 def test_engines_report_the_same_event_counts(monkeypatch):
@@ -182,14 +215,11 @@ def test_compiled_step_matches_python_step_event_by_event():
     table_p = RateTable(torus_p, p)
     assert isinstance(table_c, _engine.Table)
     for _ in range(500):
-        try:
-            expected = lattice.step(table_p, rng_p)
-        except Absorbed:
-            with pytest.raises(Absorbed):
-                lattice.step(table_c, rng_c)
-            break
+        expected = lattice.step(table_p, rng_p)
         assert lattice.step(table_c, rng_c) == expected
         assert torus_c.sites == torus_p.sites
+        if expected[0] is None:
+            break
     assert module.ffi.unpack(table_c.c.rates, start.n_sites) == table_p.rates
 
 
@@ -199,16 +229,6 @@ def test_compiled_step_rejects_a_foreign_generator():
     table = lattice._rate_table(Torus.from_state_string("ccdee"), Params(2.0), rng)
     with pytest.raises(DomainError, match="generator it was built with"):
         lattice.step(table, np.random.default_rng(0))
-
-
-def test_compiled_step_absorbed_on_empty_torus():
-    compiled_module()
-    rng = np.random.default_rng(0)
-    table = lattice._rate_table(Torus.from_state_string("eeeee"), Params(2.0), rng)
-    state = rng.bit_generator.state
-    with pytest.raises(Absorbed):
-        lattice.step(table, rng)
-    assert rng.bit_generator.state == state  # nothing drawn
 
 
 # ---------------------------------------------------------------- exact law

@@ -1,6 +1,7 @@
 """Unit tests for the torus simulation engine."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopsim import lattice
-from coopsim.errors import Absorbed, DomainError
+from coopsim.errors import DomainError
 from coopsim.lattice import (
     COOPERATOR,
     DEFECTOR,
@@ -247,13 +248,6 @@ def test_step_single_defector_death_fraction():
     assert abs(deaths / n - 0.25) < 3 * (0.25 * 0.75 / n) ** 0.5
 
 
-def test_step_absorbed_on_empty_torus():
-    t = make_line("eeeee")
-    p = Params(2.0)
-    with pytest.raises(Absorbed):
-        step(RateTable(t, p), np.random.default_rng(0))
-
-
 def test_step_horizon_stop_leaves_state_unchanged():
     t = make_line("ccdee")
     p = Params(2.0, 1.0, 1.0, 1)
@@ -277,9 +271,7 @@ def test_rate_table_incremental_matches_rebuild_after_many_steps():
         table = RateTable(t, p)
         assert (t.n_sites % table.block != 0) == partial
         for _ in range(10_000):
-            try:
-                step(table, rng)
-            except Absorbed:  # pragma: no cover - not expected at these rates
+            if step(table, rng)[0] is None:  # pragma: no cover - not expected at these rates
                 break
         fresh = RateTable(t, p)
         assert table.rates == fresh.rates
@@ -373,14 +365,12 @@ def test_role_swap_mirrors_run_exactly():
     table_b = RateTable(t_b, p)
     swap = {EMPTY: EMPTY, COOPERATOR: DEFECTOR, DEFECTOR: COOPERATOR}
     for _ in range(3000):
-        try:
-            ev_a, dt_a = step(table_a, rng_a)
-        except Absorbed:
-            with pytest.raises(Absorbed):
-                step(table_b, rng_b)
-            break
+        ev_a, dt_a = step(table_a, rng_a)
         ev_b, dt_b = step(table_b, rng_b)
         assert dt_a == dt_b
+        if ev_a is None:
+            assert ev_b is None and dt_a == math.inf
+            break
         assert ev_a.kind == ev_b.kind
         assert ev_a.site == ev_b.site
         assert ev_a.parent == ev_b.parent
@@ -528,9 +518,8 @@ def test_two_site_occupation_times_match_linear_algebra():
         table = RateTable(t, p_local)
         while True:
             state_idx = TWO_SITE_STATES.index((t.sites[0], t.sites[1]))
-            try:
-                _, elapsed = step(table, rng)
-            except Absorbed:
+            event, elapsed = step(table, rng)
+            if event is None:
                 break
             occupancy[state_idx] += elapsed
     observed_dist = occupancy / occupancy.sum()
