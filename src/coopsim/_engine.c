@@ -1,5 +1,6 @@
-/* The compiled loops of coopsim, in four sets: one lattice event, log
- * replay, the mean-field RK4 loop, and event-log text.
+/* The compiled loops of coopsim, in five sets: one lattice event, log
+ * replay, the mean-field RK4 loop, event-log text, and the per-site
+ * index of a log with its two readers.
  *
  * coop_init, coop_select and coop_step are coopsim.lattice's RateTable and
  * step written in C, operation for operation, so that both give the same
@@ -32,6 +33,12 @@
  * in coopsim._engine and passed in.  coop_parse takes only lines as
  * to_text writes them and refuses the text at any other; Python then
  * reads it all with its own loop, which writes every error message.
+ *
+ * coop_index builds an event log's per-site index by one counting pass;
+ * coop_sterile and coop_dual read it.  coop_sterile is the test of
+ * coopsim.graphical.classify_sterile and coop_dual the walk of
+ * build_dual, with the same comparisons in the same order; both return
+ * codes, and Python writes every error message and builds the nodes.
  */
 #include "numpy/random/distributions.h"  /* first: it includes Python.h, which must lead */
 #include <math.h>
@@ -634,4 +641,227 @@ int64_t coop_parse(const char *text, int64_t len, const char *const *names, int 
         dot[i] = (int32_t)z;
     }
     return i;
+}
+
+/* An event log's columns and its per-site index: site x's crosses sit at
+ * [cross_ptr[x], cross_ptr[x + 1]) of cross_time, and the marks of every
+ * arrow kind aimed at x at [arrow_ptr[x], arrow_ptr[x + 1]) of the arrow_*
+ * arrays, each with its source and whether it can feed x (its dot is not
+ * x); both in log order, so in time order.  t_lo is the log's first time,
+ * t_start - history. */
+typedef struct {
+    int64_t n_marks;
+    int32_t n_sites;
+    double t_lo;
+    const double *time;
+    const int8_t *kind;
+    const int32_t *target, *source, *dot;
+    int32_t *cross_ptr, *arrow_ptr;
+    double *cross_time, *arrow_time;
+    int32_t *arrow_source;
+    int8_t *arrow_feeds;
+} coop_site_index;
+
+/* From each site's count at ptr[x + 1], each site's start at ptr[x]. */
+static void starts_from_counts(int32_t *ptr, int32_t n_sites)
+{
+    for (int32_t x = 0; x < n_sites; x++)
+        ptr[x + 1] += ptr[x];
+}
+
+/* From each site's end at ptr[x], which the scatter leaves there, each
+ * site's start again. */
+static void starts_from_ends(int32_t *ptr, int32_t n_sites)
+{
+    for (int32_t x = n_sites; x > 0; x--)
+        ptr[x] = ptr[x - 1];
+    ptr[0] = 0;
+}
+
+/* Fills the index arrays from the columns: counts per site, prefix sums,
+ * then a scatter in log order, which keeps log order within each site.
+ * The arrays hold n_sites + 1 offsets and as many entries as the log has
+ * crosses, or marks of other kinds. */
+void coop_index(coop_site_index *ix)
+{
+    memset(ix->cross_ptr, 0, sizeof(int32_t) * ((size_t)ix->n_sites + 1));
+    memset(ix->arrow_ptr, 0, sizeof(int32_t) * ((size_t)ix->n_sites + 1));
+    for (int64_t i = 0; i < ix->n_marks; i++)
+        (ix->kind[i] == CROSS ? ix->cross_ptr : ix->arrow_ptr)[ix->target[i] + 1]++;
+    starts_from_counts(ix->cross_ptr, ix->n_sites);
+    starts_from_counts(ix->arrow_ptr, ix->n_sites);
+    for (int64_t i = 0; i < ix->n_marks; i++) {
+        int32_t x = ix->target[i];
+        if (ix->kind[i] == CROSS) {
+            ix->cross_time[ix->cross_ptr[x]++] = ix->time[i];
+        } else {
+            int32_t k = ix->arrow_ptr[x]++;
+            ix->arrow_time[k] = ix->time[i];
+            ix->arrow_source[k] = ix->source[i];
+            ix->arrow_feeds[k] = ix->dot[i] != x;
+        }
+    }
+    starts_from_ends(ix->cross_ptr, ix->n_sites);
+    starts_from_ends(ix->arrow_ptr, ix->n_sites);
+}
+
+/* bisect_left and bisect_right of Python over a[lo:hi]. */
+static int32_t bisect_left(const double *a, double v, int32_t lo, int32_t hi)
+{
+    while (lo < hi) {
+        int32_t mid = lo + (hi - lo) / 2;
+        if (a[mid] < v)
+            lo = mid + 1;
+        else
+            hi = mid;
+    }
+    return lo;
+}
+
+static int32_t bisect_right(const double *a, double v, int32_t lo, int32_t hi)
+{
+    while (lo < hi) {
+        int32_t mid = lo + (hi - lo) / 2;
+        if (v < a[mid])
+            hi = mid;
+        else
+            lo = mid + 1;
+    }
+    return lo;
+}
+
+
+/* The index in a of the last of site x's entries before v, or -1. */
+static int32_t last_before(const double *a, const int32_t *ptr, int32_t x, double v)
+{
+    int32_t i = bisect_left(a, v, ptr[x], ptr[x + 1]);
+    return i > ptr[x] ? i - 1 : -1;
+}
+
+/* coop_sterile's outcomes */
+#define STERILE_NO 0
+#define STERILE_YES 1
+#define STERILE_NOT_DOT_ARROW 2
+#define STERILE_NO_DOT 3
+#define STERILE_CROSS_HISTORY 4   /* the last cross at the dot may lie before the log */
+#define STERILE_ARROW_HISTORY 5   /* the last arrow into the dot may lie before the log */
+
+/* Whether mark i, a dot-arrow at time s with its dot at z, is sterile:
+ * with u the last cross at z and v the last arrow into z before s, when
+ * s - u < 1 < s - v < 2.  A missing u or v is decisive only when the log
+ * reaches one or two time units back from s. */
+int coop_sterile(const coop_site_index *ix, int64_t i)
+{
+    if (ix->kind[i] != DOT_ARROW && ix->kind[i] != C_PLUS_DOT_ARROW)
+        return STERILE_NOT_DOT_ARROW;
+    int32_t z = ix->dot[i];
+    if (z < 0)
+        return STERILE_NO_DOT;
+    double s = ix->time[i];
+    int32_t u = last_before(ix->cross_time, ix->cross_ptr, z, s);
+    if (u < 0)
+        return ix->t_lo <= s - 1.0 ? STERILE_NO : STERILE_CROSS_HISTORY;
+    if (!(s - ix->cross_time[u] < 1.0))
+        return STERILE_NO;
+    int32_t v = last_before(ix->arrow_time, ix->arrow_ptr, z, s);
+    if (v < 0)
+        return ix->t_lo <= s - 2.0 ? STERILE_NO : STERILE_ARROW_HISTORY;
+    double age = s - ix->arrow_time[v];
+    return 1.0 < age && age < 2.0 ? STERILE_YES : STERILE_NO;
+}
+
+/* coop_dual's outcomes */
+#define DUAL_DONE 0
+#define DUAL_FULL 1         /* the rows or the stack ran out of room */
+#define DUAL_BUDGET 2       /* max_nodes rows written, and a segment still pending */
+#define DUAL_SOURCELESS 3   /* a feeding arrow without a source */
+
+/* The rows of a dual tree, one per segment in hierarchy order, and the
+ * stack of pending segments, each held by the arrow it crosses (-1 for the
+ * root). */
+typedef struct {
+    int64_t cap, stack_cap;  /* rows, and pending segments, the arrays hold */
+    int32_t *site;
+    int64_t *parent;         /* the parent's row, -1 for the root */
+    int32_t *ordinal;        /* the place among the parent's children, from 1 */
+    double *r_hi, *r_lo;     /* the real times at which the segment starts and ends */
+    int8_t *stopped;         /* 1 when a cross ends the segment */
+    int32_t *stack_arrow;
+    int64_t *stack_parent;
+    int32_t *stack_ordinal;
+    int64_t rows;            /* out: rows written */
+    int32_t arrow;           /* out: the arrow, for DUAL_SOURCELESS */
+} coop_dual_walk;
+
+/* The walk of coopsim.graphical.build_dual from (x, t): each segment runs
+ * down from its entry time r_hi to the last cross before it, or to
+ * t_start, and has one child per feeding arrow strictly inside, numbered
+ * in time order and pushed latest first, so the rows come in preorder.
+ * Returns DUAL_DONE, DUAL_BUDGET when max_nodes rows are written and a
+ * segment is still pending, DUAL_SOURCELESS when a segment's feeding
+ * arrows, met latest first, include one without a source (its row is the
+ * last written), or DUAL_FULL when cap or stack_cap is too small: the
+ * caller then walks again with more room. */
+int coop_dual(const coop_site_index *ix, coop_dual_walk *w, int32_t x, double t, double t_start,
+              int64_t max_nodes)
+{
+    int64_t top = 1, rows = 0;
+    int status = DUAL_DONE;
+    if (w->stack_cap < 1)
+        return DUAL_FULL;
+    w->stack_arrow[0] = -1;
+    w->stack_parent[0] = -1;
+    w->stack_ordinal[0] = 1;
+    while (top > 0) {
+        if (rows >= max_nodes) {
+            status = DUAL_BUDGET;
+            break;
+        }
+        if (rows == w->cap) {
+            status = DUAL_FULL;
+            break;
+        }
+        top--;
+        int32_t a = w->stack_arrow[top];
+        int32_t site = a < 0 ? x : ix->arrow_source[a];
+        double r_hi = a < 0 ? t : ix->arrow_time[a];
+        int32_t c = last_before(ix->cross_time, ix->cross_ptr, site, r_hi);
+        int stopped = c >= 0 && ix->cross_time[c] >= t_start;
+        double r_lo = stopped ? ix->cross_time[c] : t_start;
+        w->site[rows] = site;
+        w->parent[rows] = w->stack_parent[top];
+        w->ordinal[rows] = w->stack_ordinal[top];
+        w->r_hi[rows] = r_hi;
+        w->r_lo[rows] = r_lo;
+        w->stopped[rows] = (int8_t)stopped;
+        int64_t row = rows++;
+        /* the arrows strictly inside (r_lo, r_hi); r_hi <= t, so none is later than t */
+        int32_t end = ix->arrow_ptr[site + 1];
+        int32_t lo = bisect_right(ix->arrow_time, r_lo, ix->arrow_ptr[site], end);
+        int32_t hi = bisect_left(ix->arrow_time, r_hi, lo, end);
+        int32_t n = 0;
+        for (int32_t k = lo; k < hi; k++)
+            n += ix->arrow_feeds[k] != 0;
+        if (top + n > w->stack_cap) {
+            status = DUAL_FULL;
+            break;
+        }
+        for (int32_t k = hi - 1; k >= lo; k--) {
+            if (!ix->arrow_feeds[k])
+                continue;
+            if (ix->arrow_source[k] < 0) {
+                w->arrow = k;
+                status = DUAL_SOURCELESS;
+                break;
+            }
+            w->stack_arrow[top] = k;
+            w->stack_parent[top] = row;
+            w->stack_ordinal[top] = n--;
+            top++;
+        }
+        if (status != DUAL_DONE)
+            break;
+    }
+    w->rows = rows;
+    return status;
 }

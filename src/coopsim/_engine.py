@@ -1,6 +1,6 @@
 """The compiled loops of coopsim: built on first use, cached, optional.
 
-``_engine.c`` holds four sets of loops.  ``coop_init`` / ``coop_step`` are
+``_engine.c`` holds five sets of loops.  ``coop_init`` / ``coop_step`` are
 ``lattice.RateTable`` and ``lattice.step`` written in C, operation for
 operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
@@ -14,7 +14,11 @@ shortest round-trip digits, found by Schubfach (Giulietti, 2020), laid
 out as CPython lays out ``repr``, with the powers of ten of
 :func:`pow10_table`, which are computed here from their definition.
 ``coop_parse`` refuses any line that ``to_text`` would not write, and
-the Python loop then reads the whole text.  :func:`load` builds the
+the Python loop then reads the whole text.  ``coop_index`` builds an
+event log's per-site index by one counting pass, and ``coop_sterile`` and
+``coop_dual`` read it: they are the test of ``graphical.classify_sterile``
+and the walk of ``graphical.build_dual``, returning codes and rows from
+which Python writes the messages and nodes.  :func:`load` builds the
 module with cffi in API mode, linked against numpy's ``libnpyrandom.a``,
 in a subprocess whose output is captured.  The module is kept in
 ``$XDG_CACHE_HOME/coopsim`` (default ``~/.cache/coopsim``) under a name
@@ -22,8 +26,9 @@ keyed by a hash of the C source, the numpy version and the Python ABI,
 and moved into place with ``os.replace``, so that processes building at
 once do not race.  When it cannot be built or loaded, one line on stderr
 says so and :func:`load` returns ``None``: ``lattice.run``, the replay
-routines, ``mean_field.integrate`` and the log text routines then run
-their Python loops.
+routines, ``mean_field.integrate``, the log text routines, the site
+index, ``classify_sterile`` and ``build_dual`` then run their Python
+loops.
 
 Nothing here imports cffi until :func:`load` is called.
 """
@@ -75,6 +80,35 @@ int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *ki
 int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
                    double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
                    int32_t *target, int32_t *source, int32_t *dot, int64_t cap);
+typedef struct {
+    int64_t n_marks;
+    int32_t n_sites;
+    double t_lo;
+    const double *time;
+    const int8_t *kind;
+    const int32_t *target, *source, *dot;
+    int32_t *cross_ptr, *arrow_ptr;
+    double *cross_time, *arrow_time;
+    int32_t *arrow_source;
+    int8_t *arrow_feeds;
+} coop_site_index;
+void coop_index(coop_site_index *ix);
+int coop_sterile(const coop_site_index *ix, int64_t i);
+typedef struct {
+    int64_t cap, stack_cap;
+    int32_t *site;
+    int64_t *parent;
+    int32_t *ordinal;
+    double *r_hi, *r_lo;
+    int8_t *stopped;
+    int32_t *stack_arrow;
+    int64_t *stack_parent;
+    int32_t *stack_ordinal;
+    int64_t rows;
+    int32_t arrow;
+} coop_dual_walk;
+int coop_dual(const coop_site_index *ix, coop_dual_walk *w, int32_t x, double t, double t_start,
+              int64_t max_nodes);
 """
 
 # run as ``python -c BUILD source name cdef`` in an empty directory
@@ -293,3 +327,86 @@ def parse_marks(module, text: bytes, names: tuple[str, ...], t_lo: float, t_hi: 
     read = module.lib.coop_parse(text, len(text), c_names, len(names), t_lo, t_hi, n_sites,
                                  *_column_buffers(ffi, columns), n)
     return None if read < 0 else tuple(c[:read] for c in columns)
+
+
+_C_TYPES = {np.dtype(np.int8): "int8_t[]", np.dtype(np.int32): "int32_t[]",
+            np.dtype(np.int64): "int64_t[]", np.dtype(np.float64): "double[]"}
+
+
+def _buffer(ffi, a: np.ndarray):
+    """A C view of a contiguous array, typed by its dtype."""
+    return ffi.from_buffer(_C_TYPES[a.dtype], a)
+
+
+class SiteIndex:
+    """An event log's per-site index arrays, with their C view ``c`` (a
+    ``coop_site_index``) over them and the log's columns.
+
+    ``arrays`` are ``graphical._SiteIndex``'s six, in its order; ``t_lo``
+    is the log's first time, ``t_start - history``.
+    """
+
+    __slots__ = ("c", "_keep")
+
+    def __init__(self, module, columns, t_lo: float, arrays: tuple[np.ndarray, ...]):
+        ffi = module.ffi
+        c = ffi.new("coop_site_index *")
+        c.n_marks, c.n_sites, c.t_lo = len(columns[0]), len(arrays[0]) - 1, t_lo
+        keep = _column_buffers(ffi, columns)
+        c.time, c.kind, c.target, c.source, c.dot = keep
+        views = tuple(_buffer(ffi, a) for a in arrays)
+        c.cross_ptr, c.cross_time, c.arrow_ptr, c.arrow_time, c.arrow_source, c.arrow_feeds = views
+        self._keep = (keep, views)
+        self.c = c
+
+
+def site_index(module, columns, t_lo: float, n_sites: int,
+               n_cross: int) -> tuple[tuple[np.ndarray, ...], SiteIndex]:
+    """``coop_index``: the per-site index arrays of a log's columns, which
+    hold ``n_cross`` crosses, and their C view."""
+    n_arrow = len(columns[0]) - n_cross
+    arrays = (np.empty(n_sites + 1, np.int32), np.empty(n_cross, np.float64),
+              np.empty(n_sites + 1, np.int32), np.empty(n_arrow, np.float64),
+              np.empty(n_arrow, np.int32), np.empty(n_arrow, np.int8))
+    view = SiteIndex(module, columns, t_lo, arrays)
+    module.lib.coop_index(view.c)
+    return arrays, view
+
+
+# coop_sterile's outcomes
+(STERILE_NO, STERILE_YES, STERILE_NOT_DOT_ARROW, STERILE_NO_DOT, STERILE_CROSS_HISTORY,
+ STERILE_ARROW_HISTORY) = range(6)
+
+# coop_dual's outcomes
+DUAL_DONE, DUAL_FULL, DUAL_BUDGET, DUAL_SOURCELESS = range(4)
+
+# the rows and pending segments of coop_dual's first walk; a walk that
+# runs out of room is walked again with four times as much
+DUAL_ROWS, DUAL_STACK = 1 << 16, 1 << 10
+INT64_MAX = 2**63 - 1
+
+
+def dual(module, view: SiteIndex, x: int, t: float, t_start: float,
+         max_nodes: int) -> tuple[int, tuple[np.ndarray, ...], int]:
+    """``coop_dual`` from ``(x, t)``: its outcome, the rows written as columns
+    (site, parent, ordinal, r_hi, r_lo, stopped), and the sourceless arrow."""
+    ffi = module.ffi
+    max_nodes = min(max(max_nodes, 0), INT64_MAX)  # the same walk, in an int64
+    cap, stack_cap = min(max(max_nodes, 1), DUAL_ROWS), DUAL_STACK
+    while True:
+        rows = (np.empty(cap, np.int32), np.empty(cap, np.int64), np.empty(cap, np.int32),
+                np.empty(cap, np.float64), np.empty(cap, np.float64), np.empty(cap, np.int8))
+        stack = (np.empty(stack_cap, np.int32), np.empty(stack_cap, np.int64),
+                 np.empty(stack_cap, np.int32))
+        w = ffi.new("coop_dual_walk *")
+        w.cap, w.stack_cap = cap, stack_cap
+        views = tuple(_buffer(ffi, a) for a in rows + stack)
+        (w.site, w.parent, w.ordinal, w.r_hi, w.r_lo, w.stopped,
+         w.stack_arrow, w.stack_parent, w.stack_ordinal) = views
+        status = module.lib.coop_dual(view.c, w, x, t, t_start, max_nodes)
+        if status != DUAL_FULL:
+            return status, tuple(a[:w.rows] for a in rows), w.arrow
+        if w.rows == cap:
+            cap = min(4 * cap, max_nodes)
+        else:
+            stack_cap *= 4

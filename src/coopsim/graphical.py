@@ -35,7 +35,10 @@ backward-in-time tree of potential ancestors of a space-time point.
 from __future__ import annotations
 
 import functools
+import gc
+import itertools
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
@@ -169,19 +172,38 @@ def _checked_columns(marks: Iterable[Mark], t_lo: float, t_hi: float, n_sites: i
 
 
 class _SiteIndex(NamedTuple):
-    """Per-site lists, flat: site x's entries sit at ``[ptr[x], ptr[x + 1])``, in log order.
+    """Per-site lists as flat read-only arrays: site x's entries sit at
+    ``[ptr[x], ptr[x + 1])``, in log order.
 
     ``cross_*`` hold the crosses at each site; ``arrow_*`` every mark of an
     arrow kind aimed at each site, self-dotted ones included, with its
     source and whether it can feed its target (its dot is not the target).
+    ``view`` is their C view, or ``None`` until the compiled engine reads
+    them.
     """
 
-    cross_ptr: list[int]
-    cross_time: list[float]
-    arrow_ptr: list[int]
-    arrow_time: list[float]
-    arrow_source: list[int]
-    arrow_feeds: list[bool]
+    cross_ptr: np.ndarray  # int32, one more than the sites
+    cross_time: np.ndarray  # float64
+    arrow_ptr: np.ndarray  # int32, one more than the sites
+    arrow_time: np.ndarray  # float64
+    arrow_source: np.ndarray  # int32
+    arrow_feeds: np.ndarray  # int8
+    view: _engine.SiteIndex | None = None
+
+
+def _last_before(ptr: memoryview, times: memoryview, site: int, before: float) -> float | None:
+    """The last of ``site``'s entries in ``times`` before ``before``, or None."""
+    lo = ptr[site]
+    i = bisect_left(times, before, lo, ptr[site + 1])
+    return times[i - 1] if i > lo else None
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int, as ``operator.index`` takes it; anything else raises DomainError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} {value!r} is not an integer") from None
 
 
 class EventLog:
@@ -293,35 +315,54 @@ class EventLog:
         return enumerate(self.marks[window], window.start)
 
     def _site_index(self) -> _SiteIndex:
-        """The per-site lists, built once per log by two stable sorts on the target."""
+        """The per-site index, built once per log: by one counting pass in
+        ``_engine.c`` when the compiled module loads, else by two stable
+        sorts on the target."""
         if self._index is None:
-            n = self.side**self.dim
-            sites = np.arange(n + 1)
-            crosses = np.flatnonzero(self.kind == _CROSS)  # every other kind is an arrow kind
-            arrows = np.flatnonzero(self.kind != _CROSS)
-            crosses = crosses[np.argsort(self.target[crosses], kind="stable")]
-            arrows = arrows[np.argsort(self.target[arrows], kind="stable")]
-            self._index = _SiteIndex(
-                np.searchsorted(self.target[crosses], sites).tolist(),
-                self.time[crosses].tolist(),
-                np.searchsorted(self.target[arrows], sites).tolist(),
-                self.time[arrows].tolist(),
-                self.source[arrows].tolist(),
-                (self.dot[arrows] != self.target[arrows]).tolist(),
-            )
+            if len(self) > lattice.MAX_SITES:  # the offsets are int32
+                raise DomainError(f"a log of more than {lattice.MAX_SITES} marks has no site index")
+            n_sites = self.side**self.dim
+            crosses = self.kind == _CROSS  # every other kind is an arrow kind
+            module = _engine.load()
+            if module is None:
+                crosses, arrows = np.flatnonzero(crosses), np.flatnonzero(~crosses)
+                crosses = crosses[np.argsort(self.target[crosses], kind="stable")]
+                arrows = arrows[np.argsort(self.target[arrows], kind="stable")]
+                sites = np.arange(n_sites + 1)
+                index = _SiteIndex(
+                    np.searchsorted(self.target[crosses], sites).astype(np.int32),
+                    self.time[crosses],
+                    np.searchsorted(self.target[arrows], sites).astype(np.int32),
+                    self.time[arrows],
+                    self.source[arrows],
+                    (self.dot[arrows] != self.target[arrows]).astype(np.int8),
+                )
+            else:
+                arrays, view = _engine.site_index(module, self._columns(), self.t_start - self.history,
+                                                  n_sites, int(np.count_nonzero(crosses)))
+                index = _SiteIndex(*arrays, view)
+            for array in index[:-1]:
+                array.flags.writeable = False
+            self._index = index
         return self._index
+
+    def _site_view(self, module) -> _engine.SiteIndex:
+        """The C view of the per-site index, made when first read."""
+        index = self._index
+        if index is None or index.view is None:  # or built while the compiled module was not loaded
+            index = self._site_index()
+            view = index.view or _engine.SiteIndex(module, self._columns(), self.t_start - self.history,
+                                                   index[:-1])
+            index = self._index = index._replace(view=view)
+        return index.view
 
     def last_cross_at(self, site: int, before: float) -> float | None:
         index = self._site_index()
-        lo = index.cross_ptr[site]
-        i = bisect_left(index.cross_time, before, lo, index.cross_ptr[site + 1])
-        return index.cross_time[i - 1] if i > lo else None
+        return _last_before(memoryview(index.cross_ptr), memoryview(index.cross_time), site, before)
 
     def last_arrow_into(self, site: int, before: float) -> float | None:
         index = self._site_index()
-        lo = index.arrow_ptr[site]
-        i = bisect_left(index.arrow_time, before, lo, index.arrow_ptr[site + 1])
-        return index.arrow_time[i - 1] if i > lo else None
+        return _last_before(memoryview(index.arrow_ptr), memoryview(index.arrow_time), site, before)
 
     # ------------------------------------------------------- serialization
 
@@ -746,37 +787,47 @@ def classify_sterile(log: EventLog, mark_index: int) -> bool:
     and v for the last arrow of any kind pointing at the dot site, the
     mark is sterile exactly when s - u < 1 < s - v < 2.  Raises
     :class:`InsufficientHistory` when the sampled window cannot pin down
-    the truth value.
+    the truth value.  The test runs in ``_engine.c`` when the compiled
+    module loads, else in :func:`_sterile_code`.
     """
-    if not 0 <= mark_index < len(log):
-        raise DomainError(f"no mark at index {mark_index}")
-    kind = log.kind.item(mark_index)
-    if kind not in (_DOT_ARROW, _C_PLUS_DOT_ARROW):
-        raise DomainError(f"mark {mark_index} is a {_KIND_NAMES[kind]}, not a dot-arrow")
-    z = log.dot.item(mark_index)
-    s = log.time.item(mark_index)
-    if z < 0:
-        raise DomainError(f"mark {mark_index} is a dot-arrow without a dot")
-    lo = log.t_start - log.history
+    i = _integer(mark_index, "mark index")
+    if not 0 <= i < len(log):
+        raise DomainError(f"no mark at index {i}")
+    module = _engine.load()
+    code = _sterile_code(log, i) if module is None else module.lib.coop_sterile(log._site_view(module).c, i)
+    if code <= _engine.STERILE_YES:
+        return code == _engine.STERILE_YES
+    if code == _engine.STERILE_NOT_DOT_ARROW:
+        raise DomainError(f"mark {i} is a {_KIND_NAMES[log.kind.item(i)]}, not a dot-arrow")
+    if code == _engine.STERILE_NO_DOT:
+        raise DomainError(f"mark {i} is a dot-arrow without a dot")
+    z, s = log.dot.item(i), log.time.item(i)
+    if code == _engine.STERILE_CROSS_HISTORY:
+        raise InsufficientHistory(f"cannot locate the last death mark at site {z} before {s!r}")
+    raise InsufficientHistory(f"cannot locate the last arrow into site {z} before {s!r}")
 
+
+def _sterile_code(log: EventLog, i: int) -> int:
+    """``coop_sterile`` of ``_engine.c`` in Python: the sterility of mark i
+    as one of the ``_engine.STERILE_*`` outcomes."""
+    if log.kind.item(i) not in (_DOT_ARROW, _C_PLUS_DOT_ARROW):
+        return _engine.STERILE_NOT_DOT_ARROW
+    z = log.dot.item(i)
+    if z < 0:
+        return _engine.STERILE_NO_DOT
+    s = log.time.item(i)
+    lo = log.t_start - log.history
     u = log.last_cross_at(z, s)
     if u is None:
-        if lo <= s - 1.0:
-            return False  # any unseen death mark is at least one unit old
-        raise InsufficientHistory(
-            f"cannot locate the last death mark at site {z} before {s!r}"
-        )
+        # any unseen death mark is at least one unit old
+        return _engine.STERILE_NO if lo <= s - 1.0 else _engine.STERILE_CROSS_HISTORY
     if not s - u < 1.0:
-        return False
-
+        return _engine.STERILE_NO
     v = log.last_arrow_into(z, s)
     if v is None:
-        if lo <= s - 2.0:
-            return False  # any unseen arrow is at least two units old
-        raise InsufficientHistory(
-            f"cannot locate the last arrow into site {z} before {s!r}"
-        )
-    return 1.0 < s - v < 2.0
+        # any unseen arrow is at least two units old
+        return _engine.STERILE_NO if lo <= s - 2.0 else _engine.STERILE_ARROW_HISTORY
+    return _engine.STERILE_YES if 1.0 < s - v < 2.0 else _engine.STERILE_NO
 
 
 def estimate_sterile(
@@ -832,8 +883,7 @@ def estimate_sterile(
 # --------------------------------------------------------------- dual tree
 
 
-@dataclass(frozen=True, slots=True)
-class DualNode:
+class DualNode(NamedTuple):
     """One backward path segment of the ancestor tree.
 
     ``sigma`` counts dual time: 0 at the tree origin, growing toward the
@@ -870,45 +920,57 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
 
     The walk reads the log's per-site index (built once per log and shared
     with :func:`classify_sterile`): each segment costs three bisections
-    inside its site's range of the flat lists plus its own children, so a
+    inside its site's range of the flat arrays plus its own children, so a
     query never rescans the log.
     Children are pushed latest first, so segments come off the
     stack, and into ``nodes``, in hierarchy order: a preorder walk.  When
     the tree has more than ``max_nodes`` segments, :class:`BudgetExhausted`
     carries the first ``max_nodes`` of them in that order, a prefix of the
-    full tree, as ``partial``.
+    full tree, as ``partial``.  The walk runs in ``_engine.c`` when the
+    compiled module loads, else in :func:`_dual_walk`; the nodes are the
+    same.
     """
+    x, max_nodes = _integer(x, "site"), _integer(max_nodes, "max_nodes")
+    try:
+        t = float(t)
+    except (TypeError, ValueError):
+        raise DomainError(f"time {t!r} is not a number") from None
     if not (log.t_start < t <= log.t_end):
         raise DomainError(f"time {t!r} outside the log window")
     if not (0 <= x < log.side**log.dim):
         raise DomainError(f"site {x} not on the log's torus")
+    module = _engine.load()
+    nodes = _dual_walk(log, x, t, max_nodes) if module is None else _dual_compiled(module, log, x, t, max_nodes)
+    return DualTree(origin_site=x, origin_time=t, horizon=t - log.t_start, nodes=nodes)
 
-    lists = log._site_index()
-    arrow_ptr, arrow_time = lists.arrow_ptr, lists.arrow_time
-    arrow_source, arrow_feeds = lists.arrow_source, lists.arrow_feeds
+
+def _budget_exhausted(max_nodes: int, nodes: tuple[DualNode, ...]) -> BudgetExhausted:
+    err = BudgetExhausted(f"dual tree exceeded {max_nodes} segments")
+    err.partial = nodes
+    return err
+
+
+def _sourceless(site: int, time: float) -> DomainError:
+    return DomainError(f"arrow into site {site} at time {time!r} has no source")
+
+
+def _dual_walk(log: EventLog, x: int, t: float, max_nodes: int) -> tuple[DualNode, ...]:
+    """The nodes of :func:`build_dual`, walked in Python: ``coop_dual`` of ``_engine.c``."""
+    index = log._site_index()
+    cross_ptr, cross_time, arrow_ptr, arrow_time, arrow_source, arrow_feeds = map(memoryview, index[:-1])
     nodes: list[DualNode] = []
     # Work stack of (site, real time the segment is entered, hierarchy index).
     stack: list[tuple[int, float, tuple[int, ...]]] = [(x, t, (1,))]
     while stack:
-        site, r_hi, index = stack.pop()
+        site, r_hi, idx = stack.pop()
         if len(nodes) >= max_nodes:
-            err = BudgetExhausted(f"dual tree exceeded {max_nodes} segments")
-            err.partial = tuple(nodes)
-            raise err
-        cross = log.last_cross_at(site, r_hi)
+            raise _budget_exhausted(max_nodes, tuple(nodes))
+        cross = _last_before(cross_ptr, cross_time, site, r_hi)
         if cross is not None and cross >= log.t_start:
             r_lo, stopped = cross, True
         else:
             r_lo, stopped = log.t_start, False
-        nodes.append(
-            DualNode(
-                site=site,
-                index=index,
-                sigma_start=t - r_hi,
-                sigma_stop=t - r_lo,
-                stopped_by_cross=stopped,
-            )
-        )
+        nodes.append(DualNode(site, idx, t - r_hi, t - r_lo, stopped))
         # Arrows strictly inside (r_lo, r_hi); r_hi <= t, so none is later than t.
         end = arrow_ptr[site + 1]
         lo = bisect_right(arrow_time, r_lo, arrow_ptr[site], end)
@@ -917,9 +979,40 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
         for i in range(len(feeders), 0, -1):
             k = feeders[i - 1]
             if arrow_source[k] < 0:
-                raise DomainError(f"arrow into site {site} at time {arrow_time[k]!r} has no source")
-            stack.append((arrow_source[k], arrow_time[k], index + (i,)))
-    return DualTree(origin_site=x, origin_time=t, horizon=t - log.t_start, nodes=tuple(nodes))
+                raise _sourceless(site, arrow_time[k])
+            stack.append((arrow_source[k], arrow_time[k], idx + (i,)))
+    return tuple(nodes)
+
+
+def _dual_compiled(module, log: EventLog, x: int, t: float, max_nodes: int) -> tuple[DualNode, ...]:
+    """The nodes of :func:`build_dual` from the rows of ``coop_dual``.
+
+    A row's hierarchy index is its parent's plus its ordinal, and its dual
+    times are ``t`` less its real ones, the same subtractions as the
+    Python walk's.
+    """
+    status, (site, parent, ordinal, r_hi, r_lo, stopped), arrow = _engine.dual(
+        module, log._site_view(module), x, t, log.t_start, max_nodes)
+    if status == _engine.DUAL_SOURCELESS:
+        raise _sourceless(site.item(-1), log._site_index().arrow_time.item(arrow))
+    # The nodes are new tuples without cycles, which the cyclic collector
+    # would only scan again and again: a tuple subclass is never untracked.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        indices = [()]  # the root's parent, row -1, at 0
+        for p, o in zip((parent + 1).tolist(), ordinal.tolist()):
+            indices.append(indices[p] + (o,))
+        del indices[0]
+        nodes = tuple(map(tuple.__new__, itertools.repeat(DualNode),
+                          zip(site.tolist(), indices, (t - r_hi).tolist(), (t - r_lo).tolist(),
+                              stopped.astype(bool).tolist())))
+    finally:
+        if collecting:
+            gc.enable()
+    if status == _engine.DUAL_BUDGET:
+        raise _budget_exhausted(max_nodes, nodes)
+    return nodes
 
 
 ORIGIN_EMPTY = "empty"

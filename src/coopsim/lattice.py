@@ -516,7 +516,18 @@ def allocate(count: int, what: str, make, *args, **kwargs):
     try:
         return make(*args, **kwargs)
     except (MemoryError, ValueError) as exc:  # numpy: "Unable to allocate", "array is too big"
-        raise DomainError(f"{count} {what} cannot be stored: {exc}") from None
+        raise DomainError(f"{number_text(count)} {what} cannot be stored: {exc}") from None
+
+
+def number_text(n: int) -> str:
+    """A positive integer for a message: in full up to 24 digits, else as
+    ``about 5.48e289``, its size rather than its hundreds of digits."""
+    if n < 10**24:
+        return str(n)
+    k = int(math.log10(n))
+    k += (n >= 10 ** (k + 1)) - (n < 10**k)  # now 10**k <= n < 10**(k + 1)
+    lead = n // 10 ** (k - 2)  # the first three digits
+    return f"about {lead // 100}.{lead % 100:02d}e{k}"
 
 
 def replica_rng(master_seed: int, index: int) -> np.random.Generator:

@@ -115,7 +115,10 @@ def estimate_a1(T: float, d: int, replicas: int, rng: np.random.Generator) -> tu
     if replicas < 1:
         raise DomainError(f"need at least one replica, got {replicas}")
     prob_a1(T, d)  # argument validation
-    counts = lattice.poisson(rng, T, (replicas, inner_box_sites(d)))
+    try:
+        counts = lattice.poisson(rng, T, (replicas, inner_box_sites(d)))
+    except DomainError as exc:
+        raise DomainError(f"dimension {d}: {exc}") from None
     return lattice.binomial_estimate(int((counts > 0).all(axis=1).sum()), replicas)
 
 
@@ -191,7 +194,15 @@ def c_plus_absence_prob(L: int, d: int, rho: float) -> float:
         raise DomainError(f"L must be a positive integer, got {L}")
     if not 0 <= rho < math.inf:
         raise DomainError(f"rho must be nonnegative and finite, got {rho}")
-    return math.exp(-2.0 * L**2 * _as_float(lambda d: (6 * L + 1) ** d, d) * rho)
+    region = _as_float(lambda d: (6 * L + 1) ** d, d)
+    try:
+        window = 2.0 * L**2
+    except OverflowError:
+        window = math.inf
+    if math.isinf(window * region):  # times rho = 0 it would be NaN
+        raise DomainError(f"L = {lattice.number_text(L)} in dimension {d} gives a region of "
+                          "more site-time than a float can hold")
+    return math.exp(-window * region * rho)
 
 
 def estimate_c_plus_absence(

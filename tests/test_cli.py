@@ -196,6 +196,11 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         ("blocks cplus --L 2 --dim 300 --rho 1e-300 --replicas 10 --seed 1", "dimension 300 gives a box"),
         ("blocks a1 --dim 5000 --replicas 2 --seed 1", "dimension 5000 gives a box"),
         ("blocks a1 --dim 10000000 --replicas 2 --seed 1", "dimension 10000000 gives a box"),
+        # an L whose window 2L^2, or that times the region, is beyond a float
+        pytest.param(f"blocks cplus --L 1{'0' * 200} --replicas 2 --seed 1",
+                     "L = about 1.00e200 in dimension 1", id="cplus-L-1e200"),
+        pytest.param(f"blocks cplus --L 1{'0' * 100} --dim 2 --rho 0 --replicas 2 --seed 1",
+                     "L = about 1.00e100 in dimension 2", id="cplus-L-1e100-rho-0"),
     ],
 )
 def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
@@ -204,6 +209,28 @@ def test_too_large_to_store_or_overflowing_exits_2(argv, message, capsys):
     assert code == 2
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "blocks a1 --dim 300 --replicas 2 --seed 1",
+        "blocks a1 --dim 600 --replicas 2 --seed 1",
+        "blocks a1 --dim 647 --replicas 2 --seed 1",
+        f"blocks cplus --L 1{'0' * 200} --replicas 2 --seed 1",
+        f"blocks cplus --L 1{'0' * 100} --dim 2 --rho 0 --replicas 2 --seed 1",
+    ],
+    ids=["a1-dim-300", "a1-dim-600", "a1-dim-647", "cplus-L-1e200", "cplus-L-1e100-rho-0"],
+)
+def test_huge_blocks_input_is_refused_in_one_short_line(argv, capsys):
+    # the line names the dimension or L, and a count's size, not its digits
+    code = main(argv.split())
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    (line,) = [line for line in err.splitlines() if line.startswith("coopsim:")]
+    assert line.startswith("coopsim: error: ") and len(line) < 200
+    assert "dimension" in line or "L = " in line
 
 
 @pytest.mark.parametrize(
@@ -644,6 +671,25 @@ def test_dual_readme_example_pinned_bytes(capsys):
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
     assert digest == "4fc1acd4d232ce6b71d4c9fc5d9cb366bf06c0eb5847d446c864a3cd2e46e4a7"
+
+
+@pytest.mark.parametrize(
+    "check", [test_dual_renders_lexicographic_hierarchy, test_dual_readme_example_pinned_bytes],
+    ids=lambda check: check.__name__.removeprefix("test_"),
+)
+def test_dual_command_holds_on_each_engine(engine, check, capsys):
+    check(capsys)
+
+
+@pytest.mark.parametrize("seed, digest", [
+    ("1", "92adfff2082aef0c951bca4e49c8f90dbe307cfdca4673ea1a802ad0fab49391"),
+    ("41", "275d168f9aa7ef594f84952cf506d5480252956a94446b29f3be5e05867268cf"),
+], ids=["seed1", "seed41"])
+def test_sterile_pinned_bytes_on_each_engine(engine, seed, digest, capsys):
+    # the digests of test_survival_commands_pinned_bytes
+    code, out = run_main(STERILE_ARGS[:-1] + [seed], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 # ------------------------------------------------------------------- couple
 

@@ -1,5 +1,6 @@
 """Mark sampling, log evolution, couplings, sterility, and dual tracing."""
 
+import functools
 import hashlib
 import itertools
 import math
@@ -1221,6 +1222,265 @@ def test_dual_pinned_side_200_tree():
     assert len(tree.nodes) == 620
     digest = hashlib.sha256(repr(tree.nodes).encode()).hexdigest()
     assert digest == "66bd19152ed8ea75378de6598095f21125a523490055780d3d85804ed51033d9"
+
+
+# ------------------------------------------- index, dual and sterile, both engines
+
+
+@functools.cache
+def replay_log(seed):
+    """The standard log that the replay benchmark samples at ``seed``."""
+    rng = np.random.default_rng(seed)
+    return g.sample_event_log(Params(2.0, 1.0, 1.0, 1), Torus(1000, 1), 20.0, rng)
+
+
+def compiled_module():
+    module = _engine.load()
+    if module is None:
+        pytest.skip("compiled engine unavailable")
+    return module
+
+
+def on_both_engines(monkeypatch, call):
+    """``call()`` on the Python engine, then on the compiled one: each its
+    result, or the type, message and partial tree of the error it raised."""
+    module = compiled_module()
+    outcomes = []
+    for load in (lambda: None, lambda: module):
+        monkeypatch.setattr(_engine, "load", load)
+        try:
+            outcomes.append(call())
+        except CoopSimError as exc:
+            outcomes.append((type(exc), str(exc), getattr(exc, "partial", None)))
+    return outcomes
+
+
+def site_indexes(log, monkeypatch):
+    """The per-site index of ``log`` built by the numpy fallback, then by the
+    counting pass of the compiled engine."""
+    def build():
+        log._index = None
+        return log._site_index()
+
+    return on_both_engines(monkeypatch, build)
+
+
+def tie_logs():
+    """Hand logs with equal-time marks at one site, sites without marks, and no marks."""
+    ties = [
+        g.Mark(1.0, g.CROSS, 2),
+        g.Mark(1.0, g.ARROW, 2, 1),
+        g.Mark(1.0, g.DOT_ARROW, 2, 3, 2),
+        g.Mark(1.0, g.D_ARROW, 2, 3),
+        g.Mark(1.0, g.CROSS, 4),
+        g.Mark(2.0, g.ARROW, 2, 3),
+        g.Mark(0.5, g.D_ARROW, 4, 5),
+        g.Mark(3.0, g.CROSS, 2),
+    ]
+    return [hand_log(ties), hand_log([g.Mark(1.0, g.CROSS, 3), g.Mark(1.0, g.CROSS, 3)]),
+            hand_log([g.Mark(1.0, g.ARROW, 6, 0)]), hand_log([])]
+
+
+def test_site_index_engines_give_the_same_arrays(monkeypatch):
+    rng = np.random.default_rng(41)
+    logs = [random_flavored_log(flavor, side, rng)
+            for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED) for side in (5, 17, 60)]
+    logs += [replay_log(3), *tie_logs()]
+    for log in logs:
+        python, compiled = site_indexes(log, monkeypatch)
+        assert python.view is None and compiled.view is not None
+        for a, b in zip(python[:-1], compiled[:-1]):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+            assert not b.flags.writeable
+
+
+def test_site_index_holds_each_sites_marks_in_log_order(engine):
+    for log in tie_logs():
+        log._index = None
+        index = log._site_index()
+        crosses, arrows = log.kind == 0, log.kind != 0
+        for x in range(log.side):
+            at = log.target == x
+            cross_range = slice(*index.cross_ptr[x:x + 2])
+            arrow_range = slice(*index.arrow_ptr[x:x + 2])
+            assert index.cross_time[cross_range].tolist() == log.time[crosses & at].tolist()
+            assert index.arrow_time[arrow_range].tolist() == log.time[arrows & at].tolist()
+            assert index.arrow_source[arrow_range].tolist() == log.source[arrows & at].tolist()
+            assert index.arrow_feeds[arrow_range].tolist() == (log.dot != x)[arrows & at].tolist()
+
+
+def test_dual_engines_give_the_same_nodes_on_the_replay_logs(monkeypatch):
+    for seed in (3, 505):
+        log = replay_log(seed)
+        for site in range(0, 1000, 100):
+            for depth in (2.0, 3.0):
+                python, compiled = on_both_engines(
+                    monkeypatch, lambda: g.build_dual(log, site, log.t_start + depth))
+                assert python == compiled
+                assert repr(python.nodes) == repr(compiled.nodes)
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        test_dual_of_empty_log_is_the_single_root_path,
+        test_dual_stops_at_a_cross,
+        test_dual_single_arrow_hand_trace,
+        test_dual_child_order_follows_real_time_from_the_stopping_cross,
+        test_dual_multiplicity_keeps_distinct_paths,
+        test_dual_ignores_self_dotted_arrows,
+        test_dual_hierarchy_well_formed_on_random_logs,
+        test_dual_membership_equals_forward_reachability,
+        test_dual_validation_and_budget,
+        test_dual_boundary_marks,
+        test_dual_matches_rescan_reference,
+        test_dual_budget_partial_is_hierarchy_prefix,
+        test_dual_pinned_side_200_tree,
+        test_classify_sterile_hand_patterns,
+        test_classify_sterile_decidability_without_history,
+        test_classify_sterile_rejects_non_dot_marks,
+        test_classify_sterile_rejects_negative_index,
+    ],
+    ids=lambda check: check.__name__.removeprefix("test_"),
+)
+def test_dual_and_sterile_checks_hold_on_each_engine(engine, check):
+    check()
+
+
+def test_dual_budget_partial_is_the_same_beyond_the_first_buffer(monkeypatch):
+    # the query has more segments than coop_dual's first buffer holds rows
+    log = replay_log(12)
+    assert 70_000 > _engine.DUAL_ROWS
+    for max_nodes in (1, 17, 70_000):
+        python, compiled = on_both_engines(
+            monkeypatch, lambda: g.build_dual(log, 500, log.t_start + 3.0, max_nodes=max_nodes))
+        assert python[0] is BudgetExhausted and len(python[2]) == max_nodes
+        assert python == compiled
+
+
+def test_dual_walk_in_one_row_buffers_gives_the_same_nodes(monkeypatch):
+    # every buffer starts at one entry, so each walk runs out of room and
+    # is walked again many times; no write may pass the room it was given
+    compiled_module()
+    rng = np.random.default_rng(43)
+    cases = []
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        for _ in range(4):
+            log = random_flavored_log(flavor, int(rng.integers(5, 16)), rng)
+            cases.append((log, int(rng.integers(0, log.side)), float(rng.uniform(0.1, 4.0))))
+    expected = [dual_outcome(indexed_dual, *case, 5_000) for case in cases]
+    monkeypatch.setattr(_engine, "DUAL_ROWS", 1)
+    monkeypatch.setattr(_engine, "DUAL_STACK", 1)
+    assert [dual_outcome(indexed_dual, *case, 5_000) for case in cases] == expected
+    assert any(len(nodes) > 10 for nodes in expected if nodes != "budget")
+
+
+def test_dual_sourceless_arrow_raises_the_same_error(monkeypatch):
+    sourceless = [g.Mark(1.0, g.ARROW, 3), g.Mark(2.0, g.ARROW, 3), g.Mark(1.5, g.ARROW, 3, 4)]
+    below = [g.Mark(2.0, g.ARROW, 3, 4), g.Mark(1.0, g.ARROW, 4)]
+    self_dotted = [g.Mark(2.0, g.DOT_ARROW, 3, None, 3)]
+    cases = [
+        # the feeding arrows are met latest first
+        (sourceless, 1_000, DomainError, "arrow into site 3 at time 2.0 has no source"),
+        (sourceless, 1, DomainError, "arrow into site 3 at time 2.0 has no source"),
+        (below, 2, DomainError, "arrow into site 4 at time 1.0 has no source"),
+        # the budget is spent before the child's arrows are met
+        (below, 1, BudgetExhausted, "dual tree exceeded 1 segments"),
+    ]
+    for marks, max_nodes, error, message in cases:
+        log = hand_log(marks, flavor=g.STANDARD, t_end=5.0)
+        python, compiled = on_both_engines(
+            monkeypatch, lambda: g.build_dual(log, 3, 4.0, max_nodes=max_nodes))
+        assert python[:2] == (error, message)
+        assert python == compiled
+    # a self-dotted arrow never feeds, so its missing source does not matter
+    log = hand_log(self_dotted, flavor=g.STANDARD, t_end=5.0)
+    python, compiled = on_both_engines(monkeypatch, lambda: g.build_dual(log, 3, 4.0))
+    assert python == compiled and len(python.nodes) == 1
+
+
+def sterile_outcomes(log, indices):
+    outcomes = []
+    for i in indices:
+        try:
+            outcomes.append(g.classify_sterile(log, i))
+        except CoopSimError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def test_classify_sterile_engines_agree(monkeypatch):
+    log = replay_log(3)
+    dots = np.flatnonzero(log.kind == g.KIND_ORDER[g.DOT_ARROW]).tolist()
+    python, compiled = on_both_engines(monkeypatch, lambda: sterile_outcomes(log, dots))
+    assert python == compiled
+    assert 0 < sum(o is True for o in python) and any(isinstance(o, tuple) for o in python)
+    marks = [
+        g.Mark(0.4, g.CROSS, 2),
+        g.Mark(0.5, g.DOT_ARROW, 0, 1, 2),
+        g.Mark(0.6, g.ARROW, 4, 3),
+        g.Mark(0.8, g.C_PLUS_DOT_ARROW, 5, 4, 3),
+        g.Mark(1.2, g.DOT_ARROW, 0, 1),
+        g.Mark(1.3, g.DOT_ARROW, 6, 5, 4),
+        g.Mark(1.9, g.D_PLUS_ARROW, 2, 1),
+        g.Mark(2.5, g.C_PLUS_DOT_ARROW, 2, 1, 0),
+        g.Mark(3.0, g.DOT_ARROW, 1, 0, 2),
+        g.Mark(3.5, g.DOT_ARROW, 5, 4, 3),
+        # the ages s - u = 1 and s - v = 2 and 1 exactly: none is sterile
+        g.Mark(4.0, g.CROSS, 8),
+        g.Mark(3.5, g.ARROW, 8, 7),
+        g.Mark(5.0, g.DOT_ARROW, 10, 9, 8),
+        g.Mark(4.6, g.CROSS, 11),
+        g.Mark(3.0, g.ARROW, 11, 10),
+        g.Mark(5.0, g.DOT_ARROW, 9, 10, 11),
+        g.Mark(4.8, g.CROSS, 7),
+        g.Mark(4.0, g.ARROW, 7, 6),
+        g.Mark(5.0, g.DOT_ARROW, 5, 6, 7),
+    ]
+    for history in (0.0, 0.5, 2.0):
+        small = hand_log(marks, flavor=g.COUPLED, side=12, t_end=5.0, history=history)
+        every = [-1, *range(len(small)), len(small)]
+        python, compiled = on_both_engines(monkeypatch, lambda: sterile_outcomes(small, every))
+        assert python == compiled
+        assert {type(o) for o in python} == {bool, tuple}
+
+
+def test_dual_and_sterile_take_any_integer_and_time(engine):
+    marks = [g.Mark(2.0, g.ARROW, 3, 4), g.Mark(1.0, g.CROSS, 4), g.Mark(2.5, g.DOT_ARROW, 1, 0, 6)]
+    log = hand_log(marks, flavor=g.STANDARD, t_end=5.0)
+    plain = g.build_dual(log, 3, 3.0)
+    for x, t in ((np.int64(3), np.float64(3.0)), (np.int32(3), 3), (3, np.float32(3.0))):
+        tree = g.build_dual(log, x, t, max_nodes=np.int64(10))
+        assert tree == plain and repr(tree) == repr(plain)
+    for node in plain.nodes:
+        assert type(node.site) is int and type(node.sigma_start) is float
+        assert type(node.sigma_stop) is float and type(node.stopped_by_cross) is bool
+        assert all(type(i) is int for i in node.index)
+    assert repr(g.build_dual(log, True, 3.0)) == repr(g.build_dual(log, 1, 3.0))
+    # budgets beyond an int64 either way
+    assert g.build_dual(log, 3, 3.0, max_nodes=2**70) == plain
+    for max_nodes in (-2**70, 0):
+        with pytest.raises(BudgetExhausted) as info:
+            g.build_dual(log, 3, 3.0, max_nodes=max_nodes)
+        assert info.value.partial == ()
+    for bad in (7.5, 3.0, "3", None):
+        with pytest.raises(DomainError, match="is not an integer"):
+            g.build_dual(log, bad, 3.0)
+    with pytest.raises(DomainError, match="is not a number"):
+        g.build_dual(log, 3, "soon")
+    dot = log.marks.index(marks[2])
+    assert g.classify_sterile(log, np.int64(dot)) is g.classify_sterile(log, dot)
+    with pytest.raises(DomainError, match="is not an integer"):
+        g.classify_sterile(log, float(dot))
+
+
+def test_dual_node_is_a_named_tuple_with_the_dataclass_repr():
+    node = g.DualNode(3, (1, 2), 0.5, 4.0, False)
+    assert node == (3, (1, 2), 0.5, 4.0, False)
+    assert repr(node) == (
+        "DualNode(site=3, index=(1, 2), sigma_start=0.5, sigma_stop=4.0, stopped_by_cross=False)"
+    )
 
 
 # ----------------------------------------------------------- origin typing
