@@ -13,9 +13,11 @@
  * reordered sum changes how a rate rounds.
  *
  * coop_replay is the mark loop of coopsim.graphical.evolve_from_log and
- * coupled_evolve over an event log's columns: one rule, apply_mark, on one
- * process's sites, run on one process or, through a kind map, on each of
- * two.  It draws nothing and does no arithmetic on times.
+ * coupled_evolve over an event log's columns, on one process or two.  The
+ * mark law is not written here: each mark's result is read from a
+ * transition table that coopsim.graphical builds from its _apply_mark, so
+ * both engines apply the one rule.  It draws nothing and does no
+ * arithmetic on times.
  *
  * coop_rk4 is the RK4 loop of coopsim.mean_field.integrate, with the same
  * operations in the same order, the same convergence test and the same
@@ -30,9 +32,12 @@
  * Schubfach (R. Giulietti, "The Schubfach way to render doubles", 2020),
  * laid out as CPython's format_float_short lays out repr.  Its 128-bit
  * powers of ten are computed from their definition with Python integers
- * in coopsim._engine and passed in.  coop_parse takes only lines as
- * to_text writes them and refuses the text at any other; Python then
- * reads it all with its own loop, which writes every error message.
+ * in coopsim._engine and passed in.  coop_parse reads times by Clinger's
+ * fast path or by Eisel-Lemire over the same table, less one, and leaves
+ * to strtod what neither decides.  It takes only lines as to_text writes
+ * them and refuses the text at any other; Python then reads it all with
+ * its own loop, which writes every error message.  coop_lines counts the
+ * lines, so that Python allocates the columns at their size.
  *
  * coop_index builds an event log's per-site index by one counting pass;
  * coop_sterile and coop_dual read it.  coop_sterile is the test of
@@ -41,6 +46,7 @@
  * codes, and Python writes every error message and builds the nodes.
  */
 #include "numpy/random/distributions.h"  /* first: it includes Python.h, which must lead */
+#include <locale.h>
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
@@ -57,7 +63,6 @@
 #define D_ARROW 3
 #define C_PLUS_DOT_ARROW 4
 #define D_PLUS_ARROW 5
-#define NO_MARK -1          /* a kind that does nothing */
 
 typedef struct {
     int32_t n, deg, block, n_blocks;
@@ -211,70 +216,42 @@ double coop_step(coop_table *t, double t_limit, int32_t *ev)
     return elapsed;
 }
 
-/* The mark rule on one process's sites s: a mark of kind k with target x,
- * source y and dot z, whose source and dot are present. */
-static inline void apply_mark(int8_t *s, int k, int32_t x, int32_t y, int32_t z, int equal_rate)
-{
-    if (k == CROSS) {
-        s[x] = EMPTY;
-        return;
-    }
-    if (s[x] != EMPTY)
-        return;
-    switch (k) {
-    case ARROW:
-        s[x] = s[y];
-        break;
-    case D_ARROW:
-        if (s[y] == DEFECTOR)
-            s[x] = DEFECTOR;
-        break;
-    case DOT_ARROW:
-        if (s[y] == COOPERATOR && s[z] == COOPERATOR)
-            s[x] = COOPERATOR;
-        else if (equal_rate && s[y] == DEFECTOR && z != x)
-            s[x] = DEFECTOR;
-        break;
-    }
-}
-
-/* What each kind is to each coupled process: a difference stream acts on
- * one process only, as the rate excess of that process's own kind. */
-static const int8_t as_first[6] = {CROSS, ARROW, DOT_ARROW, D_ARROW, DOT_ARROW, NO_MARK};
-static const int8_t as_second[6] = {CROSS, ARROW, DOT_ARROW, D_ARROW, NO_MARK, D_ARROW};
-
-/* allowed[first][second]: the pairs the coupling order keeps, the first
- * process cooperator-richer and defector-poorer than the second */
-static const int8_t allowed[3][3] = {
-    {1, 0, 1},  /* (e, e), (e, d) */
-    {1, 1, 1},  /* (c, e), (c, c), (c, d) */
-    {0, 0, 1},  /* (d, d) */
-};
+/* The cell of a transition table for a mark of kind k with target x, its
+ * dot z, and the states at x, at its source and at its dot. */
+#define CELL(k, sx, sy, sz, z, x) (((((k) * 3 + (sx)) * 3 + (sy)) * 3 + (sz)) * 2 + ((z) == (x)))
 
 /* Applies marks [lo, hi) of a log to s1, or of a coupled log to s1 and s2
- * (s2 is NULL for one process).  Returns hi, or the index of the first mark
- * it cannot apply, left unapplied: an arrow without its source or dot, or
- * a difference-stream kind on one process.  With two processes it also
- * stops at the first mark that leaves its target in a pair the order
- * forbids (applied). */
+ * (s2 is NULL for one process).  next1 and next2 are the processes'
+ * transition tables: next[CELL(k, s[x], s[y], s[z], z, x)] is the state a
+ * mark leaves at its target x, a site missing from a mark being read at x.
+ * allowed[3 * a + b] says whether the coupling order keeps the pair (a, b).
+ * Returns hi, or the index of the first mark it cannot apply, left
+ * unapplied: an arrow without its source or dot, or a difference-stream
+ * kind on one process.  With two processes it also stops at the first mark
+ * that leaves its target in a pair the order forbids (applied). */
 int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
                     const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi,
-                    int equal_rate)
+                    const int8_t *next1, const int8_t *next2, const int8_t *allowed)
 {
     for (int64_t i = lo; i < hi; i++) {
         int k = kind[i];
         int32_t x = target[i], y = source[i], z = dot[i];
-        if ((k != CROSS && y < 0) || ((k == DOT_ARROW || k == C_PLUS_DOT_ARROW) && z < 0))
+        /* one branch, taken at most once: a && on the kind would branch on
+         * every mark, at random */
+        if (((k != CROSS) & (y < 0)) | (((k == DOT_ARROW) | (k == C_PLUS_DOT_ARROW)) & (z < 0)))
             return i;
+        int32_t ys = y < 0 ? x : y, zs = z < 0 ? x : z;
         if (s2 == NULL) {
             if (k > D_ARROW)
                 return i;
-            apply_mark(s1, k, x, y, z, equal_rate);
+            s1[x] = next1[CELL(k, s1[x], s1[ys], s1[zs], z, x)];
             continue;
         }
-        apply_mark(s1, as_first[k], x, y, z, equal_rate);
-        apply_mark(s2, as_second[k], x, y, z, equal_rate);
-        if (!allowed[s1[x]][s2[x]])
+        int8_t a = next1[CELL(k, s1[x], s1[ys], s1[zs], z, x)];
+        int8_t b = next2[CELL(k, s2[x], s2[ys], s2[zs], z, x)];
+        s1[x] = a;
+        s2[x] = b;
+        if (!allowed[3 * a + b])
             return i;
     }
     return hi;
@@ -542,13 +519,120 @@ int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *ki
     return p - out;
 }
 
-/* Skips [0-9]+ at *p (before end); returns 0 when there is no digit. */
-static int skip_digits(const char **p, const char *end)
+/* The powers of ten that a double holds exactly: Clinger's fast path. */
+static const double exact_pow10[23] = {
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11,
+    1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19, 1e20, 1e21, 1e22,
+};
+
+/* The double nearest w 10^q, for 0 < w < 2^64 and q in [POW10_MIN, 308],
+ * by Eisel-Lemire (D. Lemire, "Number parsing at a gigabyte per second",
+ * 2021), into *v; returns 0 when the product does not decide it or the
+ * double would not be normal, leaving the number to strtod.
+ *
+ * With r = floor(log2 10^q) - 127, the pow10 row of q less one is
+ * floor(T), T = 10^q / 2^r in [2^127, 2^128).  For w' = w 2^lz in
+ * [2^63, 2^64), Z = w' floor(T) < 2^192 lies below V = w' T by less than
+ * w' < 2^64, and w 10^q = V 2^(r - lz).  Rounding V to 53 bits changes
+ * only at the odd multiples of half its unit, 2^(b - 53) for V's top bit
+ * b >= 190.  So when Z is no multiple of 2^(b - 53) and lies 2^64 or more
+ * below the next, no such point lies in [Z, V], which round alike. */
+static int eisel_lemire(uint64_t w, int q, const uint64_t *pow10, double *v)
+{
+    const uint64_t *g = pow10 + 2 * (q - POW10_MIN);
+    uint64_t g_lo = g[1] - 1, g_hi = g[0] - (g[1] == 0);
+    int lz = __builtin_clzll(w);
+    w <<= lz;
+    u128 low = (u128)w * g_lo;
+    u128 top = (u128)w * g_hi + (uint64_t)(low >> 64);  /* Z's bits 64 to 191 */
+    int s = (int)(top >> 127);                       /* b = 190 + s */
+    u128 below = top & (((u128)1 << (73 + s)) - 1);  /* Z mod 2^(b - 53), above bit 64 */
+    if (below == ((u128)1 << (73 + s)) - 1 || (below == 0 && (uint64_t)low == 0))
+        return 0;
+    uint64_t m = (uint64_t)(top >> (74 + s)) + (uint64_t)(top >> (73 + s) & 1);
+    int biased = 138 + s + ((q * 1741647) >> 19) - 127 - lz + 52 + 1023;
+    if (m == UINT64_C(1) << 53) {
+        m >>= 1;
+        biased++;
+    }
+    if (biased < 1 || biased > 2046)
+        return 0;
+    uint64_t bits = (uint64_t)biased << 52 | (m & ((UINT64_C(1) << 52) - 1));
+    memcpy(v, &bits, sizeof bits);
+    return 1;
+}
+
+/* Skips [0-9]+ at *p (before end), accumulating the digits into *w modulo
+ * 2^64; returns how many it skipped. */
+static int64_t skip_digits(const char **p, const char *end, uint64_t *w)
 {
     const char *start = *p;
-    while (*p < end && **p >= '0' && **p <= '9')
-        (*p)++;
-    return *p > start;
+    for (; *p < end && (unsigned)(**p - '0') < 10; (*p)++)
+        *w = 10 * *w + (uint64_t)(**p - '0');
+    return *p - start;
+}
+
+/* Reads a time -?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)? at *p, before end, into
+ * *v and moves *p past it; returns 0 when none is there.  With w its
+ * digits and q its decimal exponent, up to 19 significant digits, w 10^q
+ * is read exactly by Clinger's fast path when w <= 2^53 and |q| <= 22,
+ * else by eisel_lemire; strtod reads a longer number, and one that
+ * eisel_lemire leaves.  All three round correctly. */
+static int read_time(const char **p, const char *end, const uint64_t *pow10, double *v)
+{
+    int negative = *p < end && **p == '-';
+    const char *digits = *p + negative, *c = digits;
+    uint64_t w = 0;
+    int64_t n = skip_digits(&c, end, &w), q = 0;
+    if (n == 0)
+        return 0;
+    if (c < end && *c == '.') {
+        c++;
+        q = -skip_digits(&c, end, &w);
+        if (q == 0)
+            return 0;
+        n -= q;
+    }
+    int many = 0;  /* more than 19 significant digits, or an exponent beyond 5 digits */
+    if (n > 19) {  /* the leading zeros are not significant */
+        for (const char *d = digits; d < c && (*d == '0' || *d == '.'); d++)
+            n -= *d == '0';
+        many = n > 19;
+    }
+    if (c < end && *c == 'e') {
+        c++;
+        int e_negative = c < end && *c == '-';
+        c += c < end && (*c == '+' || *c == '-');
+        uint64_t e = 0;
+        int64_t e_digits = skip_digits(&c, end, &e);
+        if (e_digits == 0)
+            return 0;
+        many |= e_digits > 5;
+        q += e_negative ? -(int64_t)e : (int64_t)e;
+    }
+    if (!many && w == 0) {
+        *v = 0.0;
+    } else if (!many && w <= UINT64_C(1) << 53 && -22 <= q && q <= 22) {
+        *v = q < 0 ? (double)w / exact_pow10[-q] : (double)w * exact_pow10[q];
+    } else if (many || q < POW10_MIN || q > 308 || !eisel_lemire(w, (int)q, pow10, v)) {
+        char *stop;
+        *v = strtod(digits, &stop);  /* rounding is symmetric: the sign comes after */
+        if (stop != c)
+            return 0;
+    }
+    if (negative)
+        *v = -*v;
+    *p = c;
+    return 1;
+}
+
+/* The number of newlines in the len bytes at text. */
+int64_t coop_lines(const char *text, int64_t len)
+{
+    int64_t n = 0;
+    for (const char *p = text, *end = text + len; (p = memchr(p, '\n', end - p)) != NULL; p++)
+        n++;
+    return n;
 }
 
 /* The index of the name of the k_len bytes at k0 among n_names names, or -1. */
@@ -585,41 +669,27 @@ static int64_t read_site(const char **p, const char *end, int64_t n_sites, int d
 /* The mark lines of coopsim.graphical.EventLog.from_text, read from the
  * len bytes at text into the columns, which hold cap marks.  Takes only
  * canonical lines, "TIME KIND TARGET SOURCE DOT\n" with single spaces:
- * TIME matching -?[0-9]+(\.[0-9]+)?(e[+-]?[0-9]+)?, read whole by strtod
- * and in [t_lo, t_hi]; KIND one of the n_names names; TARGET, SOURCE and
- * DOT [0-9]+ below n_sites, SOURCE and DOT also "-".  Returns the number
- * of marks read, or -1 at the first line it does not take, which leaves
- * the text to the Python loop.  strtod and float() both round correctly;
- * where strtod's decimal point is not '.', it stops short and the line
- * is refused. */
+ * TIME as read_time takes it, with the table of coop_format, and in [t_lo,
+ * t_hi]; KIND one of the n_names names; TARGET, SOURCE and DOT [0-9]+ below
+ * n_sites, SOURCE and DOT also "-".  Returns the number of marks read, or
+ * -1 at the first line it does not take, which leaves the text to the
+ * Python loop.  read_time and float() both round correctly.  Where the
+ * locale's decimal point is not '.', strtod would stop short, so the
+ * whole text is refused. */
 int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
                    double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
-                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap)
+                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap,
+                   const uint64_t *pow10)
 {
+    if (strcmp(localeconv()->decimal_point, ".") != 0)
+        return -1;
     const char *p = text, *end = text + len;
     int64_t i = 0;
     for (; p < end; i++) {
-        if (i == cap)
+        double t;
+        if (i == cap || !read_time(&p, end, pow10, &t))
             return -1;
-        const char *t0 = p;
-        if (*p == '-')
-            p++;
-        if (!skip_digits(&p, end))
-            return -1;
-        if (p < end && *p == '.' && (p++, !skip_digits(&p, end)))
-            return -1;
-        if (p < end && *p == 'e') {
-            p++;
-            if (p < end && (*p == '+' || *p == '-'))
-                p++;
-            if (!skip_digits(&p, end))
-                return -1;
-        }
-        if (!(p < end && *p == ' '))
-            return -1;
-        char *stop;
-        double t = strtod(t0, &stop);
-        if (stop != p || !(t_lo <= t && t <= t_hi))
+        if (!(p < end && *p == ' ') || !(t_lo <= t && t <= t_hi))
             return -1;
         const char *k0 = ++p;
         while (p < end && *p != ' ')

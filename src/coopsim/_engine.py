@@ -6,15 +6,23 @@ operation, drawing through numpy's own routines on the caller's
 ``Generator``; so a seed gives the same bytes whichever engine ran.
 ``coop_replay`` is the mark loop of ``graphical.evolve_from_log`` and
 ``graphical.coupled_evolve`` over an event log's columns, on one process
-or two.  ``coop_rk4`` is the RK4 loop of ``mean_field.integrate``, with
-the same bits.  ``coop_format`` and ``coop_parse`` write and read the
-mark lines of ``graphical.EventLog.to_text`` and ``from_text``.
-``coop_format`` writes each time as ``repr`` does, byte for byte: the
-shortest round-trip digits, found by Schubfach (Giulietti, 2020), laid
-out as CPython lays out ``repr``, with the powers of ten of
-:func:`pow10_table`, which are computed here from their definition.
-``coop_parse`` refuses any line that ``to_text`` would not write, and
-the Python loop then reads the whole text.  ``coop_index`` builds an
+or two: it looks each mark's result up in the transition tables that
+``graphical._mark_tables`` builds from the one Python statement of the
+mark law, and passes in.  ``coop_rk4`` is the RK4 loop of
+``mean_field.integrate``, with the same bits.  ``coop_format`` and
+``coop_parse`` write and read the mark lines of
+``graphical.EventLog.to_text`` and ``from_text``.  ``coop_format``
+writes each time as ``repr`` does, byte for byte: the shortest
+round-trip digits, found by Schubfach (Giulietti, 2020), laid out as
+CPython lays out ``repr``, with the powers of ten of :func:`pow10_table`,
+which are computed here from their definition.  ``coop_parse`` reads a
+time of up to 19 significant digits by Clinger's exact fast path or by
+Eisel-Lemire (Lemire, 2021) over the same table, and leaves longer ones,
+exponents outside the table and the rare product that does not decide
+the rounding to ``strtod``; all three round correctly, as ``float``
+does.  It refuses any line that ``to_text`` would not write, and the
+Python loop then reads the whole text.  ``coop_lines`` counts the lines
+first, so the columns are allocated at their size.  ``coop_index`` builds an
 event log's per-site index by one counting pass, and ``coop_sterile`` and
 ``coop_dual`` read it: they are the test of ``graphical.classify_sterile``
 and the walk of ``graphical.build_dual``, returning codes and rows from
@@ -70,16 +78,18 @@ int32_t coop_select(coop_table *t, double target, int32_t *parent);
 double coop_step(coop_table *t, double t_limit, int32_t *ev);
 int64_t coop_replay(int8_t *s1, int8_t *s2, const int8_t *kind, const int32_t *target,
                     const int32_t *source, const int32_t *dot, int64_t lo, int64_t hi,
-                    int equal_rate);
+                    const int8_t *next1, const int8_t *next2, const int8_t *allowed);
 int coop_rk4(double *xs, double *ys, int64_t n_steps, double beta, double bc, double bd,
              double dt, int until_converged, double simplex_tol, double convergence_tol,
              int64_t *last);
 int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
                     const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
                     const char *const *names, int n_names, const uint64_t *pow10);
+int64_t coop_lines(const char *text, int64_t len);
 int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
                    double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
-                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap);
+                   int32_t *target, int32_t *source, int32_t *dot, int64_t cap,
+                   const uint64_t *pow10);
 typedef struct {
     int64_t n_marks;
     int32_t n_sites;
@@ -228,16 +238,19 @@ class Table:
 
 
 def replay(module, s1: list[int], s2: list[int] | None, log, lo: int, hi: int,
-           equal_rate: bool) -> int:
+           tables: tuple[np.ndarray, ...]) -> int:
     """``coop_replay`` over marks ``[lo, hi)`` of ``log``, updating the site lists in place.
 
-    ``s2`` is ``None`` for one process.
+    ``s2`` is ``None`` for one process.  ``tables`` are int8 arrays: the
+    transition table of each process, then for two processes the 3 x 3
+    table of the pairs the coupling order keeps.
     """
     ffi = module.ffi
     copies = [bytearray(s) for s in (s1, s2) if s is not None]
     processes = [ffi.from_buffer("int8_t[]", b) for b in copies] + [ffi.NULL]
     columns = _column_buffers(ffi, log._columns())[1:]
-    stop = module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, equal_rate)
+    views = [ffi.from_buffer("int8_t[]", t) for t in tables] + [ffi.NULL] * (3 - len(tables))
+    stop = module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, *views)
     for s, b in zip((s1, s2), copies):
         s[:] = b
     return stop
@@ -283,7 +296,8 @@ POW10_MIN, POW10_MAX = -292, 324
 def pow10_table() -> np.ndarray:
     """``coop_format``'s powers of ten: row ``K - POW10_MIN`` holds the high and low
     64-bit words of ``g = floor(10**K / 2**r) + 1``, where ``r = floor(log2 10**K) - 127``,
-    so that ``2**127 < g <= 2**128``."""
+    so that ``2**127 < g <= 2**128``.  ``coop_parse`` reads ``g - 1``, the
+    truncated power that Eisel-Lemire multiplies by, for K up to 308."""
     rows = []
     for k in range(POW10_MIN, POW10_MAX + 1):
         if k >= 0:
@@ -315,17 +329,19 @@ def format_marks(module, columns, names: tuple[str, ...], n_sites: int) -> str |
     return None if written < 0 else str(out[:written], "ascii")
 
 
-def parse_marks(module, text: bytes, names: tuple[str, ...], t_lo: float, t_hi: float,
+def parse_marks(module, text, names: tuple[str, ...], t_lo: float, t_hi: float,
                 n_sites: int) -> tuple[np.ndarray, ...] | None:
     """``coop_parse``: the columns (time, kind, target, source, dot) of the mark lines
-    in ``text``, or ``None`` when it refuses a line."""
+    in ``text`` (bytes or a memoryview of them), or ``None`` when it refuses a line."""
     ffi = module.ffi
-    n = text.count(b"\n")  # one mark a line, each line ending in a newline
+    chars = ffi.from_buffer("char[]", text)
+    n = module.lib.coop_lines(chars, len(chars))  # one mark a line, each ending in a newline
     columns = (np.empty(n, np.float64), np.empty(n, np.int8),
                *(np.empty(n, np.int32) for _ in range(3)))
     c_names, _buffers = _c_names(ffi, names)
-    read = module.lib.coop_parse(text, len(text), c_names, len(names), t_lo, t_hi, n_sites,
-                                 *_column_buffers(ffi, columns), n)
+    read = module.lib.coop_parse(chars, len(chars), c_names, len(names), t_lo, t_hi, n_sites,
+                                 *_column_buffers(ffi, columns), n,
+                                 ffi.from_buffer("uint64_t[]", pow10_table()))
     return None if read < 0 else tuple(c[:read] for c in columns)
 
 

@@ -237,6 +237,7 @@ class EventLog:
         "seed",
         "_marks",
         "_index",
+        "_probe",
     )
 
     def __init__(
@@ -262,8 +263,9 @@ class EventLog:
             columns = _checked_columns(marks, self.t_start - self.history, self.t_end, side**dim)
         time = columns.time
         if not (time[:-1] < time[1:]).all():  # text written by to_text is already in order
-            # distinct times order the marks alone; ties need the other keys
-            order = np.argsort(time, kind="stable")
+            # distinct times order the marks alone, so any sort will do; ties
+            # need the other keys
+            order = np.argsort(time)
             if not (time[order[:-1]] < time[order[1:]]).all():
                 order = np.lexsort(columns[::-1])
             columns = [c[order] for c in columns]
@@ -276,6 +278,7 @@ class EventLog:
         self.seed = seed
         self._marks = None
         self._index = None
+        self._probe = None
 
     def __len__(self) -> int:
         return len(self.time)
@@ -356,13 +359,22 @@ class EventLog:
             index = self._index = index._replace(view=view)
         return index.view
 
+    def _site(self, site) -> int:
+        """``site`` as an int on the log's torus; anything else raises DomainError."""
+        x = _integer(site, "site")
+        if not 0 <= x < self.side**self.dim:
+            raise DomainError(f"site {x} not on the log's torus")
+        return x
+
     def last_cross_at(self, site: int, before: float) -> float | None:
-        index = self._site_index()
-        return _last_before(memoryview(index.cross_ptr), memoryview(index.cross_time), site, before)
+        """The time of the last cross at ``site`` before ``before``, or None."""
+        x, index = self._site(site), self._site_index()
+        return _last_before(memoryview(index.cross_ptr), memoryview(index.cross_time), x, before)
 
     def last_arrow_into(self, site: int, before: float) -> float | None:
-        index = self._site_index()
-        return _last_before(memoryview(index.arrow_ptr), memoryview(index.arrow_time), site, before)
+        """The time of the last mark of an arrow kind aimed at ``site`` before ``before``, or None."""
+        x, index = self._site(site), self._site_index()
+        return _last_before(memoryview(index.arrow_ptr), memoryview(index.arrow_time), x, before)
 
     # ------------------------------------------------------- serialization
 
@@ -520,7 +532,7 @@ def _read_text_compiled(module, text: str) -> tuple[dict, dict, _Columns] | None
         pos = end + 1
     try:
         t_lo, t_end = _text_span(header)
-        marks = text[pos:].encode("ascii")
+        marks = memoryview(text.encode("ascii"))[pos:]  # no copy of the mark lines alone
     except (DomainError, UnicodeEncodeError):  # a later header line may complete the header
         return None
     side, dim = header["torus"]
@@ -660,7 +672,8 @@ _AS_SECOND = (_CROSS, _ARROW, _DOT_ARROW, _D_ARROW, -1, _D_ARROW)
 
 
 def _apply_mark(s: list[int], k: int, x: int, y: int, z: int, equal_rate: bool) -> None:
-    """The mark rule on one process's sites; ``apply_mark`` of ``_engine.c`` in Python."""
+    """The mark rule on one process's sites: the one statement of the mark
+    law, read by ``_replay_marks`` and tabulated by :func:`_mark_tables`."""
     if k == _CROSS:
         s[x] = EMPTY
     elif s[x] != EMPTY:
@@ -675,6 +688,36 @@ def _apply_mark(s: list[int], k: int, x: int, y: int, z: int, equal_rate: bool) 
             s[x] = COOPERATOR
         elif equal_rate and s[y] == DEFECTOR and z != x:
             s[x] = DEFECTOR
+
+
+def _mark_table(as_kind: tuple[int, ...], equal_rate: bool) -> np.ndarray:
+    """``next[k, s_x, s_y, s_z, z == x]``: the state that :func:`_apply_mark`
+    leaves at the target x of a mark of kind ``as_kind[k]`` whose target,
+    source and dot hold ``s_x``, ``s_y`` and ``s_z``.  The rule reads nothing
+    else, so the table is exact; where ``z == x`` the dot is the target."""
+    table = np.empty((len(as_kind), 3, 3, 3, 2), np.int8)
+    for k, sx, sy, sz, same in np.ndindex(table.shape):
+        s = [sx, sy, sz]
+        _apply_mark(s, as_kind[k], 0, 1, 0 if same else 2, equal_rate)
+        table[k, sx, sy, sz, same] = s[0]
+    return table
+
+
+@functools.cache
+def _mark_tables(flavor: str) -> tuple[np.ndarray, ...]:
+    """``coop_replay``'s tables for a log of ``flavor``: one transition table,
+    or for a coupled log one per process, through :data:`_AS_FIRST` and
+    :data:`_AS_SECOND`, then ``allowed[a, b]``, 1 for the pairs of
+    :data:`ALLOWED_PAIRS`."""
+    if flavor == COUPLED:
+        allowed = np.zeros((3, 3), np.int8)
+        allowed[tuple(zip(*ALLOWED_PAIRS))] = 1
+        tables = (_mark_table(_AS_FIRST, False), _mark_table(_AS_SECOND, False), allowed)
+    else:
+        tables = (_mark_table(tuple(range(len(_KIND_NAMES))), flavor == EQUAL_RATE),)
+    for table in tables:
+        table.flags.writeable = False  # one array for every caller
+    return tables
 
 
 def _replay_marks(s1: list[int], s2: list[int] | None, log: EventLog, lo: int, hi: int,
@@ -704,8 +747,9 @@ def _replay_marks(s1: list[int], s2: list[int] | None, log: EventLog, lo: int, h
 def _replay(log: EventLog, starts: tuple[Torus, ...], t_from: float | None = None,
             t_to: float | None = None) -> tuple[Torus, ...]:
     """Apply the marks with t_from < time <= t_to to copies of one start, or of
-    two coupled ones, in ``_engine.c``'s loop when the compiled module loads,
-    else in the same loop in Python; a mark the loop stops at raises."""
+    two coupled ones, in ``_engine.c``'s loop over :func:`_mark_tables` when
+    the compiled module loads, else in :func:`_replay_marks`; a mark the loop
+    stops at raises."""
     for c0 in starts:
         if (c0.side, c0.dim) != (log.side, log.dim):
             raise DomainError(f"configuration torus {(c0.side, c0.dim)} does not match "
@@ -715,12 +759,11 @@ def _replay(log: EventLog, starts: tuple[Torus, ...], t_from: float | None = Non
     states = [c0.copy() for c0 in starts]
     s1, s2 = states[0].sites, states[1].sites if len(states) == 2 else None
     window = log._window(t_from, t_to)
-    equal_rate = log.flavor == EQUAL_RATE
     module = _engine.load()
     if module is None:
-        stop = _replay_marks(s1, s2, log, window.start, window.stop, equal_rate)
+        stop = _replay_marks(s1, s2, log, window.start, window.stop, log.flavor == EQUAL_RATE)
     else:
-        stop = _engine.replay(module, s1, s2, log, window.start, window.stop, equal_rate)
+        stop = _engine.replay(module, s1, s2, log, window.start, window.stop, _mark_tables(log.flavor))
     if stop < window.stop:
         x, t, kind = log.target.item(stop), log.time.item(stop), _KIND_NAMES[log.kind[stop]]
         if s2 is not None and (s1[x], s2[x]) not in ALLOWED_PAIRS:
@@ -780,6 +823,9 @@ def sterile_probability(beta: float, beta_c: float) -> float:
     return (1.0 - math.exp(-1.0)) * (1.0 - math.exp(-s)) * math.exp(-s)
 
 
+_STERILE_YES = _engine.STERILE_YES  # a global: one lookup fewer on the per-call path
+
+
 def classify_sterile(log: EventLog, mark_index: int) -> bool:
     """Decide sterility of the dot-arrow at ``log.marks[mark_index]``.
 
@@ -788,15 +834,19 @@ def classify_sterile(log: EventLog, mark_index: int) -> bool:
     mark is sterile exactly when s - u < 1 < s - v < 2.  Raises
     :class:`InsufficientHistory` when the sampled window cannot pin down
     the truth value.  The test runs in ``_engine.c`` when the compiled
-    module loads, else in :func:`_sterile_code`.
+    module loads, else in :func:`_sterile_code`; the log keeps the compiled
+    test from its first call, so a call costs one index check and one C
+    call.
     """
-    i = _integer(mark_index, "mark index")
-    if not 0 <= i < len(log):
+    try:
+        i = operator.index(mark_index)
+    except TypeError:
+        raise DomainError(f"mark index {mark_index!r} is not an integer") from None
+    if not 0 <= i < len(log.time):
         raise DomainError(f"no mark at index {i}")
-    module = _engine.load()
-    code = _sterile_code(log, i) if module is None else module.lib.coop_sterile(log._site_view(module).c, i)
-    if code <= _engine.STERILE_YES:
-        return code == _engine.STERILE_YES
+    code = (log._probe or _sterile_probe(log))(i)
+    if code <= _STERILE_YES:
+        return code == _STERILE_YES
     if code == _engine.STERILE_NOT_DOT_ARROW:
         raise DomainError(f"mark {i} is a {_KIND_NAMES[log.kind.item(i)]}, not a dot-arrow")
     if code == _engine.STERILE_NO_DOT:
@@ -805,6 +855,19 @@ def classify_sterile(log: EventLog, mark_index: int) -> bool:
     if code == _engine.STERILE_CROSS_HISTORY:
         raise InsufficientHistory(f"cannot locate the last death mark at site {z} before {s!r}")
     raise InsufficientHistory(f"cannot locate the last arrow into site {z} before {s!r}")
+
+
+def _sterile_probe(log: EventLog):
+    """The sterility test of ``log``'s marks as a function of the mark index:
+    ``coop_sterile`` over the log's C view when the compiled module loads,
+    kept on the log as ``_probe``, else :func:`_sterile_code`."""
+    module = _engine.load()
+    if module is None:
+        return functools.partial(_sterile_code, log)
+    view = log._site_view(module)
+    probe = log._probe = functools.partial(module.lib.coop_sterile, view.c)
+    probe.view = view  # the index that view.c points into lives as long as the probe
+    return probe
 
 
 def _sterile_code(log: EventLog, i: int) -> int:
@@ -937,8 +1000,7 @@ def build_dual(log: EventLog, x: int, t: float, max_nodes: int = 1_000_000) -> D
         raise DomainError(f"time {t!r} is not a number") from None
     if not (log.t_start < t <= log.t_end):
         raise DomainError(f"time {t!r} outside the log window")
-    if not (0 <= x < log.side**log.dim):
-        raise DomainError(f"site {x} not on the log's torus")
+    x = log._site(x)
     module = _engine.load()
     nodes = _dual_walk(log, x, t, max_nodes) if module is None else _dual_compiled(module, log, x, t, max_nodes)
     return DualTree(origin_site=x, origin_time=t, horizon=t - log.t_start, nodes=nodes)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -295,11 +296,19 @@ def _pair_rates(torus: Torus, p: Params) -> tuple[float, float, float]:
 
 def _rate_table(torus: Torus, p: Params, rng: np.random.Generator) -> RateTable | _engine.Table:
     """The compiled engine's table, bound to ``rng``, when its module
-    loads; else a ``RateTable``."""
+    loads; else a ``RateTable``.  Raises DomainError when the total rate,
+    at most the site count times max(1, 2d times the largest pair rate),
+    can exceed a float, which would make every step take no time and pick
+    the last site; the margin 2**-10 covers the sums' rounding (< 2**-20)."""
+    pair_rates = beta, coop, defect = _pair_rates(torus, p)
+    two_d = 2 * torus.dim
+    if not math.isfinite(torus.n_sites * max(1.0, two_d * max(beta + coop * two_d, defect)) * (1 + 2**-10)):
+        raise DomainError(f"the total event rate of {p} on a side-{torus.side} dim-{torus.dim} "
+                          "torus can exceed the largest float")
     module = _engine.load()
     if module is None:
         return RateTable(torus, p)
-    return _engine.Table(module, torus, _geometry(torus.side, torus.dim), _pair_rates(torus, p), rng)
+    return _engine.Table(module, torus, _geometry(torus.side, torus.dim), pair_rates, rng)
 
 
 def _pick(cum: list[float], weights: Sequence[float], x: float) -> int:
@@ -581,5 +590,7 @@ def survival_estimate(
         raise DomainError(f"need at least one replica, got {replicas}")
     if not (math.isfinite(horizon) and horizon >= 0):
         raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
+    if replicas > sys.maxsize // 8:  # more than a list can hold: its pointers exceed sys.maxsize bytes
+        raise DomainError(f"{number_text(replicas)} replicas cannot be stored")
     runs = [(p, side, horizon, rho_c, rho_d, master_seed, i) for i in range(replicas)]
     return SurvivalResult(tuple(survival_replicas(runs, jobs)))

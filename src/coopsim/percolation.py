@@ -428,6 +428,7 @@ def block_spread_estimate(
         )
     L = spec.L
     side = 6 * L + 1  # covers [-3L, 3L]
+    lattice.site_count(side, 1)  # before the sub-box lists, which a torus too large would outsize
     offset = 3 * L
     sub = spec.sub_box_side
     center_boxes = _sub_box_slices(-L, L, sub)

@@ -196,6 +196,15 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
         ("blocks cplus --L 2 --dim 300 --rho 1e-300 --replicas 10 --seed 1", "dimension 300 gives a box"),
         ("blocks a1 --dim 5000 --replicas 2 --seed 1", "dimension 5000 gives a box"),
         ("blocks a1 --dim 10000000 --replicas 2 --seed 1", "dimension 10000000 gives a box"),
+        # rates whose total can exceed a float, which once gave every step no time
+        ("simulate --beta 1e308 --beta-c 1e308 --beta-d 1 --side 4 --t-end 1 --replicas 3 --seed 1",
+         "can exceed the largest float"),
+        ("simulate --beta 1e308 --side 6 --t-end 1 --replicas 2 --seed 1", "can exceed the largest float"),
+        # refused before the sub-box lists or the run list are built
+        ("blocks spread --beta 4 --beta-d 1 --L 2147483648 --replicas 2 --seed 1",
+         "more than 2147483647 sites"),
+        pytest.param(f"simulate --beta 2 --side 6 --t-end 1 --replicas 1{'0' * 30} --seed 1",
+                     "about 1.00e30 replicas cannot be stored", id="simulate-replicas-1e30"),
         # an L whose window 2L^2, or that times the region, is beyond a float
         pytest.param(f"blocks cplus --L 1{'0' * 200} --replicas 2 --seed 1",
                      "L = about 1.00e200 in dimension 1", id="cplus-L-1e200"),

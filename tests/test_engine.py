@@ -6,6 +6,7 @@ compiled tests skip when the module cannot be built (no cffi or no C
 compiler); the Python engine then runs everywhere.
 """
 
+import itertools
 import locale
 import math
 import os
@@ -203,6 +204,28 @@ def test_engines_report_the_same_event_counts(monkeypatch):
                 torus = product_measure(side, dim, 0.3, 0.3, rng)
                 counts.append(run(torus, p, t_end, rng, sample_interval=interval).events)
         assert counts[0] == counts[1], (side, dim, p, seed, t_end)
+
+
+def test_a_total_rate_beyond_a_float_is_refused(engine):
+    # an infinite total rate made every step take no time and pick the last
+    # site; the bound is the site count times the largest site rate
+    rng = np.random.default_rng(1)
+    state = rng.bit_generator.state
+    for p, side in [(Params(1e308, 1e308, 1.0), 4), (Params(1e308), 6), (Params(1e307), 100),
+                    (Params(2.0, 0.0, 1.7e308), 2), (Params(1.0, 1e307, 0.0, 2), 10)]:
+        torus = Torus(side, p.dim, [lattice.COOPERATOR] * side**p.dim)
+        with pytest.raises(DomainError, match="can exceed the largest float"):
+            run(torus, p, 1.0, rng)
+    assert rng.bit_generator.state == state
+    # a total just inside the bound runs
+    series = run(Torus(6, 1, [lattice.COOPERATOR, lattice.EMPTY] * 3), Params(1e306), 1e-305, rng)
+    assert series.events > 0
+
+
+def test_rates_near_the_bound_give_the_same_bytes(monkeypatch):
+    compiled_module()
+    for case in [(6, 1, Params(1e306), 5, 1e-305, 1e-305), (4, 2, Params(1.0, 1e305, 0.5, 2), 6, 1e-304, 1e-304)]:
+        assert run_bytes(*case) == run_bytes(*case, python=True, monkeypatch=monkeypatch), case
 
 
 def test_compiled_step_matches_python_step_event_by_event():
@@ -450,6 +473,103 @@ def test_pow10_table_matches_its_definition():
         while power / Fraction(2)**r < 2**127:
             r -= 1
         assert (high << 64) + low == math.floor(power / Fraction(2)**r) + 1, k
+
+
+def test_pow10_table_less_one_is_the_truncated_power_of_five():
+    # Eisel-Lemire multiplies by 5**K truncated to 128 bits, floor(5**K * 2**-s)
+    # in [2**127, 2**128); since 10**K / 2**r = 5**K * 2**(K - r), the table's
+    # row less one is that truncated power for every K the parser uses it at
+    table = _engine.pow10_table()
+    for k in range(_engine.POW10_MIN, 309):
+        high, low = table[k - _engine.POW10_MIN].tolist()
+        if k >= 0:
+            shift = (5**k).bit_length() - 128
+            truncated = 5**k >> shift if shift >= 0 else 5**k << -shift
+        else:  # 5**-k is no power of two, so 2**s / 5**-k lies strictly inside
+            truncated = (1 << 127 + (5**-k).bit_length()) // 5**-k
+        assert 2**127 <= truncated < 2**128
+        assert (high << 64) + low - 1 == truncated, k
+
+
+def parsed_times(module, strings):
+    """``coop_parse``'s times of cross lines at these times, or None when it refuses one."""
+    fmax = sys.float_info.max
+    text = "".join(f"{s} cross 0 - -\n" for s in strings).encode()
+    columns = _engine.parse_marks(module, text, graphical._KIND_NAMES, -fmax, fmax, 2)
+    return None if columns is None else columns[0]
+
+
+def time_strings(n, seed):
+    """Times as to_text's grammar allows them: 1 to 20 significant digits, with
+    or without a sign, a point and an exponent, most of them near the
+    subnormal and overflow edges; then hard cases of correct rounding."""
+    r = random.Random(seed)
+    strings = []
+    for _ in range(n):
+        digits = str(r.randrange(1, 10)) + "".join(r.choices("0123456789", k=r.randrange(20)))
+        digits = "0" * r.choice([0, 0, 1, 3]) + digits
+        point = r.randrange(1, len(digits) + 1)
+        s = digits[:point] + ("." + digits[point:] if point < len(digits) else "")
+        # the value's decimal exponent: near the edges, or anywhere
+        target = r.choice([r.randint(-330, -300), r.randint(295, 310), r.randint(-25, 25),
+                           r.randint(-345, 320)])
+        e = target - (point - 1)
+        if e != 0 or r.random() < 0.2:
+            s += "e" + ("-" if e < 0 else r.choice(["", "+"])) + str(abs(e))
+        strings.append(r.choice(["", "-"]) + s)
+    strings += [
+        "9007199254740993", "9007199254740995", "18014398509481986", "9223372036854775807",
+        "9999999999999999999", "18446744073709551615", "18446744073709551616e-20",
+        "1.00000000000000011102230246251565404236316680908203125",
+        "2.2250738585072011e-308", "2.2250738585072012e-308", "2.2250738585072014e-308",
+        "4.9406564584124654e-324", "2.4703282292062327e-324", "2.4703282292062328e-324",
+        "1.7976931348623157e308", "1.7976931348623158e+308", "0.0", "-0.0", "0e999999", "1e-999999",
+        "7.3177701707893310e+15", "9.5e-1", "123456789012345678e-300",
+        "1" + "0" * 400 + "e-400", "0." + "0" * 400 + "1e400",
+    ]
+    return strings
+
+
+@pytest.mark.slow
+def test_parser_reads_every_repr_time_as_strtod_does():
+    module = compiled_module()
+    time = repr_battery()
+    got = parsed_times(module, map(repr, time.tolist()))
+    assert got is not None and got.tobytes() == time.tobytes()
+
+
+@pytest.mark.slow
+def test_parser_reads_random_digit_strings_as_strtod_does():
+    # float() rounds correctly, as strtod does
+    module = compiled_module()
+    strings = time_strings(300_000, 29)
+    want = np.array([float(s) for s in strings])
+    finite = np.isfinite(want)
+    assert 0 < (~finite).sum() < len(strings) // 4 and (want == 0).sum() > 1000
+    got = parsed_times(module, (s for s, ok in zip(strings, finite) if ok))
+    wrong = [(s, g) for s, g, w in zip(itertools.compress(strings, finite), got.tolist(),
+                                       want[finite].tolist()) if repr(g) != repr(w)]
+    assert wrong[:5] == []
+    assert got.tobytes() == want[finite].tobytes()
+    # a time beyond the largest float is outside every window
+    for s in itertools.islice(itertools.compress(strings, ~finite), 200):
+        assert parsed_times(module, [s]) is None, s
+
+
+def test_parsed_columns_are_their_exact_size():
+    # the log's columns are views of the parser's arrays, which live as long
+    module = compiled_module()
+    for text, _ in text_round_trips(8):
+        log = graphical.EventLog.from_text(text)
+        marks = text.split("\n", 6 + len(log.intensities))[-1].encode()
+        columns = _engine.parse_marks(module, marks, graphical._KIND_NAMES, log.t_start - log.history,
+                                      log.t_end, log.side**log.dim)
+        for column in columns:
+            assert len(column) == len(log) == module.lib.coop_lines(marks, len(marks))
+            assert column.base is None or len(column.base) == len(column)
+        # a last line without its newline is refused, and left to the Python loop
+        assert _engine.parse_marks(module, marks[:-1], graphical._KIND_NAMES,
+                                   log.t_start - log.history, log.t_end, log.side**log.dim) is None
 
 
 def test_python_to_text_costs_the_marks_not_the_sites(engine):

@@ -1224,6 +1224,151 @@ def test_dual_pinned_side_200_tree():
     assert digest == "66bd19152ed8ea75378de6598095f21125a523490055780d3d85804ed51033d9"
 
 
+def test_mark_tables_are_apply_mark_on_three_sites():
+    # next[k, s_x, s_y, s_z, z == x] for target 0, source 1 and a dot at 2, or
+    # on the target, whose state is then the target's
+    states = (EMPTY, COOPERATOR, DEFECTOR)
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        tables = g._mark_tables(flavor)
+        assert g._mark_tables(flavor) is tables
+        if flavor == g.COUPLED:
+            kind_maps = [g._AS_FIRST, g._AS_SECOND]
+            assert tables[2].tolist() == [[int((a, b) in g.ALLOWED_PAIRS) for b in states] for a in states]
+        else:
+            kind_maps = [range(len(g.KIND_ORDER))]
+        assert len(tables) == 2 * len(kind_maps) - 1
+        for table, as_kind in zip(tables, kind_maps):
+            assert table.shape == (6, 3, 3, 3, 2) and table.dtype == np.int8
+            for k, sx, sy, sz, same in itertools.product(range(6), states, states, states, (0, 1)):
+                s = [sx, sy, sz]
+                g._apply_mark(s, as_kind[k], 0, 1, 0 if same else 2, flavor == g.EQUAL_RATE)
+                assert table[k, sx, sy, sz, same] == s[0], (flavor, k, sx, sy, sz, same)
+        assert not any(t.flags.writeable for t in tables)
+    # spot checks of the law itself: a cooperator birth needs both cooperators,
+    # and an equal-rate defector birth needs its dot off the target
+    dot = g.KIND_ORDER[g.DOT_ARROW]
+    standard, equal = g._mark_tables(g.STANDARD)[0], g._mark_tables(g.EQUAL_RATE)[0]
+    assert standard[dot, EMPTY, COOPERATOR, COOPERATOR, 0] == COOPERATOR
+    assert standard[dot, EMPTY, COOPERATOR, DEFECTOR, 0] == EMPTY
+    assert standard[dot, EMPTY, DEFECTOR, EMPTY, 0] == EMPTY
+    assert equal[dot, EMPTY, DEFECTOR, EMPTY, 0] == DEFECTOR
+    assert equal[dot, EMPTY, DEFECTOR, EMPTY, 1] == EMPTY
+    first, second, _ = g._mark_tables(g.COUPLED)
+    plus = g.KIND_ORDER[g.D_PLUS_ARROW]
+    assert first[plus, EMPTY, DEFECTOR, EMPTY, 0] == EMPTY
+    assert second[plus, EMPTY, DEFECTOR, EMPTY, 0] == DEFECTOR
+
+
+@functools.cache
+def replay_workload(seed):
+    """The standard and coupled logs and the ten starts that the replay benchmark draws at ``seed``."""
+    rng = np.random.default_rng(seed)
+    line, base = Torus(1000, 1), Params(2.0, 1.0, 1.0, 1)
+    log = g.sample_event_log(base, line, 20.0, rng)
+    coupled = g.sample_event_log(Params(2.0, 2.7, 1.0, 1), line, 20.0, rng, flavor=g.COUPLED, p2=base)
+    starts = [product_measure(1000, 1, 0.25, 0.25, rng) for _ in range(10)]
+    return log, coupled, starts
+
+
+def both_replays(log, flavor, s1, s2, window=slice(None)):
+    """The stop index and the sites of ``_replay_marks`` and then of
+    ``coop_replay`` on marks ``window`` of ``log``, as marks of ``flavor``."""
+    module = compiled_module()
+    lo, hi, _ = window.indices(len(log))
+    outcomes = []
+    for replay in (lambda a, b: g._replay_marks(a, b, log, lo, hi, flavor == g.EQUAL_RATE),
+                   lambda a, b: _engine.replay(module, a, b, log, lo, hi, g._mark_tables(flavor))):
+        a, b = list(s1), None if s2 is None else list(s2)
+        outcomes.append((replay(a, b), a, b))
+    return outcomes
+
+
+def test_compiled_replay_matches_replay_marks_on_the_replay_logs():
+    log, coupled, starts = replay_workload(3)
+    for c0 in starts:
+        for window in (log._window(None, None), log._window(-log.history, 0.0)):
+            python, compiled = both_replays(log, g.STANDARD, c0.sites, None, window)
+            assert python == compiled and python[0] == window.stop
+    stops = set()
+    for j, c0 in enumerate(starts[:4]):
+        python, compiled = both_replays(coupled, g.COUPLED, c0.sites, c0.sites)
+        assert python == compiled and python[0] == len(coupled)
+        # a start with one site out of coupling order, (e, c): the replay stops
+        # at the first mark that leaves a forbidden pair at its target
+        second = list(c0.sites)
+        second[c0.sites.index(EMPTY, 250 * j)] = COOPERATOR
+        python, compiled = both_replays(coupled, g.COUPLED, c0.sites, second)
+        assert python == compiled
+        stops.add(python[0])
+        # one process stops at the first difference-stream mark of its window
+        python, compiled = both_replays(coupled, g.STANDARD, c0.sites, None,
+                                        slice(j * len(coupled) // 4, None))
+        assert python == compiled
+        stops.add(python[0])
+    assert len(stops) == 8 and 0 < min(stops) and max(stops) < len(coupled), stops
+
+
+def test_compiled_replay_matches_replay_marks_at_each_stop_rule():
+    ring = [EMPTY, COOPERATOR, DEFECTOR, COOPERATOR, EMPTY]
+    lead, tail = g.Mark(0.5, g.CROSS, 4), g.Mark(2.0, g.ARROW, 4, 3)
+    cases = [
+        (g.STANDARD, [g.Mark(1.0, g.ARROW, 0)], None),
+        (g.STANDARD, [g.Mark(1.0, g.D_ARROW, 0)], None),
+        (g.EQUAL_RATE, [g.Mark(1.0, g.DOT_ARROW, 0, 1)], None),
+        (g.STANDARD, [g.Mark(1.0, g.D_PLUS_ARROW, 0, 1)], None),
+        (g.STANDARD, [g.Mark(1.0, g.C_PLUS_DOT_ARROW, 0, 1, 2)], None),
+        (g.COUPLED, [g.Mark(1.0, g.ARROW, 0)], ring),
+        (g.COUPLED, [g.Mark(1.0, g.C_PLUS_DOT_ARROW, 0, 1)], ring),
+        # out of order at site 2, (d, c) or (d, e): a mark from it carries a
+        # forbidden pair to site 0, and stops there, applied
+        (g.COUPLED, [g.Mark(1.0, g.ARROW, 0, 2)], [EMPTY, COOPERATOR, COOPERATOR, COOPERATOR, EMPTY]),
+        (g.COUPLED, [g.Mark(1.0, g.D_ARROW, 0, 2)], [EMPTY, COOPERATOR, EMPTY, COOPERATOR, EMPTY]),
+        # a source or dot on the target is read there
+        (g.EQUAL_RATE, [g.Mark(1.0, g.DOT_ARROW, 0, 0, 0)], None),
+        (g.STANDARD, [g.Mark(1.0, g.ARROW, 0, 0)], None),
+    ]
+    stops = []
+    for flavor, marks, second in cases:
+        log = hand_log([lead, *marks, tail], flavor=flavor, side=5)
+        python, compiled = both_replays(log, flavor, ring, second)
+        assert python == compiled, (flavor, marks)
+        stops.append(python[0])
+    assert stops == [1] * 9 + [3] * 2, stops
+
+
+def test_last_mark_readers_take_only_sites_on_the_torus(engine):
+    log = hand_log([g.Mark(1.0, g.CROSS, 6), g.Mark(1.5, g.ARROW, 6, 5), g.Mark(2.0, g.CROSS, 0)])
+    assert (log.last_cross_at(6, 3.0), log.last_arrow_into(6, 3.0)) == (1.0, 1.5)
+    assert (log.last_cross_at(np.int64(0), 3.0), log.last_arrow_into(True, 3.0)) == (2.0, None)
+    for read in (log.last_cross_at, log.last_arrow_into):
+        for bad in (-1, -2, 7, 2**70):
+            with pytest.raises(DomainError, match=f"site {bad} not on the log's torus"):
+                read(bad, 3.0)
+        for bad in (7.5, 3.0, "3", None):
+            with pytest.raises(DomainError, match="is not an integer"):
+                read(bad, 3.0)
+
+
+def sort_key(m):
+    """A mark's place in a log: (time, kind code, target, source, dot), -1 for none."""
+    return (m.time, g.KIND_ORDER[m.kind], m.target, -1 if m.source is None else m.source,
+            -1 if m.dot is None else m.dot)
+
+
+def test_marks_in_any_order_give_the_same_columns():
+    # distinct times order the marks alone; equal times fall to every key
+    rng = np.random.default_rng(8)
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        log = random_flavored_log(flavor, 9, rng)
+        marks = list(log.marks)
+        for ties in ([], [g.Mark(m.time, g.CROSS, m.target) for m in marks[::7]]):
+            shuffled = marks + ties
+            expected = column_bytes(log.with_marks(sorted(shuffled, key=sort_key)))
+            for _ in range(3):
+                rng.shuffle(shuffled)
+                assert column_bytes(log.with_marks(shuffled)) == expected
+
+
 # ------------------------------------------- index, dual and sterile, both engines
 
 
