@@ -204,9 +204,9 @@ class Table:
     """A ``RateTable`` in C memory for one torus, bound to one ``Generator``.
 
     ``geometry`` holds the torus's flat int32 neighbor and distance-two
-    arrays.  The sites are copied in, and the compiled step writes each
-    event back to ``torus.sites``, so the torus stays in step with the
-    table.
+    arrays.  The table points at the bytes of ``torus.sites``, which the
+    compiled step writes each event into, so the torus is the table's own
+    state and nothing is copied.
     """
 
     __slots__ = ("torus", "rng", "c", "c_step", "ev", "_keep")
@@ -222,7 +222,7 @@ class Table:
         c.nbr = ffi.from_buffer("int32_t[]", geometry.nbr)
         c.near2_ptr = ffi.from_buffer("int32_t[]", geometry.near2_ptr)
         c.near2 = ffi.from_buffer("int32_t[]", geometry.near2_flat)
-        sites = ffi.new("int8_t[]", torus.sites)
+        sites = ffi.from_buffer("int8_t[]", torus.sites)
         doubles = ffi.new("double[]", n + 2 * n_blocks + block)
         c.sites, c.rates, c.block_sums, c.cum = sites, doubles, doubles + n, doubles + n + n_blocks
         c.pair_beta, c.pair_coop, c.pair_defect = pair_rates
@@ -237,23 +237,19 @@ class Table:
         self.ev = ffi.new("int32_t[4]")
 
 
-def replay(module, s1: list[int], s2: list[int] | None, log, lo: int, hi: int,
+def replay(module, s1: bytearray, s2: bytearray | None, log, lo: int, hi: int,
            tables: tuple[np.ndarray, ...]) -> int:
-    """``coop_replay`` over marks ``[lo, hi)`` of ``log``, updating the site lists in place.
+    """``coop_replay`` over marks ``[lo, hi)`` of ``log``, updating the site buffers in place.
 
     ``s2`` is ``None`` for one process.  ``tables`` are int8 arrays: the
     transition table of each process, then for two processes the 3 x 3
     table of the pairs the coupling order keeps.
     """
     ffi = module.ffi
-    copies = [bytearray(s) for s in (s1, s2) if s is not None]
-    processes = [ffi.from_buffer("int8_t[]", b) for b in copies] + [ffi.NULL]
+    processes = [ffi.from_buffer("int8_t[]", s) for s in (s1, s2) if s is not None] + [ffi.NULL]
     columns = _column_buffers(ffi, log._columns())[1:]
     views = [ffi.from_buffer("int8_t[]", t) for t in tables] + [ffi.NULL] * (3 - len(tables))
-    stop = module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, *views)
-    for s, b in zip((s1, s2), copies):
-        s[:] = b
-    return stop
+    return module.lib.coop_replay(processes[0], processes[1], *columns, lo, hi, *views)
 
 
 # coop_rk4's status when it stops before its last step

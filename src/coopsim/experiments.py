@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError
 from .graphical import COUPLED, coupled_evolve, sample_event_log
-from .lattice import (COOPERATOR, DEFECTOR, ReplicaOutcome, SurvivalResult, product_measure,
-                      survival_estimate, survival_replicas)
+from .lattice import (COOPERATOR, DEFECTOR, ReplicaOutcome, SurvivalResult, check_listable,
+                      product_measure, survival_estimate, survival_replicas)
 from .mean_field import classify_regime
 from .params import Params, equal_rate_benefit
 
@@ -121,6 +121,7 @@ def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
         for k, (beta_c, beta_d) in enumerate(product(spec.beta_c_grid, spec.beta_d_grid))
     ]
     n = spec.replicas
+    check_listable(len(points) * n, "replicas")
     runs = [
         (p, spec.side, spec.horizon, spec.rho_c, spec.rho_d, seed, i)
         for p, seed in points

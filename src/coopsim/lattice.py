@@ -20,7 +20,9 @@ site the directed neighbor pairs are walked in a fixed order, so that when
 configuration mirrors the whole run exactly, draw for draw.
 
 ``run`` uses the compiled step of ``_engine`` when its module loads and
-this Python ``RateTable``/``step`` otherwise.  The two perform the same
+this Python ``RateTable``/``step`` otherwise.  Both read a torus in place
+as its flat buffers: a ``bytearray`` of sites, and the shape's read-only
+int32 neighbor arrays (``_geometry``).  The two perform the same
 floating-point operations in the same order and draw through the same
 numpy routines, so a seed gives the same bytes from either; the Python
 engine is the specification and the reference the tests compare against.
@@ -35,7 +37,7 @@ from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from itertools import accumulate, islice
+from itertools import accumulate
 from operator import add
 from typing import Callable, NamedTuple, Sequence
 
@@ -54,32 +56,30 @@ class Torus(object):
     """Periodic d-dimensional lattice with one state per site.
 
     Site indices are flat: coordinates (c_0, ..., c_{d-1}) map to
-    ``sum(c_j * side**j)``.  Each site has exactly ``2 * dim`` neighbors,
-    listed axis by axis as (-e_j, +e_j); on a side-2 torus both directions
-    reach the same site and the neighbor list repeats it, keeping every
-    per-pair rate channel present.
+    ``sum(c_j * side**j)``; ``sites`` is a ``bytearray`` of their states.
+    Each site has exactly ``2 * dim`` neighbors, listed axis by axis as
+    (-e_j, +e_j) in ``_geometry(side, dim).nbr``; on a side-2 torus both
+    directions reach the same site and the neighbor list repeats it, keeping
+    every per-pair rate channel present.
     """
 
-    __slots__ = ("dim", "side", "n_sites", "sites", "neighbors", "near2")
+    __slots__ = ("dim", "side", "n_sites", "sites")
 
     def __init__(self, side: int, dim: int = 1, sites: Sequence[int] | None = None):
         self.n_sites = site_count(side, dim)
         self.dim = dim
         self.side = side
         if sites is None:
-            self.sites = [EMPTY] * self.n_sites
-        else:
-            if len(sites) != self.n_sites:
-                raise DomainError(
-                    f"expected {self.n_sites} site states, got {len(sites)}"
-                )
-            bad = set(sites) - {EMPTY, COOPERATOR, DEFECTOR}
-            if bad:
-                raise DomainError(f"invalid site states: {bad}")
-            self.sites = list(sites)
-        geometry = _geometry(side, dim)
-        self.neighbors = geometry.neighbors
-        self.near2 = geometry.near2
+            self.sites = bytearray(self.n_sites)
+            return
+        if len(sites) != self.n_sites:
+            raise DomainError(f"expected {self.n_sites} site states, got {len(sites)}")
+        try:
+            self.sites = bytearray(iter(sites))  # each state through __index__, not a buffer's bytes
+        except (TypeError, ValueError) as exc:  # a state that is not an integer, or not a byte
+            raise DomainError(f"site states must be the integers 0, 1, 2: {exc}") from None
+        if self.sites.translate(None, b"\0\1\2"):  # a byte other than 0, 1, 2 is left
+            raise DomainError(f"invalid site states: {set(self.sites) - {EMPTY, COOPERATOR, DEFECTOR}}")
 
     def index(self, coords: Sequence[int]) -> int:
         i = 0
@@ -98,16 +98,13 @@ class Torus(object):
         dup.dim = self.dim
         dup.side = self.side
         dup.n_sites = self.n_sites
-        dup.sites = list(self.sites)
-        dup.neighbors = self.neighbors
-        dup.near2 = self.near2
+        dup.sites = bytearray(self.sites)
         return dup
 
     def swap_types(self) -> "Torus":
         """Copy with cooperator and defector labels exchanged."""
-        swap = {EMPTY: EMPTY, COOPERATOR: DEFECTOR, DEFECTOR: COOPERATOR}
         dup = self.copy()
-        dup.sites = [swap[s] for s in self.sites]
+        dup.sites = self.sites.translate(bytes.maketrans(b"\1\2", b"\2\1"))
         return dup
 
     def state_string(self) -> str:
@@ -146,14 +143,11 @@ def site_count(side: int, dim: int) -> int:
 
 
 class _Geometry(NamedTuple):
-    """A torus's flat int32 arrays, which the compiled step and the mark
+    """A torus's flat read-only int32 arrays, which both engines and the mark
     sampler read: ``nbr`` (``2 * dim`` neighbors per site) and
     ``near2_flat`` (the sites within distance two, ascending) sliced by the
-    offsets ``near2_ptr``; and the same tables as tuples for the Python
-    engine.  Every torus of one (side, dim) shares them."""
+    offsets ``near2_ptr``.  Every torus of one (side, dim) shares them."""
 
-    neighbors: tuple[tuple[int, ...], ...]
-    near2: tuple[tuple[int, ...], ...]
     nbr: np.ndarray
     near2_ptr: np.ndarray
     near2_flat: np.ndarray
@@ -174,19 +168,21 @@ def _geometry(side: int, dim: int) -> _Geometry:
     near.sort(axis=1)
     keep = np.ones(near.shape, dtype=bool)
     keep[:, 1:] = near[:, 1:] != near[:, :-1]
-    sizes = keep.sum(axis=1)
     near2_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(sizes, out=near2_ptr[1:])
-    nbr, near2_flat = nbr.ravel(), near[keep]
-    del near, keep  # freed before the tuples are built
-    for array in (nbr, near2_ptr, near2_flat):
+    np.cumsum(keep.sum(axis=1), out=near2_ptr[1:])
+    geometry = _Geometry(nbr.ravel(), near2_ptr, near[keep])
+    for array in geometry:
         array.flags.writeable = False
-    # the Python engine's tuples, read off the arrays, share one int object per site
-    ids = np.arange(n).astype(object)
-    neighbors = tuple(zip(*[iter(ids[nbr].tolist())] * (2 * dim)))  # 2d at a time
-    near2_sites = iter(ids[near2_flat].tolist())
-    near2 = tuple(tuple(islice(near2_sites, k)) for k in sizes.tolist())
-    return _Geometry(neighbors, near2, nbr, near2_ptr, near2_flat)
+    return geometry
+
+
+@lru_cache(maxsize=GEOMETRY_CACHE_SIZE)
+def _neighbor_lists(side: int, dim: int) -> tuple[tuple[tuple[int, ...], ...], ...]:
+    """The Python engine's neighbor and distance-two tables, read off :func:`_geometry`."""
+    nbr, near2_ptr, near2_flat = _geometry(side, dim)
+    neighbors = tuple(zip(*[iter(nbr.tolist())] * (2 * dim)))  # 2d at a time
+    near2, bounds = near2_flat.tolist(), near2_ptr.tolist()
+    return neighbors, tuple(tuple(near2[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
 
 
 def product_measure(
@@ -199,12 +195,13 @@ def product_measure(
     """Independent per-site states with P(c) = rho_c, P(d) = rho_d."""
     if not (rho_c >= 0 and rho_d >= 0 and rho_c + rho_d <= 1):
         raise DomainError(f"densities ({rho_c}, {rho_d}) not a sub-probability")
-    u = rng.random(site_count(side, dim))
-    sites = [
-        COOPERATOR if v < rho_c else (DEFECTOR if v < rho_c + rho_d else EMPTY)
-        for v in u
-    ]
-    return Torus(side, dim, sites)
+    torus = Torus(side, dim)
+    u = rng.random(torus.n_sites)
+    states = np.frombuffer(torus.sites, np.int8)  # 2 if occupied, less 1 if a cooperator
+    states[:] = u < rho_c + rho_d
+    states += states
+    states -= u < rho_c
+    return torus
 
 
 class Event(NamedTuple):
@@ -218,13 +215,14 @@ class Event(NamedTuple):
 class RateTable:
     """Per-site event rates, grouped into blocks for two-level selection.
 
-    ``rates[i]`` is 1.0 for an occupied site (its death clock) and, for an
-    empty site, the sum of its directed-pair birth rates taken in neighbor
-    order.  The sites are cut into consecutive blocks of ``block`` =
-    ``isqrt(N)`` sites (the last one may be shorter) and ``block_sums[b]``
-    holds the sum of ``rates[b * block:(b + 1) * block]``, added left to
-    right (builtin ``sum`` compensates from Python 3.12, which would make
-    selections depend on the Python version).
+    ``sites`` is the torus's own buffer, which ``step`` writes.  ``rates[i]``
+    is 1.0 for an occupied site (its death clock) and, for an empty site, the
+    sum of its directed-pair birth rates taken in neighbor order.  The sites
+    are cut into consecutive blocks of ``block`` = ``isqrt(N)`` sites (the
+    last one may be shorter) and ``block_sums[b]`` holds the sum of
+    ``rates[b * block:(b + 1) * block]``, added left to right (builtin
+    ``sum`` compensates from Python 3.12, which would make selections
+    depend on the Python version).
 
     Block sums are set, never added to: after a change every touched block
     is summed again from its sites.  Every rate and every block sum is thus
@@ -233,7 +231,9 @@ class RateTable:
     """
 
     __slots__ = (
-        "torus",
+        "sites",
+        "neighbors",
+        "near2",
         "rates",
         "block",
         "block_sums",
@@ -243,7 +243,8 @@ class RateTable:
     )
 
     def __init__(self, torus: Torus, p: Params):
-        self.torus = torus
+        self.sites = torus.sites
+        self.neighbors, self.near2 = _neighbor_lists(torus.side, torus.dim)
         self.pair_beta, self.pair_coop, self.pair_defect = _pair_rates(torus, p)
         n = torus.n_sites
         self.block = math.isqrt(n)
@@ -253,22 +254,22 @@ class RateTable:
     def pair_rate(self, y: int) -> float:
         """Birth rate through the occupied site ``y`` into an empty neighbor:
         beta/2d + beta_c/4d^2 * #{cooperator neighbors of y}, or (beta + beta_d)/2d."""
-        sites = self.torus.sites
+        sites = self.sites
         if sites[y] == DEFECTOR:
             return self.pair_defect
         k = 0
-        for z in self.torus.neighbors[y]:
+        for z in self.neighbors[y]:
             if sites[z] == COOPERATOR:
                 k += 1
         return self.pair_beta + self.pair_coop * k
 
     def site_rate(self, i: int) -> float:
         """Total event rate of site ``i`` in the current configuration."""
-        sites = self.torus.sites
+        sites = self.sites
         if sites[i] != EMPTY:
             return 1.0
         tot = 0.0
-        for y in self.torus.neighbors[i]:
+        for y in self.neighbors[i]:
             if sites[y] != EMPTY:
                 tot += self.pair_rate(y)
         return tot
@@ -326,7 +327,7 @@ def step(
     rng: np.random.Generator,
     t_limit: float = math.inf,
 ) -> tuple[Event | None, float]:
-    """Advance ``table.torus`` by one event; returns (event, elapsed).
+    """Advance the table's torus by one event; returns (event, elapsed).
 
     When the exponential holding time exceeds ``t_limit``, no event is
     selected or applied and ``(None, elapsed)`` is returned, which is the
@@ -356,14 +357,14 @@ def step(
     j = _pick(cum, block_rates, residual)
     i = lo + j
 
-    sites = table.torus.sites
+    sites = table.sites
     prev = sites[i]
     if prev != EMPTY:
         event = Event("death", i, None, EMPTY, prev)
     else:
         residual -= cum[j - 1] if j > 0 else 0.0
         chosen = None
-        for y in table.torus.neighbors[i]:
+        for y in table.neighbors[i]:
             if sites[y] != EMPTY:
                 chosen = y
                 residual -= table.pair_rate(y)
@@ -374,7 +375,7 @@ def step(
         event = Event("birth", i, chosen, sites[chosen], prev)
 
     sites[event.site] = event.state
-    table.refresh(table.torus.near2[event.site])
+    table.refresh(table.near2[event.site])
     return event, elapsed
 
 
@@ -394,7 +395,6 @@ def _compiled_step(
         raise AssertionError(f"stale rate table: selected empty site {site} has no occupied neighbor")
     if site < 0:
         return None, elapsed
-    table.torus.sites[site] = state
     # tuple.__new__ skips Event's Python-level __new__, about 0.4 us per event
     if parent < 0:
         return _new_tuple(Event, ("death", site, None, state, prev)), elapsed
@@ -528,6 +528,12 @@ def allocate(count: int, what: str, make, *args, **kwargs):
         raise DomainError(f"{number_text(count)} {what} cannot be stored: {exc}") from None
 
 
+def check_listable(count: int, what: str) -> None:
+    """Raise :class:`DomainError` when a list's pointers to ``count`` items exceed ``sys.maxsize`` bytes."""
+    if count > sys.maxsize // 8:
+        raise DomainError(f"{number_text(count)} {what} cannot be stored")
+
+
 def number_text(n: int) -> str:
     """A positive integer for a message: in full up to 24 digits, else as
     ``about 5.48e289``, its size rather than its hundreds of digits."""
@@ -590,7 +596,6 @@ def survival_estimate(
         raise DomainError(f"need at least one replica, got {replicas}")
     if not (math.isfinite(horizon) and horizon >= 0):
         raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
-    if replicas > sys.maxsize // 8:  # more than a list can hold: its pointers exceed sys.maxsize bytes
-        raise DomainError(f"{number_text(replicas)} replicas cannot be stored")
+    check_listable(replicas, "replicas")
     runs = [(p, side, horizon, rho_c, rho_d, master_seed, i) for i in range(replicas)]
     return SurvivalResult(tuple(survival_replicas(runs, jobs)))

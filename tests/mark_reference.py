@@ -28,12 +28,18 @@ def sort_key(mark):
     )
 
 
+def neighbors(torus):
+    """Each site's ``2 * dim`` neighbors as a tuple, read off the shape's int32 table."""
+    nbr = lattice._geometry(torus.side, torus.dim).nbr
+    return [tuple(row) for row in nbr.reshape(-1, 2 * torus.dim).tolist()]
+
+
 def sample_marks(p, torus, t_max, rng, flavor=g.STANDARD, p2=None, history=2.0):
     """The marks ``sample_event_log`` draws, in log order."""
     rates = g._stream_intensities(p, flavor, p2)
     n = torus.n_sites
     two_d = 2 * torus.dim
-    neighbors = torus.neighbors
+    nbrs = neighbors(torus)
     marks = []
     for kind in sorted(rates, key=KIND_ORDER.get):
         rate = rates[kind]
@@ -49,13 +55,13 @@ def sample_marks(p, torus, t_max, rng, flavor=g.STANDARD, p2=None, history=2.0):
         elif slots == 1:
             for t, ch in zip(times, channels):
                 x, slot = divmod(int(ch), two_d)
-                marks.append(Mark(float(t), kind, x, neighbors[x][slot]))
+                marks.append(Mark(float(t), kind, x, nbrs[x][slot]))
         else:
             for t, ch in zip(times, channels):
                 x, rest = divmod(int(ch), two_d * two_d)
                 slot_y, slot_z = divmod(rest, two_d)
-                y = neighbors[x][slot_y]
-                marks.append(Mark(float(t), kind, x, y, neighbors[y][slot_z]))
+                y = nbrs[x][slot_y]
+                marks.append(Mark(float(t), kind, x, y, nbrs[y][slot_z]))
     return sorted(marks, key=sort_key)
 
 

@@ -205,6 +205,9 @@ def test_poisson_mean_beyond_numpy_exits_2(argv, capsys):
          "more than 2147483647 sites"),
         pytest.param(f"simulate --beta 2 --side 6 --t-end 1 --replicas 1{'0' * 30} --seed 1",
                      "about 1.00e30 replicas cannot be stored", id="simulate-replicas-1e30"),
+        pytest.param(f"sweep --beta 2 --beta-c-grid 0 --beta-d-grid 0 --side 6 --t-end 1 "
+                     f"--replicas 1{'0' * 30} --seed 1",
+                     "about 1.00e30 replicas cannot be stored", id="sweep-replicas-1e30"),
         # an L whose window 2L^2, or that times the region, is beyond a float
         pytest.param(f"blocks cplus --L 1{'0' * 200} --replicas 2 --seed 1",
                      "L = about 1.00e200 in dimension 1", id="cplus-L-1e200"),
@@ -561,6 +564,84 @@ def test_every_command_runs_without_scipy():
     proc = python_in_src("-c", WITHOUT_SCIPY, json.dumps(SMALL_ARGS))
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0] * len(SMALL_ARGS)
+
+
+# The bad-input battery: each numeric option of each command's SMALL_ARGS,
+# in turn, set to each of these values
+BATTERY_FLOATS = ("0", "-1", "-0.0", "5e-324", "1e308", "inf", "nan")
+BATTERY_INTS = ("0", "-1", str(2**31), str(10**30))
+BATTERY_SECONDS = 20  # each argv's alarm in the child
+BATTERY_ADDRESS_SPACE = 1 << 30  # the child's own RLIMIT_AS, in bytes
+
+# (command, option, value) of valid jobs too large to start, with the reason
+BATTERY_HUGE_JOBS: dict[tuple[str, str, str], str] = {
+    **{(key, "replicas", str(2**31)): "2**31 replicas is a valid count; the run list that "
+       "survival_estimate and the sweep build first holds one tuple a replica, so the job "
+       "runs for hours or out of memory" for key in ("simulate", "sweep", "bracket")},
+    **{(key, "replicas", value): "a valid count of replicas run one after another, none stored: "
+       "it runs for days or forever" for key in ("couple", "sterile", "blocks:a2", "blocks:spread")
+       for value in (str(2**31), str(10**30))},
+}
+
+
+def battery_argvs(key: str) -> list[list[str]]:
+    """The battery's argvs for command ``key``, less :data:`BATTERY_HUGE_JOBS`."""
+    (base,) = [argv.split() for argv in SMALL_ARGS
+               if ":".join(argv.split()[: 1 + argv.startswith("blocks")]) == key]
+    argvs = []
+    for opt in cli._COMMANDS[key].options:
+        values = {"int": BATTERY_INTS, "float": BATTERY_FLOATS, "floats": BATTERY_FLOATS}.get(opt.kind, ())
+        argvs += [base + [opt.flag, v] for v in values if (key, opt.name, v) not in BATTERY_HUGE_JOBS]
+    return argvs
+
+
+# Limits its own address space, then runs each argv given as JSON under an
+# alarm and prints [argv, exit code or what went wrong, stderr] for each.
+BATTERY = """
+import contextlib, io, json, resource, signal, sys, traceback
+limit, seconds = int(sys.argv[2]), float(sys.argv[3])
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from coopsim import cli
+
+class Alarm(BaseException):
+    pass
+
+def ring(*_):
+    raise Alarm
+
+signal.signal(signal.SIGALRM, ring)
+results = []
+for argv in json.loads(sys.argv[1]):
+    err = io.StringIO()
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    except Alarm:
+        code = f"still running after {seconds} s"
+    except Exception:
+        code = "raised"
+        err.write(traceback.format_exc())
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+    results.append([argv, code, err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+@pytest.mark.parametrize("key", list(cli._COMMANDS))
+def test_bad_numeric_input_exits_0_or_2_in_one_short_line(key):
+    argvs = battery_argvs(key)
+    proc = python_in_src("-c", BATTERY, json.dumps(argvs), str(BATTERY_ADDRESS_SPACE),
+                         str(BATTERY_SECONDS), timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    bad = []
+    for argv, code, err in json.loads(proc.stdout):
+        lines = [line for line in err.splitlines() if line.startswith("coopsim: error:")]
+        ok = code == 0 and not lines or code == 2 and len(lines) == 1 and len(lines[0]) < 200
+        if not ok or "Traceback" in err:
+            bad.append(f"{' '.join(argv)}: {code}: {err.strip()[-300:]}")
+    assert not bad, "\n".join(bad)
 
 
 def test_import_loads_no_scipy():

@@ -30,6 +30,7 @@ from coopsim.lattice import RateTable, Torus, product_measure, run
 from coopsim.params import Params, equal_rate_benefit
 
 from engine_agreement import exact_law_pvalue, ring_law
+from mark_reference import neighbors
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -317,10 +318,10 @@ def test_compiled_birth_walk_picks_every_pair_of_mixed_sites():
             assert c_select(table, (sum(site_rates[:x]) + 0.5) / total) == (x, None)
             continue
         lo = sum(site_rates[:x])
-        for y in start.neighbors[x]:
+        for y in neighbors(start)[x]:
             if start.sites[y] == lattice.EMPTY:
                 continue
-            k = sum(1 for z in start.neighbors[y] if start.sites[z] == lattice.COOPERATOR)
+            k = sum(1 for z in neighbors(start)[y] if start.sites[z] == lattice.COOPERATOR)
             r = p.beta / 4 + p.beta_c / 16 * k if start.sites[y] == lattice.COOPERATOR else 4.0
             assert c_select(table, (lo + r / 2) / total) == (x, y)
             lo += r

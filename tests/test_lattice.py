@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,8 @@ from coopsim.lattice import (
 )
 from coopsim.params import Params
 
+from mark_reference import neighbors
+
 state_strings = st.text(alphabet="ecd", min_size=4, max_size=40)
 
 
@@ -37,9 +40,9 @@ def make_line(pattern: str) -> Torus:
 def test_torus_geometry_basics():
     t = Torus(5, dim=1)
     assert t.n_sites == 5
-    assert t.neighbors[0] == (4, 1)
-    assert t.neighbors[4] == (3, 0)
-    assert all(len(nbrs) == 2 for nbrs in t.neighbors)
+    assert neighbors(t)[0] == (4, 1)
+    assert neighbors(t)[4] == (3, 0)
+    assert all(len(nbrs) == 2 for nbrs in neighbors(t))
 
 
 def test_torus_neighbors_axis_order_2d():
@@ -47,14 +50,14 @@ def test_torus_neighbors_axis_order_2d():
     assert t.n_sites == 16
     i = t.index((0, 0))
     # order is (-e_0, +e_0, -e_1, +e_1) with periodic wrap
-    assert t.neighbors[i] == (t.index((3, 0)), t.index((1, 0)), t.index((0, 3)), t.index((0, 1)))
-    assert all(len(nbrs) == 4 for nbrs in t.neighbors)
+    assert neighbors(t)[i] == (t.index((3, 0)), t.index((1, 0)), t.index((0, 3)), t.index((0, 1)))
+    assert all(len(nbrs) == 4 for nbrs in neighbors(t))
 
 
 def test_torus_side_two_repeats_neighbor():
     t = Torus(2, dim=1)
-    assert t.neighbors[0] == (1, 1)
-    assert t.neighbors[1] == (0, 0)
+    assert neighbors(t)[0] == (1, 1)
+    assert neighbors(t)[1] == (0, 0)
 
 
 # every shape with side 2-8, d = 1-4 and at most 5,000 sites, and six more
@@ -77,13 +80,28 @@ def test_geometry_matches_its_definition(side, dim):
         two = [[a + b for a, b in zip(x, u)] for x in one for u in units]
         neighbors.append(tuple(t.index(x) for x in one))
         near2.append(tuple(sorted({t.index(x) for x in [c, *one, *two]})))
-    assert t.neighbors == geometry.neighbors == tuple(neighbors)
-    assert t.near2 == geometry.near2 == tuple(near2)
+    python_neighbors, python_near2 = lattice._neighbor_lists(side, dim)
+    assert python_neighbors == tuple(neighbors)
+    assert tuple(map(tuple, python_near2)) == tuple(near2)
     assert geometry.nbr.tolist() == [y for row in neighbors for y in row]
     assert geometry.near2_flat.tolist() == [z for row in near2 for z in row]
     assert geometry.near2_ptr.tolist() == [0, *itertools.accumulate(map(len, near2))]
     for array in (geometry.nbr, geometry.near2_ptr, geometry.near2_flat):
         assert array.dtype == np.int32 and array.ndim == 1 and not array.flags.writeable
+
+
+def test_geometry_allocates_only_its_arrays():
+    # the three int32 arrays hold 32 bytes a site on a ring (2 + 5 + 1 ints);
+    # per-site Python tuples, as once kept for the Python engine, cost 200 more
+    lattice._geometry.cache_clear()
+    tracemalloc.start()
+    try:
+        lattice._geometry(10**5, 1)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        lattice._geometry.cache_clear()
+    assert kept < 40 * 10**5 and peak < 128 * 10**5, (kept, peak)
 
 
 def test_site_count_refuses_shapes_beyond_the_int32_limit():
@@ -128,6 +146,28 @@ def test_torus_validation():
 
 
 @pytest.mark.parametrize(
+    "states",
+    [[1.0, 0, 0, 0, 2], [0, 0, 2.5, 0, 0], [0, 3, 0, 0, 0], [0, -1, 0, 0, 0], [0, 0, 0, 0, 256],
+     [0, "c", 0, 0, 0], [0, None, 0, 0, 0], [0, 10**30, 0, 0, 0], "eccdd", np.array([1.0, 0, 0, 0, 2])],
+    ids=["float", "fraction", "three", "negative", "past-a-byte", "char", "none", "huge", "text",
+         "float-array"],
+)
+def test_torus_refuses_a_state_that_is_not_an_integer_0_to_2(states):
+    with pytest.raises(DomainError, match="site states"):
+        Torus(5, 1, states)
+
+
+def test_torus_takes_any_integer_states_and_runs_them(engine):
+    # states are read through __index__, so numpy integers and bools count
+    for states in ([1, 0, 0, 0, 2], np.array([1, 0, 0, 0, 2]), [np.int8(1), 0, False, 0, np.uint64(2)],
+                   bytearray(b"\1\0\0\0\2")):
+        t = Torus(5, 1, states)
+        assert type(t.sites) is bytearray and t.state_string() == "ceeed"
+        series = run(t, Params(2.0), 1.0, np.random.default_rng(0))
+        assert sum(t.counts()) == 5 and series.events > 0
+
+
+@pytest.mark.parametrize(
     "text, dim, named",
     [("cxe", 1, "other than e, c, d"), ("cde", 0, "dim must be"), ("cde", -1, "dim must be"),
      ("cdeec", 2, "do not fill"), ("", 1, "side must be")],
@@ -146,6 +186,34 @@ def test_product_measure_frequencies():
     assert abs(n_d / 10_000 - 0.5) < 4 * (0.5 * 0.5 / 10_000) ** 0.5
     with pytest.raises(DomainError):
         product_measure(10, 1, 0.6, 0.6, rng)
+
+
+def product_measure_reference(side, dim, rho_c, rho_d, rng):
+    """The per-site rule ``product_measure`` once ran, one comparison a site."""
+    u = rng.random(side**dim)
+    return [COOPERATOR if v < rho_c else (DEFECTOR if v < rho_c + rho_d else EMPTY) for v in u]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7919])
+@pytest.mark.parametrize("rho_c, rho_d", [(0.0, 0.0), (0.25, 0.25), (0.1, 0.2), (0.3, 0.7), (1.0, 0.0),
+                                          (0.0, 1.0), (0.5, 0.5)])
+def test_product_measure_equals_the_per_site_rule(seed, rho_c, rho_d):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    torus = product_measure(30, 2, rho_c, rho_d, rng)
+    assert list(torus.sites) == product_measure_reference(30, 2, rho_c, rho_d, reference)
+    assert rng.random() == reference.random()  # and the generator is left where it was
+
+
+def test_product_measure_at_a_draw_equal_to_rho_c():
+    # a uniform equal to rho_c is not below it, so its site is no cooperator
+    u = np.random.default_rng(11).random(64)
+    for k in np.flatnonzero(u < 0.75)[:6]:
+        rho_c = float(u[k])
+        for rho_d in (0.0, 0.25):
+            torus = product_measure(8, 2, rho_c, rho_d, np.random.default_rng(11))
+            reference = product_measure_reference(8, 2, rho_c, rho_d, np.random.default_rng(11))
+            assert list(torus.sites) == reference
+            assert torus.sites[k] == (DEFECTOR if rho_d else EMPTY)
 
 
 # --------------------------------------------------------------- birth rates
@@ -220,7 +288,7 @@ def test_birth_rate_c_reduces_exactly_without_benefit(pattern, beta):
     rates = RateTable(t, Params(beta, 0.0, 0.0, 1)).rates
     for x, s in enumerate(t.sites):
         if s == EMPTY:
-            n_occ = sum(1 for y in t.neighbors[x] if t.sites[y] != EMPTY)
+            n_occ = sum(1 for y in neighbors(t)[x] if t.sites[y] != EMPTY)
             assert rates[x] == n_occ * (beta / 2.0)
 
 
@@ -325,9 +393,9 @@ def test_step_birth_walk_picks_every_pair_of_mixed_sites():
 
     def pair_rates(x):
         out = []
-        for y in start.neighbors[x]:
+        for y in neighbors(start)[x]:
             if sites[y] == COOPERATOR:
-                k = sum(1 for z in start.neighbors[y] if sites[z] == COOPERATOR)
+                k = sum(1 for z in neighbors(start)[y] if sites[z] == COOPERATOR)
                 out.append((y, p.beta / 4 + p.beta_c / 16 * k))
             elif sites[y] == DEFECTOR:
                 out.append((y, (p.beta + p.beta_d) / 4))
