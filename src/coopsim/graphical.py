@@ -41,7 +41,7 @@ import math
 import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -80,6 +80,11 @@ KIND_ORDER = {
 }
 _KIND_NAMES = tuple(sorted(KIND_ORDER, key=KIND_ORDER.get))
 _CROSS, _ARROW, _DOT_ARROW, _D_ARROW, _C_PLUS_DOT_ARROW, _D_PLUS_ARROW = range(len(_KIND_NAMES))
+_KIND_OBJECTS = np.array(_KIND_NAMES, dtype=object)  # the same str objects, indexed by code
+
+# Marks that the mark views make from one slice of the columns: enough to
+# spread each slice's cost, few enough that a pass holds little at once.
+_MARK_CHUNK = 4096
 
 # Neighbor slots in each kind's channel: a cross has one channel per site, an
 # arrow one per (site, neighbor slot of the source), a dot-arrow one per
@@ -218,7 +223,8 @@ class EventLog:
     code, target, source, dot): ``time`` (float64), ``kind`` (int8,
     :data:`KIND_ORDER` codes) and ``target``, ``source``, ``dot`` (int32
     sites, -1 for none).  ``marks`` is the same log as a tuple of
-    :class:`Mark`, built on first access.
+    :class:`Mark`, built on first access and then kept; ``window_marks``
+    streams its marks from the columns and keeps none.
     """
 
     __slots__ = (
@@ -285,13 +291,34 @@ class EventLog:
 
     @property
     def marks(self) -> tuple[Mark, ...]:
-        """The marks as :class:`Mark` tuples, in log order."""
+        """The marks as :class:`Mark` tuples, in log order, built on first
+        access and kept for the log's life."""
         if self._marks is None:
-            self._marks = tuple(
-                Mark(t, _KIND_NAMES[k], x, None if y < 0 else y, None if z < 0 else z)
-                for t, k, x, y, z in zip(*(c.tolist() for c in self._columns()))
-            )
+            # The marks are new tuples without cycles, which the cyclic
+            # collector would only scan again and again: a tuple subclass is
+            # never untracked.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._marks = tuple(self._iter_marks(0, len(self)))
+            finally:
+                if collecting:
+                    gc.enable()
         return self._marks
+
+    def _iter_marks(self, lo: int, hi: int) -> Iterator[Mark]:
+        """Marks [lo, hi) as :class:`Mark` tuples, made from the columns
+        ``_MARK_CHUNK`` at a time, so that no more than a chunk's objects
+        exist ahead of their use."""
+        def chunks():
+            for a in range(lo, hi, _MARK_CHUNK):
+                b = min(a + _MARK_CHUNK, hi)
+                source, dot = self.source[a:b], self.dot[a:b]
+                yield map(tuple.__new__, itertools.repeat(Mark), zip(
+                    self.time[a:b].tolist(), _KIND_OBJECTS[self.kind[a:b]].tolist(),
+                    self.target[a:b].tolist(), np.where(source < 0, None, source).tolist(),
+                    np.where(dot < 0, None, dot).tolist()))
+        return itertools.chain.from_iterable(chunks())
 
     def _columns(self) -> _Columns:
         return _Columns(self.time, self.kind, self.target, self.source, self.dot)
@@ -313,9 +340,13 @@ class EventLog:
     def window_marks(
         self, t_from: float | None = None, t_to: float | None = None
     ) -> Iterable[tuple[int, Mark]]:
-        """Marks with t_from < time <= t_to (window bounds by default), with index."""
+        """Marks with t_from < time <= t_to (window bounds by default), with
+        index.  They stream from the columns a chunk at a time, and ``marks``
+        is read only when it is already built; this does not build it."""
         window = self._window(t_from, t_to)
-        return enumerate(self.marks[window], window.start)
+        if self._marks is not None:
+            return enumerate(self._marks[window], window.start)
+        return enumerate(self._iter_marks(window.start, window.stop), window.start)
 
     def _site_index(self) -> _SiteIndex:
         """The per-site index, built once per log: by one counting pass in

@@ -1,10 +1,12 @@
 """Mark sampling, log evolution, couplings, sterility, and dual tracing."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -539,6 +541,87 @@ def test_window_bounds_are_half_open_and_never_nan():
             g.evolve_from_log(c0, log, **bounds)
         with pytest.raises(DomainError, match="NaN"):
             log.window_marks(**bounds)
+
+
+def marks_one_by_one(log):
+    """The log's marks made one at a time from its columns: the reference
+    for the chunked mark views."""
+    return tuple(
+        g.Mark(t, g._KIND_NAMES[k], x, None if y < 0 else y, None if z < 0 else z)
+        for t, k, x, y, z in zip(*(c.tolist() for c in log._columns()))
+    )
+
+
+def assert_same_marks(got, want):
+    assert got == want
+    for m in got:
+        assert type(m) is g.Mark and type(m.time) is float and type(m.target) is int
+        assert m.kind is g._KIND_NAMES[g.KIND_ORDER[m.kind]]
+        assert m.source is None or type(m.source) is int
+        assert m.dot is None or type(m.dot) is int
+
+
+def mark_view_cases():
+    """(log, windows): sampled logs of every flavor, hand logs with missing
+    sources and dots, an empty log, and a log longer than two chunks."""
+    rng = np.random.default_rng(31)
+    for flavor in (g.STANDARD, g.EQUAL_RATE, g.COUPLED):
+        log = random_flavored_log(flavor, 20, rng)
+        yield log, [(None, None), (-math.inf, math.inf), (-math.inf, log.t_start),
+                    (2.0, 1.0), (1.0, 1.0), (0.5, 2.5)]
+    hand = hand_log([g.Mark(-1.0, g.CROSS, 2), g.Mark(0.5, g.ARROW, 3, 2),
+                     g.Mark(0.5, g.DOT_ARROW, 1, 2, 3), g.Mark(4.0, g.DOT_ARROW, 4, 3, 4),
+                     g.Mark(9.0, g.CROSS, 0)])
+    yield hand, [(None, None), (-math.inf, 0.0), (0.5, 9.0)]
+    yield hand_log([]), [(None, None), (-math.inf, math.inf)]
+    long = g.sample_event_log(Params(2.0, 1.0, 1.0, 1), Torus(200, 1), 10.0, rng)
+    assert len(long) > 2 * g._MARK_CHUNK + 1000
+    # from inside the first chunk to inside the third
+    lo, hi = 1000, 2 * g._MARK_CHUNK + 700
+    inside = (float(long.time[lo - 1]), float(long.time[hi - 1]))
+    assert long._window(*inside) == slice(lo, hi)
+    yield long, [(None, None), inside]
+
+
+def test_mark_views_equal_the_marks_made_one_by_one():
+    for log, windows in mark_view_cases():
+        want = marks_one_by_one(log)
+        for cached in (False, True):
+            for t_from, t_to in windows:
+                window = log._window(t_from, t_to)
+                got = list(log.window_marks(t_from, t_to))
+                assert [i for i, _ in got] == list(range(window.start, window.stop))
+                assert_same_marks(tuple(m for _, m in got), want[window])
+            assert (log._marks is not None) == cached  # a window never builds the tuple
+            assert_same_marks(log.marks, want)
+            assert log.marks is log.marks
+
+
+def test_window_marks_keeps_no_marks_alive():
+    log = g.sample_event_log(Params(2.0, 1.0, 1.0, 1), Torus(1000, 1), 20.0,
+                             np.random.default_rng(3))
+    assert len(log) > 100_000
+    tracemalloc.start()
+    try:
+        dots = sum(m.kind == g.DOT_ARROW for _, m in log.window_marks())
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert dots == np.count_nonzero(log.kind[log._window(None, None)] == g.KIND_ORDER[g.DOT_ARROW])
+    assert kept < 1_000_000  # a Mark kept for every mark would hold about 18 MB
+    assert log._marks is None
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_building_marks_leaves_the_collector_as_it_found_it(collecting):
+    log = random_flavored_log(g.STANDARD, 20, np.random.default_rng(5))
+    was = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert log.marks
+        assert gc.isenabled() == collecting
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_mark_engine_pinned_digests():
