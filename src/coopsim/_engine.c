@@ -63,7 +63,6 @@
 #define D_ARROW 3
 #define C_PLUS_DOT_ARROW 4
 #define D_PLUS_ARROW 5
-#define N_KINDS 6
 
 typedef struct {
     int32_t n, deg, block, n_blocks;
@@ -487,36 +486,22 @@ static char *put_time(char *p, double v, const uint64_t *pow10)
     return p;
 }
 
-/* The lengths of the n_names names into len, once per call; 0 when there
- * are more names than kinds, which coop_format and coop_parse refuse. */
-static int name_lengths(const char *const *names, int n_names, size_t *len)
-{
-    if (n_names > N_KINDS)
-        return 0;
-    for (int k = 0; k < n_names; k++)
-        len[k] = strlen(names[k]);
-    return 1;
-}
-
 /* The mark lines of coopsim.graphical.EventLog.to_text for marks [0, n):
  * "TIME KIND TARGET SOURCE DOT\n", the time as repr writes it, the kind
- * as names[kind] (n_names of them, at most N_KINDS) and a site of -1 as
- * "-"; pow10 is the table above.  Writes at most cap bytes to out and
- * returns the number written, or -1 when a kind has no name, a time is
- * not finite or fewer bytes are left than the longest line of its kind
- * could take: a time of 24, three sites of 10, four spaces and a newline. */
+ * as names[kind] (n_names of them) and a site of -1 as "-"; pow10 is the
+ * table above.  Writes at most cap bytes to out and returns the number
+ * written, or -1 when a kind has no name, a time is not finite or fewer
+ * bytes are left than the longest line of its kind could take: a time
+ * of 24, three sites of 10, four spaces and a newline. */
 int64_t coop_format(char *out, int64_t cap, const double *time, const int8_t *kind,
                     const int32_t *target, const int32_t *source, const int32_t *dot, int64_t n,
                     const char *const *names, int n_names, const uint64_t *pow10)
 {
-    size_t name_len[N_KINDS];
-    if (!name_lengths(names, n_names, name_len))
-        return -1;
     char *p = out, *end = out + cap;
     for (int64_t i = 0; i < n; i++) {
         if (kind[i] < 0 || kind[i] >= n_names || !isfinite(time[i]))
             return -1;
-        size_t k_len = name_len[kind[i]];
+        size_t k_len = strlen(names[kind[i]]);
         if ((size_t)(end - p) < 24 + k_len + 3 * 10 + 5)
             return -1;
         p = put_time(p, time[i], pow10);
@@ -650,13 +635,11 @@ int64_t coop_lines(const char *text, int64_t len)
     return n;
 }
 
-/* The index of the name of the k_len bytes at k0 among n_names names of
- * lengths name_len, or -1. */
-static int kind_code(const char *k0, size_t k_len, const char *const *names,
-                     const size_t *name_len, int n_names)
+/* The index of the name of the k_len bytes at k0 among n_names names, or -1. */
+static int kind_code(const char *k0, size_t k_len, const char *const *names, int n_names)
 {
     for (int k = 0; k < n_names; k++)
-        if (name_len[k] == k_len && !memcmp(names[k], k0, k_len))
+        if (strlen(names[k]) == k_len && !memcmp(names[k], k0, k_len))
             return k;
     return -1;
 }
@@ -687,19 +670,18 @@ static int64_t read_site(const char **p, const char *end, int64_t n_sites, int d
  * len bytes at text into the columns, which hold cap marks.  Takes only
  * canonical lines, "TIME KIND TARGET SOURCE DOT\n" with single spaces:
  * TIME as read_time takes it, with the table of coop_format, and in [t_lo,
- * t_hi]; KIND one of the n_names names, at most N_KINDS; TARGET, SOURCE
- * and DOT [0-9]+ below n_sites, SOURCE and DOT also "-".  Returns the
- * number of marks read, or -1 at the first line it does not take, which
- * leaves the text to the Python loop.  read_time and float() both round
- * correctly.  Where the locale's decimal point is not '.', strtod would
- * stop short, so the whole text is refused. */
+ * t_hi]; KIND one of the n_names names; TARGET, SOURCE and DOT [0-9]+ below
+ * n_sites, SOURCE and DOT also "-".  Returns the number of marks read, or
+ * -1 at the first line it does not take, which leaves the text to the
+ * Python loop.  read_time and float() both round correctly.  Where the
+ * locale's decimal point is not '.', strtod would stop short, so the
+ * whole text is refused. */
 int64_t coop_parse(const char *text, int64_t len, const char *const *names, int n_names,
                    double t_lo, double t_hi, int64_t n_sites, double *time, int8_t *kind,
                    int32_t *target, int32_t *source, int32_t *dot, int64_t cap,
                    const uint64_t *pow10)
 {
-    size_t name_len[N_KINDS];
-    if (strcmp(localeconv()->decimal_point, ".") != 0 || !name_lengths(names, n_names, name_len))
+    if (strcmp(localeconv()->decimal_point, ".") != 0)
         return -1;
     const char *p = text, *end = text + len;
     int64_t i = 0;
@@ -714,7 +696,7 @@ int64_t coop_parse(const char *text, int64_t len, const char *const *names, int 
             p++;
         if (p == end)
             return -1;
-        int k = kind_code(k0, p++ - k0, names, name_len, n_names);
+        int k = kind_code(k0, p++ - k0, names, n_names);
         if (k < 0)
             return -1;
         int64_t x = read_site(&p, end, n_sites, 0, ' ');

@@ -294,16 +294,7 @@ class EventLog:
         """The marks as :class:`Mark` tuples, in log order, built on first
         access and kept for the log's life."""
         if self._marks is None:
-            # The marks are new tuples without cycles, which the cyclic
-            # collector would only scan again and again: a tuple subclass is
-            # never untracked.
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                self._marks = tuple(self._iter_marks(0, len(self)))
-            finally:
-                if collecting:
-                    gc.enable()
+            self._marks = tuple(self._iter_marks(0, len(self)))
         return self._marks
 
     def _iter_marks(self, lo: int, hi: int) -> Iterator[Mark]:
@@ -341,11 +332,9 @@ class EventLog:
         self, t_from: float | None = None, t_to: float | None = None
     ) -> Iterable[tuple[int, Mark]]:
         """Marks with t_from < time <= t_to (window bounds by default), with
-        index.  They stream from the columns a chunk at a time, and ``marks``
-        is read only when it is already built; this does not build it."""
+        index.  They stream from the columns a chunk at a time; this does
+        not build ``marks``."""
         window = self._window(t_from, t_to)
-        if self._marks is not None:
-            return enumerate(self._marks[window], window.start)
         return enumerate(self._iter_marks(window.start, window.stop), window.start)
 
     def _site_index(self) -> _SiteIndex:

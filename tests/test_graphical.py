@@ -1,7 +1,6 @@
 """Mark sampling, log evolution, couplings, sterility, and dual tracing."""
 
 import functools
-import gc
 import hashlib
 import itertools
 import math
@@ -586,15 +585,14 @@ def mark_view_cases():
 def test_mark_views_equal_the_marks_made_one_by_one():
     for log, windows in mark_view_cases():
         want = marks_one_by_one(log)
-        for cached in (False, True):
-            for t_from, t_to in windows:
-                window = log._window(t_from, t_to)
-                got = list(log.window_marks(t_from, t_to))
-                assert [i for i, _ in got] == list(range(window.start, window.stop))
-                assert_same_marks(tuple(m for _, m in got), want[window])
-            assert (log._marks is not None) == cached  # a window never builds the tuple
-            assert_same_marks(log.marks, want)
-            assert log.marks is log.marks
+        for t_from, t_to in windows:
+            window = log._window(t_from, t_to)
+            got = list(log.window_marks(t_from, t_to))
+            assert [i for i, _ in got] == list(range(window.start, window.stop))
+            assert_same_marks(tuple(m for _, m in got), want[window])
+        assert log._marks is None  # a window never builds the tuple
+        assert_same_marks(log.marks, want)
+        assert log.marks is log.marks
 
 
 def test_window_marks_keeps_no_marks_alive():
@@ -610,18 +608,6 @@ def test_window_marks_keeps_no_marks_alive():
     assert dots == np.count_nonzero(log.kind[log._window(None, None)] == g.KIND_ORDER[g.DOT_ARROW])
     assert kept < 1_000_000  # a Mark kept for every mark would hold about 18 MB
     assert log._marks is None
-
-
-@pytest.mark.parametrize("collecting", [True, False])
-def test_building_marks_leaves_the_collector_as_it_found_it(collecting):
-    log = random_flavored_log(g.STANDARD, 20, np.random.default_rng(5))
-    was = gc.isenabled()
-    (gc.enable if collecting else gc.disable)()
-    try:
-        assert log.marks
-        assert gc.isenabled() == collecting
-    finally:
-        (gc.enable if was else gc.disable)()
 
 
 def test_mark_engine_pinned_digests():
