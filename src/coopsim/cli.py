@@ -336,8 +336,8 @@ def _cmd_simulate(v: dict, cfg: RunConfig) -> str:
     ):
         lines.append(f"# {name}={_fmt(getattr(result, name))}")
     lines.append("replica,n_c,n_d,n_e")
-    for o in result.outcomes:
-        lines.append(f"{o.index},{o.n_c},{o.n_d},{o.n_e}")
+    for i, (n_c, n_d, n_e) in enumerate(result.counts.tolist()):
+        lines.append(f"{i},{n_c},{n_d},{n_e}")
     return "\n".join(lines) + "\n"
 
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import BudgetExhausted, DomainError
 from .graphical import COUPLED, coupled_evolve, sample_event_log
-from .lattice import (COOPERATOR, DEFECTOR, ReplicaOutcome, SurvivalResult, check_listable,
-                      product_measure, survival_estimate, survival_replicas)
+from .lattice import (COOPERATOR, DEFECTOR, SurvivalResult, product_measure, survival_estimate,
+                      survival_replicas)
 from .mean_field import classify_regime
 from .params import Params, equal_rate_benefit
 
@@ -100,10 +100,6 @@ class SweepPoint(SurvivalResult):
     mf_regime: str
     seed: int
 
-    @property
-    def replicas(self) -> int:
-        return len(self.outcomes)
-
 
 def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
     """Survival-outcome frequencies over the full benefit grid.
@@ -117,26 +113,21 @@ def sweep_phase_diagram(spec: SweepSpec, jobs: int = 1) -> list[SweepPoint]:
     comparison.
     """
     points = [
-        (Params(spec.beta, beta_c, beta_d, spec.dim), point_seed(spec.master_seed, k))
+        (Params(spec.beta, beta_c, beta_d, spec.dim), spec.side, spec.horizon, spec.rho_c, spec.rho_d,
+         point_seed(spec.master_seed, k))
         for k, (beta_c, beta_d) in enumerate(product(spec.beta_c_grid, spec.beta_d_grid))
     ]
     n = spec.replicas
-    check_listable(len(points) * n, "replicas")
-    runs = [
-        (p, spec.side, spec.horizon, spec.rho_c, spec.rho_d, seed, i)
-        for p, seed in points
-        for i in range(n)
-    ]
-    outcomes = survival_replicas(runs, jobs)
+    rows = survival_replicas(points, n, jobs)
     return [
         SweepPoint(
-            outcomes=tuple(outcomes[k * n : (k + 1) * n]),
+            rows=rows[k * n : (k + 1) * n].tobytes(),
             beta_c=p.beta_c,
             beta_d=p.beta_d,
             mf_regime=classify_regime(p),
             seed=seed,
         )
-        for k, (p, seed) in enumerate(points)
+        for k, (p, *_, seed) in enumerate(points)
     ]
 
 
@@ -228,18 +219,17 @@ def monotonicity_check(
     c_nested = True
     d_nested = True
     identical = True
-    outcomes_f, outcomes_b = [], []
-    for i in range(replicas):
+    alive = [0, 0, 0, 0]  # replicas with cooperators, defectors alive when favored, then at base
+    for _ in range(replicas):
         start = product_measure(side, base.dim, rho_c, rho_d, rng)
         log = sample_event_log(favored, start, horizon, rng, flavor=COUPLED, p2=base)
         first, second = coupled_evolve(start, start.copy(), log)
-        outcomes_f.append(ReplicaOutcome(i, *first.counts()))
-        outcomes_b.append(ReplicaOutcome(i, *second.counts()))
+        alive = [a + (n > 0) for a, n in zip(alive, first.counts()[:2] + second.counts()[:2])]
         pairs = list(zip(first.sites, second.sites))
         c_nested &= all(a == COOPERATOR for a, b in pairs if b == COOPERATOR)
         d_nested &= all(b == DEFECTOR for a, b in pairs if a == DEFECTOR)
         identical &= first.sites == second.sites
-    fav, bas = SurvivalResult(tuple(outcomes_f)), SurvivalResult(tuple(outcomes_b))
+    c_fav, d_fav, c_base, d_base = (n / replicas for n in alive)
     return MonotonicityReport(
         base=base,
         favored=favored,
@@ -248,10 +238,10 @@ def monotonicity_check(
         c_sets_nested_at_horizon=c_nested,
         d_sets_nested_at_horizon=d_nested,
         identical_trajectories=identical,
-        freq_c_alive_favored=fav.freq_c_alive,
-        freq_c_alive_base=bas.freq_c_alive,
-        freq_d_alive_favored=fav.freq_d_alive,
-        freq_d_alive_base=bas.freq_d_alive,
+        freq_c_alive_favored=c_fav,
+        freq_c_alive_base=c_base,
+        freq_d_alive_favored=d_fav,
+        freq_d_alive_base=d_base,
     )
 
 

@@ -32,14 +32,14 @@ from __future__ import annotations
 
 import math
 import os
-import sys
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from itertools import accumulate
+from functools import lru_cache, partial, reduce
+from itertools import accumulate, islice
 from operator import add
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -127,6 +127,9 @@ GEOMETRY_CACHE_SIZE = 8
 
 # Most sites a torus may have: sites, neighbor tables and mark sites are int32.
 MAX_SITES = 2**31 - 1
+
+# Survival replicas whose specs are made and mapped at a time: they are never all listed
+REPLICA_CHUNK = 4096
 
 
 def site_count(side: int, dim: int) -> int:
@@ -456,8 +459,7 @@ def run(
     return TimeSeries(t=sample_times, n_c=out_c, n_d=out_d, n_e=out_e, events=events)
 
 
-@dataclass(frozen=True, slots=True)
-class ReplicaOutcome:
+class ReplicaOutcome(NamedTuple):
     """Final counts of one survival replica."""
 
     index: int
@@ -477,28 +479,35 @@ class SurvivalResult:
     statements, and are labelled as such wherever they are written out.
     """
 
-    outcomes: tuple[ReplicaOutcome, ...]
+    rows: bytes  # one native int32 row (n_c, n_d, n_e) per replica; bytes keep == and hash
 
-    def count(self, predicate: Callable[[ReplicaOutcome], bool]) -> int:
-        return sum(1 for o in self.outcomes if predicate(o))
+    @property
+    def counts(self) -> np.ndarray:
+        """The rows as a read-only ``(replicas, 3)`` array, in replica order."""
+        return np.frombuffer(self.rows, np.int32).reshape(-1, 3)
 
-    def freq(self, predicate: Callable[[ReplicaOutcome], bool]) -> float:
-        return self._share(self.count(predicate))
+    def _classes(self, c_alive: bool, d_alive: bool) -> int:
+        """Replicas whose cooperators are alive iff ``c_alive`` and defectors iff ``d_alive``."""
+        n_c, n_d, _ = self.counts.T
+        return int(np.count_nonzero(((n_c > 0) == c_alive) & ((n_d > 0) == d_alive)))
 
     def _share(self, n: int) -> float:
-        return n / len(self.outcomes) if self.outcomes else float("nan")
+        return n / self.replicas if self.replicas else float("nan")
 
+    replicas = property(lambda self: len(self.counts))
+    # each row as a ReplicaOutcome, built on access
+    outcomes = property(lambda self: tuple(ReplicaOutcome(i, *r) for i, r in enumerate(self.counts.tolist())))
     # the four outcome classes, as counts and as frequencies
-    n_c_wins = property(lambda self: self.count(lambda o: o.n_c > 0 and o.n_d == 0))
-    n_d_wins = property(lambda self: self.count(lambda o: o.n_d > 0 and o.n_c == 0))
-    n_coexist = property(lambda self: self.count(lambda o: o.n_c > 0 and o.n_d > 0))
-    n_both_extinct = property(lambda self: self.count(lambda o: o.n_c == 0 and o.n_d == 0))
+    n_c_wins = property(lambda self: self._classes(True, False))
+    n_d_wins = property(lambda self: self._classes(False, True))
+    n_coexist = property(lambda self: self._classes(True, True))
+    n_both_extinct = property(lambda self: self._classes(False, False))
     freq_c_wins = property(lambda self: self._share(self.n_c_wins))
     freq_d_wins = property(lambda self: self._share(self.n_d_wins))
     freq_coexist = property(lambda self: self._share(self.n_coexist))
     freq_both_extinct = property(lambda self: self._share(self.n_both_extinct))
-    freq_c_alive = property(lambda self: self.freq(lambda o: o.n_c > 0))
-    freq_d_alive = property(lambda self: self.freq(lambda o: o.n_d > 0))
+    freq_c_alive = property(lambda self: self._share(self.n_c_wins + self.n_coexist))
+    freq_d_alive = property(lambda self: self._share(self.n_d_wins + self.n_coexist))
 
 
 def binomial_estimate(hits: int, n: int) -> tuple[float, float]:
@@ -528,12 +537,6 @@ def allocate(count: int, what: str, make, *args, **kwargs):
         raise DomainError(f"{number_text(count)} {what} cannot be stored: {exc}") from None
 
 
-def check_listable(count: int, what: str) -> None:
-    """Raise :class:`DomainError` when a list's pointers to ``count`` items exceed ``sys.maxsize`` bytes."""
-    if count > sys.maxsize // 8:
-        raise DomainError(f"{number_text(count)} {what} cannot be stored")
-
-
 def number_text(n: int) -> str:
     """A positive integer for a message: in full up to 24 digits, else as
     ``about 5.48e289``, its size rather than its hundreds of digits."""
@@ -550,30 +553,40 @@ def replica_rng(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(master_seed, spawn_key=(index,)))
 
 
-def _survival_replica(spec: tuple) -> ReplicaOutcome:
+def _survival_replica(spec: tuple) -> tuple[int, int, int]:
     p, side, horizon, rho_c, rho_d, master_seed, index = spec
     rng = replica_rng(master_seed, index)
     torus = product_measure(side, p.dim, rho_c, rho_d, rng)
     run(torus, p, horizon, rng, sample_interval=max(horizon, 1.0))
-    return ReplicaOutcome(index, *torus.counts())
+    return torus.counts()
 
 
-def survival_replicas(runs: Sequence[tuple], jobs: int = 1) -> list[ReplicaOutcome]:
-    """Final counts of ``runs``, each ``(params, side, horizon, rho_c, rho_d,
-    master_seed, index)`` and drawn from ``replica_rng(master_seed, index)``.
+def survival_replicas(points: Sequence[tuple], replicas: int, jobs: int = 1) -> np.ndarray:
+    """Int32 rows ``(n_c, n_d, n_e)``: row ``k * replicas + i`` is replica
+    ``i`` of ``points[k]`` = ``(params, side, horizon, rho_c, rho_d,
+    master_seed)``, drawn from ``replica_rng(master_seed, i)``.  Rows that
+    cannot be stored raise :class:`DomainError` before any replica runs.
 
-    ``jobs > 1`` runs them in one process pool that lives only inside this
-    call, with ``min(jobs, usable cpus, len(runs))`` workers.
+    Replicas run :data:`REPLICA_CHUNK` at a time; ``jobs > 1`` runs them in
+    one process pool that lives only inside this call, with ``min(jobs,
+    usable cpus, rows)`` workers.
     """
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
-    if jobs == 1 or not runs:
-        return [_survival_replica(r) for r in runs]
-    _engine.load()  # forked workers inherit the loaded module
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    workers = min(jobs, cpus, len(runs))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_survival_replica, runs, chunksize=8))
+    total = len(points) * replicas
+    rows = allocate(total, "replicas", np.empty, (total, 3), np.int32)
+    specs = ((*point, i) for point in points for i in range(replicas))
+    pool, mapper = nullcontext(), map
+    if jobs > 1 and total:
+        _engine.load()  # forked workers inherit the loaded module
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+        pool = ProcessPoolExecutor(max_workers=min(jobs, cpus, total))
+        mapper = partial(pool.map, chunksize=8)
+    with pool:
+        for lo in range(0, total, REPLICA_CHUNK):
+            counts = mapper(_survival_replica, islice(specs, REPLICA_CHUNK))
+            rows[lo : lo + REPLICA_CHUNK] = np.fromiter(counts, (np.int32, 3))  # each tuple freed once read
+    return rows
 
 
 def survival_estimate(
@@ -596,6 +609,5 @@ def survival_estimate(
         raise DomainError(f"need at least one replica, got {replicas}")
     if not (math.isfinite(horizon) and horizon >= 0):
         raise DomainError(f"horizon must be finite and nonnegative, got {horizon}")
-    check_listable(replicas, "replicas")
-    runs = [(p, side, horizon, rho_c, rho_d, master_seed, i) for i in range(replicas)]
-    return SurvivalResult(tuple(survival_replicas(runs, jobs)))
+    point = (p, side, horizon, rho_c, rho_d, master_seed)
+    return SurvivalResult(survival_replicas([point], replicas, jobs).tobytes())

@@ -299,7 +299,7 @@ def test_10_benefit_direction_at_desk_scale():
     strong = survival_estimate(
         Params(4.0, 50.0, 1.0, 1), 100, 200.0, 200, 0.12, 0.55, 2027
     )
-    outnumbered = strong.freq(lambda o: o.n_c > o.n_d)
+    outnumbered = np.count_nonzero(strong.counts[:, 0] > strong.counts[:, 1]) / len(strong.counts)
     if not outnumbered >= 0.90:
         failures.append(f"high benefit: cooperators ahead in only {outnumbered:.2%}")
     report(10, "whoever the benefit favors dominates at desk scale", failures)

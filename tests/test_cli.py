@@ -575,12 +575,9 @@ BATTERY_ADDRESS_SPACE = 1 << 30  # the child's own RLIMIT_AS, in bytes
 
 # (command, option, value) of valid jobs too large to start, with the reason
 BATTERY_HUGE_JOBS: dict[tuple[str, str, str], str] = {
-    **{(key, "replicas", str(2**31)): "2**31 replicas is a valid count; the run list that "
-       "survival_estimate and the sweep build first holds one tuple a replica, so the job "
-       "runs for hours or out of memory" for key in ("simulate", "sweep", "bracket")},
-    **{(key, "replicas", value): "a valid count of replicas run one after another, none stored: "
-       "it runs for days or forever" for key in ("couple", "sterile", "blocks:a2", "blocks:spread")
-       for value in (str(2**31), str(10**30))},
+    (key, "replicas", value): "a valid count of replicas run one after another, none stored: "
+    "it runs for days or forever" for key in ("couple", "sterile", "blocks:a2", "blocks:spread")
+    for value in (str(2**31), str(10**30))
 }
 
 

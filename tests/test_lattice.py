@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import multiprocessing
 import tracemalloc
 
 import numpy as np
@@ -16,6 +17,7 @@ from coopsim.lattice import (
     DEFECTOR,
     EMPTY,
     RateTable,
+    SurvivalResult,
     Torus,
     product_measure,
     replica_rng,
@@ -658,6 +660,93 @@ def test_survival_pinned_outcomes():
     assert [(o.n_c, o.n_d, o.n_e) for o in res.outcomes] == [
         (1, 9, 2), (5, 5, 2), (2, 9, 1), (0, 9, 3),
     ]
+
+
+HAND_ROWS = [  # (n_c, n_d, n_e): every class, zero cooperators, zero defectors, all empty
+    (3, 0, 1), (0, 4, 0), (2, 2, 0), (0, 0, 4), (1, 0, 3), (0, 1, 3), (0, 0, 4), (4, 1, 0), (5, 0, 0),
+]
+
+
+def result_of(rows) -> SurvivalResult:
+    return SurvivalResult(np.array(rows, dtype=np.int32).reshape(-1, 3).tobytes())
+
+
+@pytest.mark.parametrize("rows", [HAND_ROWS, HAND_ROWS[:1], HAND_ROWS[3:4], HAND_ROWS[2:3]],
+                         ids=["all-classes", "one-c-wins", "one-all-empty", "one-coexist"])
+def test_survival_reductions_equal_a_count_over_the_rows(rows):
+    res = result_of(rows)
+    n = len(rows)
+    classes = {
+        "c_wins": lambda c, d: c > 0 and d == 0,
+        "d_wins": lambda c, d: d > 0 and c == 0,
+        "coexist": lambda c, d: c > 0 and d > 0,
+        "both_extinct": lambda c, d: c == 0 and d == 0,
+        "c_alive": lambda c, d: c > 0,
+        "d_alive": lambda c, d: d > 0,
+    }
+    for name, rule in classes.items():
+        hits = sum(1 for c, d, _ in rows if rule(c, d))
+        if not name.endswith("alive"):
+            count = getattr(res, f"n_{name}")
+            assert count == hits and type(count) is int, name
+        freq = getattr(res, f"freq_{name}")
+        assert freq == hits / n and type(freq) is float, name
+    assert res.n_c_wins + res.n_d_wins + res.n_coexist + res.n_both_extinct == res.replicas == n
+    assert res.outcomes == tuple((i, *row) for i, row in enumerate(rows))
+    assert [o.index for o in res.outcomes] == list(range(n))
+    assert res.counts.dtype == np.int32 and res.counts.shape == (n, 3)
+    assert not res.counts.flags.writeable
+    twin = result_of(list(rows))
+    assert twin == res and hash(twin) == hash(res)
+    assert result_of(rows[::-1] + [(1, 1, 1)]) != res
+
+
+# two points of a sweep, whose 10 replicas each the chunk tests run 3 at a time
+TWO_POINTS = [(Params(4.0, beta_c, 1.0, 1), 6, 2.0, 0.3, 0.3, seed) for beta_c, seed in ((0.0, 5), (6.0, 8))]
+
+
+def test_survival_rows_are_filled_chunk_by_chunk(serial_pool, monkeypatch):
+    points = TWO_POINTS
+    serial = lattice.survival_replicas(points, 10, jobs=1)
+    monkeypatch.setattr(lattice, "REPLICA_CHUNK", 3)
+    assert np.array_equal(lattice.survival_replicas(points, 10, jobs=1), serial)
+    assert np.array_equal(lattice.survival_replicas(points, 10, jobs=2), serial)
+    assert serial_pool == [2]
+    for k, (p, side, horizon, rho_c, rho_d, seed) in enumerate(points):
+        alone = survival_estimate(p, side, horizon, 10, rho_c, rho_d, seed)
+        assert np.array_equal(alone.counts, serial[10 * k : 10 * (k + 1)])
+
+
+def test_survival_rows_are_filled_chunk_by_chunk_in_one_real_pool(monkeypatch):
+    points = TWO_POINTS
+    serial = lattice.survival_replicas(points, 10, jobs=1)
+    opened = []
+
+    class CountedPool(lattice.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(lattice, "ProcessPoolExecutor", CountedPool)
+    monkeypatch.setattr(lattice, "REPLICA_CHUNK", 3)
+    monkeypatch.setattr(lattice.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert np.array_equal(lattice.survival_replicas(points, 10, jobs=2), serial)
+    assert opened == [2]
+    assert multiprocessing.active_children() == []
+
+
+def test_survival_keeps_a_few_bytes_per_replica():
+    n = 10_000
+    kwargs = dict(p=Params(4.0), side=4, horizon=0.0, rho_c=0.3, rho_d=0.3, master_seed=1)
+    survival_estimate(replicas=10, **kwargs)  # caches and first-use allocations
+    tracemalloc.start()
+    try:
+        res = survival_estimate(replicas=n, **kwargs)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert res.replicas == n
+    assert kept <= 16 * n and peak <= 32 * n, (kept / n, peak / n)
 
 
 def test_replica_rng_streams_differ():
